@@ -349,9 +349,5 @@ ALL_CHECKS = [
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run every acceptance check concurrently; results are sorted by check id."""
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(lambda check: check(seed), ALL_CHECKS))
-    results.sort(key=lambda r: int(r.check_id))
-    return results
+    """Run every acceptance check, one after another, in check-id order."""
+    return [check(seed) for check in ALL_CHECKS]

@@ -394,5 +394,13 @@ def load_group(name: str, catalog_dir: str | None = None):
     for path in candidates:
         if os.path.isfile(path):
             with open(path) as fh:
-                return group_from_json(json.load(fh))
+                try:
+                    data = json.load(fh)
+                    if not isinstance(data, dict):
+                        raise TypeError("expected a JSON object")
+                    return group_from_json(data)
+                except (ValueError, TypeError, KeyError) as err:
+                    # malformed JSON, a missing table or non-integer entries
+                    raise ValidationError(f"{path} is not a group in the JSON "
+                                          f"format: {err!r}") from err
     raise ValidationError(f"unknown group {name!r}; catalog has {catalog_names()}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +106,34 @@ class RepObject:
         return f"RepObject({self.name or self.dim}, dim={self.dim})"
 
 
+class _TensorObject(RepObject):
+    """x (x) y.  Its |G| d^4 carrier matrices are built on first read;
+    duality and braiding data label their endpoints with it but only read
+    the dimension and the grading, which come from the factors."""
+
+    def __init__(self, cat: "RepCategory", x: RepObject, y: RepObject):
+        self.cat = cat
+        self.name = f"{x.name}*{y.name}"
+        self._isotypic = None
+        self._factors = (x, y)
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        x, y = self._factors
+        d = x.dim * y.dim
+        return np.einsum("gij,gkl->gikjl", x.matrices, y.matrices).reshape(-1, d, d)
+
+    @property
+    def dim(self) -> int:
+        x, y = self._factors
+        return x.dim * y.dim
+
+    @property
+    def grading(self) -> np.ndarray:
+        x, y = self._factors
+        return np.kron(x.grading, y.grading)
+
+
 class Intertwiner:
     """An equivariant linear map between the carriers of two representations."""
 
@@ -119,7 +148,8 @@ class Intertwiner:
         self.matrix = mat
 
     def then(self, other: "Intertwiner") -> "Intertwiner":
-        if other.src is not self.dst and other.src.dim != self.dst.dim:
+        if other.src is not self.dst and not np.array_equal(other.src.matrices,
+                                                            self.dst.matrices):
             raise CompositionError("endpoints do not match")
         return Intertwiner(self.src, other.dst, other.matrix @ self.matrix)
 
@@ -153,13 +183,22 @@ class Adjunction:
     i: Intertwiner
     e: Intertwiner
 
+    @property
+    def unit_matrix(self) -> np.ndarray:
+        """The unit as a dim(x) x dim(xstar) matrix I[a, p] = i[(a, p)]."""
+        return self.i.matrix.reshape(self.x.dim, self.xstar.dim)
+
+    @property
+    def counit_matrix(self) -> np.ndarray:
+        """The counit as a dim(xstar) x dim(x) matrix E[p, a] = e[(p, a)]."""
+        return self.e.matrix.reshape(self.xstar.dim, self.x.dim)
+
     def triangle_dev(self) -> float:
-        dx = self.x.dim
-        dy = self.xstar.dim
-        i_m, e_m = self.i.matrix, self.e.matrix
-        first = np.kron(np.eye(dx), e_m) @ np.kron(i_m, np.eye(dx))
-        second = np.kron(e_m, np.eye(dy)) @ np.kron(np.eye(dy), i_m)
-        return max(max_dev(first, np.eye(dx)), max_dev(second, np.eye(dy)))
+        """Deviation of both zig-zags from the identity: (1 (x) e)(i (x) 1) = I E
+        on x and (e (x) 1)(1 (x) i) = (E I)^T on xstar."""
+        i_m, e_m = self.unit_matrix, self.counit_matrix
+        return max(max_dev(i_m @ e_m, np.eye(self.x.dim)),
+                   max_dev(e_m @ i_m, np.eye(self.xstar.dim)))
 
     def scaled(self, factor: complex) -> "Adjunction":
         """Rescale counit by the factor and unit by its inverse; still an adjunction."""
@@ -168,12 +207,13 @@ class Adjunction:
                           Intertwiner(self.e.src, self.e.dst, self.e.matrix * factor))
 
 
+def _swap_rows(mat: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
+    """The swap (a (x) b -> b (x) a) times mat: row (i, j) moves to (j, i)."""
+    return mat.reshape(d_left, d_right, -1).transpose(1, 0, 2).reshape(d_left * d_right, -1)
+
+
 def _swap_matrix(d_left: int, d_right: int) -> np.ndarray:
-    s = np.zeros((d_left * d_right, d_left * d_right), dtype=np.complex128)
-    for i in range(d_left):
-        for j in range(d_right):
-            s[j * d_left + i, i * d_right + j] = 1.0
-    return s
+    return _swap_rows(np.eye(d_left * d_right, dtype=np.complex128), d_left, d_right)
 
 
 def frobenius_schur_indicator(group: FiniteGroup, character: np.ndarray) -> float:
@@ -254,10 +294,7 @@ class RepCategory:
         return RepObject(self, mats, name=f"{x.name}+{y.name}")
 
     def tensor(self, x: RepObject, y: RepObject) -> RepObject:
-        mats = np.einsum("gij,gkl->gikjl", x.matrices, y.matrices)
-        d = x.dim * y.dim
-        return RepObject(self, mats.reshape(self.group.order, d, d),
-                         name=f"{x.name}*{y.name}")
+        return _TensorObject(self, x, y)
 
     def tensor_map(self, f: Intertwiner, g: Intertwiner) -> Intertwiner:
         return Intertwiner(self.tensor(f.src, g.src), self.tensor(f.dst, g.dst),
@@ -287,8 +324,7 @@ class RepCategory:
             piece = self.object_of_irrep(irr)
             x = piece if x is None else self.direct_sum(x, piece)
         u = random_unitary(rng, x.dim)
-        rotated = np.einsum("ij,gjk,kl->gil", u, x.matrices, dagger(u))
-        return RepObject(self, rotated, name="random")
+        return RepObject(self, u @ x.matrices @ dagger(u), name="random")
 
     # -- irreducibles -----------------------------------------------------
 
@@ -389,15 +425,19 @@ class RepCategory:
     # -- braiding and balancing -------------------------------------------
 
     def koszul_operator(self, x: RepObject, y: RepObject) -> np.ndarray:
+        """(1 + gx + gy - gx gy) / 2 on x (x) y, written as P+ (x) 1 + P- (x) gy
+        with P+- = (1 +- gx) / 2: -1 exactly where both factors are odd."""
         gx, gy = x.grading, y.grading
-        eye_x, eye_y = np.eye(x.dim), np.eye(y.dim)
-        return 0.5 * (np.kron(eye_x, eye_y) + np.kron(eye_x, gy)
-                      + np.kron(gx, eye_y) - np.kron(gx, gy))
+        eye_x = np.eye(x.dim)
+        return (np.kron((eye_x + gx) / 2.0, np.eye(y.dim))
+                + np.kron((eye_x - gx) / 2.0, gy))
 
     def braiding(self, x: RepObject, y: RepObject) -> Intertwiner:
         """The symmetry x (x) y -> y (x) x; sign-twisted unless bosonic."""
-        swap = _swap_matrix(x.dim, y.dim)
-        mat = swap if self.bosonic else swap @ self.koszul_operator(x, y)
+        if self.bosonic:
+            mat = _swap_matrix(x.dim, y.dim)
+        else:
+            mat = _swap_rows(self.koszul_operator(x, y), x.dim, y.dim)
         return Intertwiner(self.tensor(x, y), self.tensor(y, x), mat)
 
     def adjunction(self, x: RepObject) -> Adjunction:
@@ -415,13 +455,17 @@ class RepCategory:
         return Adjunction(x, xstar, i, e)
 
     def balancing_of(self, adj: Adjunction) -> Intertwiner:
-        """Evaluate the twist composite of an adjunction."""
-        x, y = adj.x, adj.xstar
-        e_m = adj.e.matrix
-        b_m = self.braiding(x, x).matrix
-        mat = (np.kron(e_m, np.eye(x.dim))
-               @ np.kron(np.eye(y.dim), b_m)
-               @ np.kron(dagger(e_m), np.eye(x.dim)))
+        """Evaluate the twist composite (e (x) 1)(1 (x) B)(e^H (x) 1) of an adjunction.
+
+        With E the counit as a matrix and B the braiding of x with itself
+        reshaped to B[p, a, r, b], the composite is
+        sum_{p,r} (E^T conj(E))[p, r] B[p, a, r, b]: O(d^4) work and memory.
+        """
+        x = adj.x
+        d = x.dim
+        e_m = adj.counit_matrix
+        b_m = self.braiding(x, x).matrix.reshape(d, d, d, d)
+        mat = np.einsum("pr,parb->ab", e_m.T @ np.conj(e_m), b_m)
         return Intertwiner(x, x, mat)
 
     def well_balanced_adjunction(self, x: RepObject,
@@ -459,9 +503,9 @@ class RepCategory:
                     "balancing is not scalar per simple summand; cannot rescale")
             scale += np.sqrt(abs(beta)) * (dagger(u) @ u)
         f = np.conj(scale)  # acts on the conjugate carrier
-        f_inv = np.linalg.inv(f)
-        i_new = np.kron(np.eye(x.dim), f) @ adj.i.matrix
-        e_new = adj.e.matrix @ np.kron(f_inv, np.eye(x.dim))
+        # unit (1 (x) f) i and counit e (f^-1 (x) 1), on the reshaped matrices
+        i_new = (adj.unit_matrix @ f.T).reshape(-1, 1)
+        e_new = (np.linalg.inv(f).T @ adj.counit_matrix).reshape(1, -1)
         return Adjunction(x, adj.xstar,
                           Intertwiner(adj.i.src, adj.i.dst, i_new),
                           Intertwiner(adj.e.src, adj.e.dst, e_new))
@@ -472,16 +516,19 @@ class RepCategory:
     @staticmethod
     def comparison_isomorphism(first: Adjunction, second: Adjunction) -> Intertwiner:
         """The canonical map between the duals of two adjunctions on one object."""
-        y, yp = first.xstar, second.xstar
-        mat = (np.kron(first.e.matrix, np.eye(yp.dim))
-               @ np.kron(np.eye(y.dim), second.i.matrix))
-        return Intertwiner(y, yp, mat)
+        # (e (x) 1)(1 (x) i') = (E I')^T
+        mat = (first.counit_matrix @ second.unit_matrix).T
+        return Intertwiner(first.xstar, second.xstar, mat)
 
     # -- trace and dimension ------------------------------------------------
 
     def trace(self, f: Intertwiner, adj: Adjunction | None = None,
               quantum: bool = False) -> complex:
-        """Loop trace of an endomorphism; the quantum variant twists by the balancing."""
+        """Loop trace of an endomorphism; the quantum variant twists by the balancing.
+
+        The loop closed with the counit, e (1 (x) f) e^H = tr(E f E^H), is
+        compared with the loop closed with the unit, i^H (f (x) 1) i = tr(I^H f I).
+        """
         if f.src.dim != f.dst.dim:
             raise CompositionError("trace needs an endomorphism")
         x = f.src
@@ -489,12 +536,12 @@ class RepCategory:
         mat = f.matrix
         if quantum:
             mat = mat @ self.balancing_of(adj).matrix
-        e_m = adj.e.matrix
-        val = e_m @ np.kron(np.eye(adj.xstar.dim), mat) @ dagger(e_m)
-        alt = dagger(adj.i.matrix) @ np.kron(mat, np.eye(adj.xstar.dim)) @ adj.i.matrix
-        if abs(val[0, 0] - alt[0, 0]) > 1e-7 * max(1.0, abs(val[0, 0])):
+        e_m, i_m = adj.counit_matrix, adj.unit_matrix
+        val = np.trace(e_m @ mat @ dagger(e_m))
+        alt = np.trace(dagger(i_m) @ mat @ i_m)
+        if abs(val - alt) > 1e-7 * max(1.0, abs(val)):
             raise ValidationError("the two trace evaluations disagree")
-        return complex(val[0, 0])
+        return complex(val)
 
     def dim(self, x: RepObject) -> float:
         return float(np.real(self.trace(self.identity_map(x))))
@@ -550,20 +597,19 @@ class RepCategory:
         w, v = np.linalg.eigh((projector + dagger(projector)) / 2.0)
         cols = v[:, w > 0.5]
         u = dagger(cols)
-        mats = np.einsum("ij,gjk,kl->gil", u, big.matrices, cols)
-        return RepObject(self, mats, name="image"), u
+        return RepObject(self, u @ big.matrices @ cols, name="image"), u
 
     # -- self-duality -----------------------------------------------------------
 
     def dagger_transform(self, f: Intertwiner) -> Intertwiner:
-        """For f: x -> xstar, the dual-side transform built from cups and caps."""
-        x = f.src
-        adj_x = self.well_balanced_adjunction(x)
-        d = x.dim
-        step1 = np.kron(np.eye(d), adj_x.i.matrix)  # x -> x (x) x (x) xstar
-        step2 = np.kron(np.eye(d), np.kron(f.matrix, np.eye(d)))
-        step3 = np.kron(dagger(adj_x.i.matrix), np.eye(d))  # pair the first two factors
-        return Intertwiner(x, f.dst, step3 @ step2 @ step1)
+        """For f: x -> xstar, the dual-side transform built from cups and caps.
+
+        Inserting the unit, applying f to the middle factor and pairing the
+        first two factors with the unit's adjoint,
+        (i^H (x) 1)(1 (x) f (x) 1)(1 (x) i), is (conj(I) f I)^T.
+        """
+        i_m = self.well_balanced_adjunction(f.src).unit_matrix
+        return Intertwiner(f.src, f.dst, (np.conj(i_m) @ f.matrix @ i_m).T)
 
     def classify_self_dual(self, x: RepObject,
                            rng: np.random.Generator | None = None) -> SelfDuality:
@@ -667,7 +713,7 @@ def _compute_irreps(group: FiniteGroup, z_index, attempts: int = 60):
         ok = True
         for cluster in clusters:
             basis = vecs[:, cluster]
-            mats = np.einsum("ij,gjk,kl->gil", dagger(basis), reg, basis)
+            mats = dagger(basis) @ reg @ basis
             char = np.einsum("gii->g", mats)
             norm2 = float(np.real(np.sum(np.abs(char) ** 2))) / n
             if abs(norm2 - 1.0) > 1e-6:
@@ -704,12 +750,11 @@ def _label_irreps(group: FiniteGroup, z_index, kept) -> list[UnitaryIrrep]:
         entries.append((degree, not trivial, fingerprint, mats))
     entries.sort(key=lambda e: (e[0], e[1], e[2]))
     out = []
-    letters = "abcdefghijklmnopqrstuvwxyz"
     counts = {}
     for degree, _, _, mats in entries:
         k = counts.get(degree, 0)
         counts[degree] = k + 1
-        label = f"{degree}{letters[k]}"
+        label = f"{degree}{_letter_suffix(k)}"
         parity = 0
         if z_index is not None:
             zval = np.trace(mats[z_index]) / degree
@@ -718,6 +763,16 @@ def _label_irreps(group: FiniteGroup, z_index, kept) -> list[UnitaryIrrep]:
                 raise ValidationError("grading does not act by a sign on an irreducible")
         out.append(UnitaryIrrep(label, degree, mats, parity))
     return out
+
+
+def _letter_suffix(k: int) -> str:
+    """a, ..., z, aa, ab, ..., zz, aaa, ...: the k-th label suffix (from 0)."""
+    suffix = ""
+    k += 1
+    while k:
+        k, r = divmod(k - 1, 26)
+        suffix = "abcdefghijklmnopqrstuvwxyz"[r] + suffix
+    return suffix
 
 
 # -- groupoids ----------------------------------------------------------------

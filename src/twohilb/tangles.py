@@ -16,7 +16,6 @@ are required to agree (the braiding is a symmetry).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -371,16 +370,12 @@ def move_suite(ctx: EvalContext, tol: float | None = None) -> list[MoveEntry]:
         jobs.append(("crossing-symmetry", "crossing-symmetry", "b++", "B++",
                      required, note))
 
-    def run(job):
-        move_id, name, lhs, rhs, required, note = job
+    entries = []
+    for move_id, name, lhs, rhs, required, note in jobs:
         if rhs is None:
-            value = evaluate(lhs, ctx)
-            deviation = distance_to_unitary(value.matrix)
+            deviation = distance_to_unitary(evaluate(lhs, ctx).matrix)
         else:
             deviation = move_check(lhs, rhs, ctx)
-        return MoveEntry(move_id, name, lhs, rhs, float(deviation),
-                         bool(deviation < tol), required, note)
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        entries = list(pool.map(run, jobs))
+        entries.append(MoveEntry(move_id, name, lhs, rhs, float(deviation),
+                                 bool(deviation < tol), required, note))
     return entries

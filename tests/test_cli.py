@@ -3,6 +3,7 @@ import json
 import pytest
 
 from twohilb.cli import main
+from twohilb.groups import cyclic_group
 
 
 def run_cli(capsys, *argv):
@@ -108,16 +109,49 @@ def test_tannaka_s3(capsys):
     assert "order 6" in out
 
 
+def assert_input_error(code, err):
+    """Exit 2 with one ``error:`` line: main returned instead of raising."""
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_group_is_input_error(capsys):
     code, _, err = run_cli(capsys, "irreps", "--group", "Nope")
-    assert code == 2
+    assert_input_error(code, err)
     assert "unknown group" in err
 
 
 def test_unknown_object_is_input_error(capsys):
     code, _, err = run_cli(capsys, "tangle", "eval", "id+",
                            "--group", "Z4", "--object", "std")
-    assert code == 2
+    assert_input_error(code, err)
+    assert "unknown object" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"name": "Z2", "table": [[0, 1], [1',     # not JSON
+    '[[0, 1], [1, 0]]',                        # not an object
+    '{"name": "Z2"}',                          # no table
+    '{"table": [[0, 1], [1]]}',                # ragged table
+    '{"table": [["e", "a"], ["a", "e"]]}',     # non-integer entries
+    '{"table": [[0, 1], [1, 0]], "central_involution": "z"}',
+])
+def test_malformed_group_json_is_input_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "irreps", "--group", str(path))
+    assert_input_error(code, err)
+
+
+def test_irreps_past_26_labels(tmp_path, capsys):
+    path = tmp_path / "Z27.json"
+    path.write_text(json.dumps(cyclic_group(27).to_json()))
+    code, out, _ = run_cli(capsys, "irreps", "--group", str(path), "--format", "json")
+    assert code == 0
+    labels = [r["label"] for r in json.loads(out)]
+    assert len(set(labels)) == 27
+    assert labels[25:] == ["1z", "1aa"]
 
 
 def test_csv_output(capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twohilb.errors import ValidationError
+from twohilb.errors import CompositionError, ValidationError
 from twohilb.groups import (
     FiniteGroupoid,
     FiniteSuperGroup,
@@ -333,6 +333,27 @@ def test_restriction_functor_validates(rng):
     assert functor.validate(rng) < 1e-8
     with pytest.raises(ValidationError):
         RestrictionFunctor(src, dst, [s3.identity, 3])  # not a homomorphism
+
+
+def test_then_refuses_mismatched_endpoints(s3):
+    # both one-dimensional, so only the carriers tell 1a and 1b apart
+    with pytest.raises(CompositionError):
+        s3.identity_map(s3.irrep("1a")).then(s3.identity_map(s3.irrep("1b")))
+    # equal carriers on distinct objects compose
+    first, second = s3.irrep("2a"), s3.irrep("2a")
+    assert first is not second
+    composite = s3.identity_map(first).then(s3.identity_map(second))
+    assert composite.src is first and composite.dst is second
+
+
+def test_labels_past_26_irreducibles_of_one_degree():
+    labels = RepCategory(cyclic_group(27)).irrep_labels()
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    assert labels == [f"1{c}" for c in letters] + ["1aa"]
+    z60 = RepCategory(cyclic_group(60)).irrep_labels()
+    assert z60[:27] == labels
+    assert z60[26:30] == ["1aa", "1ab", "1ac", "1ad"]
+    assert z60[51:] == ["1az", "1ba", "1bb", "1bc", "1bd", "1be", "1bf", "1bg", "1bh"]
 
 
 def test_groupoid_category():
