@@ -47,16 +47,18 @@ class HStarAlgebraData:
         self.star_matrix = as_complex(self.star_matrix).reshape(self.dim, self.dim)
 
     def mult(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", a, b, self.table)
+        n = self.dim
+        return b @ (a @ self.table.reshape(n, n * n)).reshape(n, n)
 
     def star(self, a: np.ndarray) -> np.ndarray:
         return self.star_matrix @ np.conj(a)
 
     def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
-        return np.einsum("i,ijk->kj", a, self.table)
+        n = self.dim
+        return (a @ self.table.reshape(n, n * n)).reshape(n, n).T
 
     def right_mult_matrix(self, a: np.ndarray) -> np.ndarray:
-        return np.einsum("j,ijk->ki", a, self.table)
+        return (a @ self.table).T
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> complex:
         return complex(np.vdot(a, b))
@@ -67,16 +69,24 @@ class HStarAlgebraData:
         return v
 
     def validate(self, tol: float = 1e-7) -> None:
-        """Check associativity, the unit, the star axioms and the two product identities."""
+        """Check associativity, the unit, the star axioms and the two product identities.
+
+        Each identity is one contraction of the whole table: the worst check,
+        associativity, is an n^2 x n by n x n^2 product (O(n^5) time, two
+        n^4 arrays).
+        """
         n = self.dim
         t = self.table
-        assoc = np.einsum("ijm,mkl->ijkl", t, t) - np.einsum("jkm,iml->ijkl", t, t)
+        # (e_i e_j) e_k minus e_i (e_j e_k), both indexed [i, j, k, l];
+        # subtracted in place so that only two n^4 arrays are alive
+        assoc = t.reshape(n * n, n) @ t.reshape(n, n * n)
+        assoc -= np.matmul(t.reshape(n * n, n), t).reshape(n * n, n * n)
         worst = max_abs(assoc)
         if worst > tol:
             raise ValidationError(f"associativity fails (max violation {worst:.3e})",
                                   violation=worst)
-        lu = np.einsum("i,ijk->jk", self.unit, t)
-        ru = np.einsum("j,ijk->ik", self.unit, t)
+        lu = np.tensordot(self.unit, t, axes=(0, 0))
+        ru = np.tensordot(self.unit, t, axes=(0, 1))
         worst = max(max_dev(lu, np.eye(n)), max_dev(ru, np.eye(n)))
         if worst > tol:
             raise ValidationError(f"unit fails (max violation {worst:.3e})", violation=worst)
@@ -85,40 +95,29 @@ class HStarAlgebraData:
         if worst > tol:
             raise ValidationError(f"star is not an involution (max violation {worst:.3e})",
                                   violation=worst)
-        worst = 0.0
-        for i in range(n):
-            for j in range(n):
-                a, b = self.basis(i), self.basis(j)
-                ab = self.mult(a, b)
-                ba = self.mult(self.star(b), self.star(a))
-                worst = max(worst, max_dev(self.star(ab), ba))
+        # (e_i e_j)* against e_j* e_i*, with e_i* the i-th column of s
+        star_left = np.tensordot(s, t, axes=(0, 0))  # [i, q, k] = (e_i* e_q)[k]
+        worst = max_dev(np.conj(t) @ s.T, np.tensordot(s, star_left, axes=(0, 1)))
         if worst > tol:
             raise ValidationError(
                 f"star is not an antihomomorphism (max violation {worst:.3e})",
                 violation=worst)
-        # <ab,c> = <b, a* c> and <ab,c> = <a, c b*> on basis triples.
-        worst = 0.0
-        for i in range(n):
-            a = self.basis(i)
-            astar = self.star(a)
-            la = self.left_mult_matrix(a)
-            lastar = self.left_mult_matrix(astar)
-            worst = max(worst, max_dev(dagger(la), lastar))
-            ra = self.right_mult_matrix(a)
-            rastar = self.right_mult_matrix(astar)
-            worst = max(worst, max_dev(dagger(ra), rastar))
+        # <ab,c> = <b, a* c> and <ab,c> = <a, c b*> on basis triples: the
+        # adjoint of left (right) multiplication by e_i is multiplication by e_i*.
+        star_right = np.tensordot(s, t, axes=(0, 1))  # [i, p, k] = (e_p e_i*)[k]
+        worst = max(max_dev(np.conj(t), star_left.transpose(0, 2, 1)),
+                    max_dev(np.conj(t), star_right.transpose(2, 0, 1)))
         if worst > tol:
             raise ValidationError(
                 f"product identities fail (max violation {worst:.3e})", violation=worst)
 
     def center_basis(self, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Orthonormal basis (columns) of the center."""
-        rows = []
-        for j in range(self.dim):
-            e = self.basis(j)
-            rows.append(self.right_mult_matrix(e) - self.left_mult_matrix(e))
-        stacked = np.vstack(rows)
-        return nullspace_basis(stacked, tol)
+        t = self.table
+        n = self.dim
+        # row (j, k), column i: (e_i e_j - e_j e_i)[k]
+        commutators = (t.transpose(1, 2, 0) - t.transpose(0, 2, 1)).reshape(n * n, n)
+        return nullspace_basis(commutators, tol)
 
     def to_json(self) -> dict:
         def enc(x):
@@ -174,10 +173,10 @@ def change_basis(alg: HStarAlgebraData, u: np.ndarray) -> HStarAlgebraData:
     """Re-express an algebra on the orthonormal basis given by the columns of a unitary."""
     u = as_complex(u)
     n = alg.dim
-    table = np.zeros((n, n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            table[i, j, :] = dagger(u) @ alg.mult(u[:, i], u[:, j])
+    # table[i, j, k] = sum_{p,q,r} u[p, i] u[q, j] t[p, q, r] conj(u[r, k])
+    table = alg.table @ np.conj(u)
+    table = (u.T @ table.reshape(n, n * n)).reshape(n, n, n)
+    table = u.T @ table
     unit = dagger(u) @ alg.unit
     star = dagger(u) @ alg.star_matrix @ np.conj(u)
     return HStarAlgebraData(n, table, unit, star)
@@ -211,23 +210,14 @@ class AmbroseIdeal:
         ideal subspace.
         """
         d = self.size
-        cols = np.zeros((self.matrix_units.shape[2], d * d), dtype=np.complex128)
-        for a in range(d):
-            for b in range(d):
-                cols[:, a * d + b] = self.matrix_units[a, b] / np.sqrt(self.weight)
-        return cols
+        return self.matrix_units.reshape(d * d, -1).T / np.sqrt(self.weight)
 
     def model_coords(self, v: np.ndarray) -> np.ndarray:
         """Coordinates of the ideal component of v as a size x size matrix."""
-        d = self.size
-        out = np.zeros((d, d), dtype=np.complex128)
-        for a in range(d):
-            for b in range(d):
-                out[a, b] = np.vdot(self.matrix_units[a, b], v) / self.weight
-        return out
+        return np.conj(self.matrix_units) @ v / self.weight
 
     def from_model(self, m: np.ndarray) -> np.ndarray:
-        return np.einsum("ab,abk->k", as_complex(m), self.matrix_units)
+        return np.tensordot(as_complex(m), self.matrix_units, axes=2)
 
 
 @dataclass
@@ -244,18 +234,19 @@ class AmbroseDecomposition:
         return tuple(i.weight for i in self.ideals)
 
     def recomposition_dev(self) -> float:
-        """Deviation between the original product and the product rebuilt blockwise."""
+        """Deviation between the original product and the product rebuilt blockwise.
+
+        On basis vectors, model_coords(e_i) is c[:, :, i] with
+        c = conj(matrix_units) / weight; each ideal contributes
+        from_model(c[:, :, i] @ c[:, :, j]) to the product e_i e_j.
+        """
         alg = self.algebra
-        worst = 0.0
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                a, b = alg.basis(i), alg.basis(j)
-                direct = alg.mult(a, b)
-                rebuilt = np.zeros(alg.dim, dtype=np.complex128)
-                for ideal in self.ideals:
-                    rebuilt += ideal.from_model(ideal.model_coords(a) @ ideal.model_coords(b))
-                worst = max(worst, max_dev(direct, rebuilt))
-        return worst
+        rebuilt = np.zeros_like(alg.table)
+        for ideal in self.ideals:
+            c = np.conj(ideal.matrix_units) / ideal.weight
+            pairs = np.einsum("abi,bcj->acij", c, c)
+            rebuilt += np.tensordot(pairs, ideal.matrix_units, axes=([0, 1], [0, 1]))
+        return max_dev(alg.table, rebuilt)
 
 
 def _cluster(values: np.ndarray, gap: float):

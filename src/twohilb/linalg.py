@@ -85,7 +85,9 @@ def nullspace_basis(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     cols = a.shape[1]
     if a.size == 0:
         return np.eye(cols, dtype=np.complex128)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    # with at least as many rows as columns, the thin SVD already holds every
+    # right singular vector
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < cols)
     cutoff = max(tol, tol * (s[0] if s.size else 0.0))
     rank = int(np.sum(s > cutoff))
     return dagger(vh[rank:, :])

@@ -384,8 +384,10 @@ class RepCategory:
         pieces = []
         order = self.group.order
         for irr in self.irreps():
-            mult = int(round(float(np.real(
-                np.sum(np.conj(irr.character) * x.character))) / order))
+            val = float(np.real(np.sum(np.conj(irr.character) * x.character))) / order
+            if abs(val - round(val)) > 1e-6:
+                raise ValidationError(f"non-integral multiplicity {val} of {irr.label}")
+            mult = int(round(val))
             if mult == 0:
                 continue
             d = irr.degree
@@ -477,6 +479,11 @@ class RepCategory:
         balanced).  Given a deformed adjunction, the unit and counit are
         rescaled per simple summand to restore unitarity.
         """
+        return self._well_balanced(x, base, tol)[0]
+
+    def _well_balanced(self, x: RepObject, base: Adjunction | None = None,
+                       tol: float = DEFAULT_TOL) -> tuple[Adjunction, Intertwiner]:
+        """``well_balanced_adjunction`` together with the balancing it checked."""
         if base is None:
             adj = self.adjunction(x)
         else:
@@ -487,7 +494,7 @@ class RepCategory:
             raise ValidationError(f"balancing is not unitary ({dev:.3e})", violation=dev)
         if adj.triangle_dev() > 1e3 * tol:
             raise ValidationError("duality triangles fail")
-        return adj
+        return adj, b
 
     def _rebalance(self, adj: Adjunction, tol: float) -> Adjunction:
         x = adj.x
@@ -511,7 +518,7 @@ class RepCategory:
                           Intertwiner(adj.e.src, adj.e.dst, e_new))
 
     def balancing(self, x: RepObject) -> Intertwiner:
-        return self.balancing_of(self.well_balanced_adjunction(x))
+        return self._well_balanced(x)[1]
 
     @staticmethod
     def comparison_isomorphism(first: Adjunction, second: Adjunction) -> Intertwiner:
@@ -532,10 +539,13 @@ class RepCategory:
         if f.src.dim != f.dst.dim:
             raise CompositionError("trace needs an endomorphism")
         x = f.src
-        adj = adj if adj is not None else self.well_balanced_adjunction(x)
+        if adj is None:
+            adj, b = self._well_balanced(x)
+        elif quantum:
+            b = self.balancing_of(adj)
         mat = f.matrix
         if quantum:
-            mat = mat @ self.balancing_of(adj).matrix
+            mat = mat @ b.matrix
         e_m, i_m = adj.counit_matrix, adj.unit_matrix
         val = np.trace(e_m @ mat @ dagger(e_m))
         alt = np.trace(dagger(i_m) @ mat @ i_m)
@@ -813,10 +823,6 @@ class GroupoidRepCategory:
         for label, _ in self.components:
             total += np.trace(dagger(alpha[label].matrix) @ beta[label].matrix)
         return complex(total)
-
-    def end_unit_commutative_dev(self) -> float:
-        # componentwise scalars always commute; kept as an explicit check
-        return 0.0
 
 
 # -- homomorphisms -------------------------------------------------------------

@@ -24,14 +24,10 @@ def random_space(rng: np.random.Generator, max_simples: int = 3,
 
 def random_object(rng: np.random.Generator, space: SpaceTable,
                   max_mult: int = 3, allow_zero: bool = False) -> ObjectExpr:
-    low = 0 if allow_zero else None
     while True:
         mults = tuple(int(rng.integers(0, max_mult + 1)) for _ in space.simples)
         if allow_zero or any(mults):
             return ObjectExpr.make(space, mults)
-        if low is not None:
-            break
-    return ObjectExpr.make(space, mults)
 
 
 def random_morphism(rng: np.random.Generator, src: ObjectExpr,

@@ -141,8 +141,13 @@ def convolution_morphism(f: GradedMorphism, h: GradedMorphism) -> GradedMorphism
     return GradedMorphism(src, dst, blocks)
 
 
-def graded_braiding(x: GradedObject, y: GradedObject) -> GradedMorphism:
-    """The symmetry of the convolution product (abelian grading group)."""
+def graded_braiding(x: GradedObject, y: GradedObject, parity=None) -> GradedMorphism:
+    """The symmetry of the convolution product (abelian grading group).
+
+    ``parity[g]`` is 1 for an odd grading element; the swap of fibers g1 and
+    g2 then carries the Koszul sign -1 when both are odd.  Without it every
+    element is even and the swap is unsigned.
+    """
     if not x.group.is_abelian:
         raise ValidationError("the convolution braiding needs an abelian group")
     src = convolution_tensor(x, y)
@@ -155,8 +160,8 @@ def graded_braiding(x: GradedObject, y: GradedObject) -> GradedMorphism:
         dst_off = {(g1, g2): off for g1, g2, off, _, _ in dst_layout}
         for g1, g2, off, nx, ny in src_layout:
             doff = dst_off[(g2, g1)]
-            swap = _swap_matrix(nx, ny)
-            mat[doff:doff + nx * ny, off:off + nx * ny] = swap
+            sign = -1.0 if parity is not None and parity[g1] and parity[g2] else 1.0
+            mat[doff:doff + nx * ny, off:off + nx * ny] = sign * _swap_matrix(nx, ny)
         if mat.size:
             blocks[g] = mat
     return GradedMorphism(src, dst, blocks)
@@ -203,6 +208,9 @@ class FourierMap:
         self.cat = cat
         self.dual, self.chars = dual_group(cat)
         self._labels = [irr.label for irr in cat.irreps()]
+        # a dual element is odd when its character is -1 at the central
+        # involution z; the bosonic symmetry ignores the grading
+        self._parity = None if cat.bosonic else [irr.parity for irr in cat.irreps()]
 
     def object_fibers(self, x: RepObject) -> GradedObject:
         mults = self.cat.multiplicities(x)
@@ -279,7 +287,8 @@ class FourierMap:
         phi_yx = self.structure_map(y, x)
         b_rep = self.cat.braiding(x, y)
         lhs = phi.then(self.morphism(b_rep))
-        rhs = graded_braiding(self.object_fibers(x), self.object_fibers(y)).then(phi_yx)
+        rhs = graded_braiding(self.object_fibers(x), self.object_fibers(y),
+                              self._parity).then(phi_yx)
         worst = max(worst, lhs.dev_from(rhs))
         if f is not None and fp is not None:
             lhs = convolution_morphism(self.morphism(f), self.morphism(fp)).then(

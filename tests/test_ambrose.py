@@ -10,7 +10,7 @@ from twohilb.ambrose import (
 )
 from twohilb.errors import ValidationError
 from twohilb.hstar import ObjectExpr, SpaceTable
-from twohilb.linalg import random_unitary
+from twohilb.linalg import dagger, max_dev, random_complex, random_unitary
 
 
 def cyclic_group_algebra(n):
@@ -106,3 +106,195 @@ def test_identification_unitary_columns(rng):
         u = ideal.identification_unitary()
         gram = u.conj().T @ u
         assert np.allclose(gram, np.eye(ideal.size ** 2), atol=1e-8)
+
+
+# -- reference definitions: one basis pair at a time ---------------------------
+
+def loop_mult(alg, a, b):
+    return np.einsum("i,j,ijk->k", a, b, alg.table)
+
+
+def loop_left_mult_matrix(alg, a):
+    return np.einsum("i,ijk->kj", a, alg.table)
+
+
+def loop_right_mult_matrix(alg, a):
+    return np.einsum("j,ijk->ki", a, alg.table)
+
+
+def loop_validate(alg, tol=1e-7):
+    n = alg.dim
+    t = alg.table
+    assoc = np.einsum("ijm,mkl->ijkl", t, t) - np.einsum("jkm,iml->ijkl", t, t)
+    worst = float(np.max(np.abs(assoc)))
+    if worst > tol:
+        raise ValidationError(f"associativity fails (max violation {worst:.3e})",
+                              violation=worst)
+    lu = np.einsum("i,ijk->jk", alg.unit, t)
+    ru = np.einsum("j,ijk->ik", alg.unit, t)
+    worst = max(max_dev(lu, np.eye(n)), max_dev(ru, np.eye(n)))
+    if worst > tol:
+        raise ValidationError(f"unit fails (max violation {worst:.3e})", violation=worst)
+    s = alg.star_matrix
+    worst = max_dev(s @ np.conj(s), np.eye(n))
+    if worst > tol:
+        raise ValidationError(f"star is not an involution (max violation {worst:.3e})",
+                              violation=worst)
+    worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            a, b = alg.basis(i), alg.basis(j)
+            ab = loop_mult(alg, a, b)
+            ba = loop_mult(alg, alg.star(b), alg.star(a))
+            worst = max(worst, max_dev(alg.star(ab), ba))
+    if worst > tol:
+        raise ValidationError(f"star is not an antihomomorphism (max violation {worst:.3e})",
+                              violation=worst)
+    worst = 0.0
+    for i in range(n):
+        a = alg.basis(i)
+        astar = alg.star(a)
+        worst = max(worst, max_dev(dagger(loop_left_mult_matrix(alg, a)),
+                                   loop_left_mult_matrix(alg, astar)))
+        worst = max(worst, max_dev(dagger(loop_right_mult_matrix(alg, a)),
+                                   loop_right_mult_matrix(alg, astar)))
+    if worst > tol:
+        raise ValidationError(f"product identities fail (max violation {worst:.3e})",
+                              violation=worst)
+
+
+def loop_change_basis_table(alg, u):
+    n = alg.dim
+    table = np.zeros((n, n, n), dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            table[i, j, :] = dagger(u) @ loop_mult(alg, u[:, i], u[:, j])
+    return table
+
+
+def loop_model_coords(ideal, v):
+    d = ideal.size
+    return np.array([[np.vdot(ideal.matrix_units[a, b], v) / ideal.weight
+                      for b in range(d)] for a in range(d)])
+
+
+def loop_from_model(ideal, m):
+    return np.einsum("ab,abk->k", m, ideal.matrix_units)
+
+
+def loop_recomposition_dev(dec):
+    alg = dec.algebra
+    worst = 0.0
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            a, b = alg.basis(i), alg.basis(j)
+            rebuilt = np.zeros(alg.dim, dtype=np.complex128)
+            for ideal in dec.ideals:
+                m = loop_model_coords(ideal, a) @ loop_model_coords(ideal, b)
+                rebuilt += loop_from_model(ideal, m)
+            worst = max(worst, max_dev(loop_mult(alg, a, b), rebuilt))
+    return worst
+
+
+def validate_outcome(validate, alg):
+    """(message, violation) of a failed validation, or None when it passes."""
+    try:
+        validate(alg)
+    except ValidationError as err:
+        return str(err).split(" (")[0], err.violation
+    return None
+
+
+def rotated_block_models(seed, count=8):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_ideals = int(rng.integers(1, 4))
+        sizes = [int(rng.integers(1, 4)) for _ in range(n_ideals)]
+        weights = [float(rng.uniform(0.5, 2.0)) for _ in range(n_ideals)]
+        base = block_model(sizes, weights)
+        yield base, random_unitary(rng, base.dim)
+
+
+def broken_variants(alg):
+    """The algebra with its table, unit or star disturbed, one at a time."""
+    table = alg.table.copy()
+    table[0, 0, -1] += 0.3
+    yield HStarAlgebraData(alg.dim, table, alg.unit, alg.star_matrix)
+    yield HStarAlgebraData(alg.dim, alg.table, 1.5 * alg.unit, alg.star_matrix)
+    yield HStarAlgebraData(alg.dim, alg.table, alg.unit, 1.1 * alg.star_matrix)
+    yield HStarAlgebraData(alg.dim, alg.table, alg.unit, np.eye(alg.dim))
+    # an involution that is not symmetric, unlike every valid star matrix
+    skew = np.eye(alg.dim)
+    skew[0, 1], skew[1, 1] = 1.0, -1.0
+    yield HStarAlgebraData(alg.dim, alg.table, alg.unit, skew)
+
+
+def test_table_forms_match_loop_definitions():
+    rng = np.random.default_rng(41)
+    algebras = [(change_basis(base, u), base, u) for base, u in rotated_block_models(17)]
+    z5 = cyclic_group_algebra(5)
+    algebras.append((z5, z5, np.eye(5)))
+    for alg, base, u in algebras:
+        n = alg.dim
+        assert max_dev(alg.table, loop_change_basis_table(base, u)) < 1e-12
+        a, b = random_complex(rng, n), random_complex(rng, n)
+        assert max_dev(alg.mult(a, b), loop_mult(alg, a, b)) < 1e-12
+        assert max_dev(alg.left_mult_matrix(a), loop_left_mult_matrix(alg, a)) < 1e-12
+        assert max_dev(alg.right_mult_matrix(a), loop_right_mult_matrix(alg, a)) < 1e-12
+        for variant in [alg, *broken_variants(alg)]:
+            got = validate_outcome(HStarAlgebraData.validate, variant)
+            want = validate_outcome(loop_validate, variant)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0] == want[0]
+                assert abs(got[1] - want[1]) < 1e-12
+
+
+def test_recomposition_matches_loop_definition():
+    rng = np.random.default_rng(43)
+    algebras = [change_basis(base, u) for base, u in rotated_block_models(19, count=5)]
+    algebras.append(cyclic_group_algebra(5))
+    for alg in algebras:
+        dec = ambrose_decompose(alg, rng=rng)
+        v = random_complex(rng, alg.dim)
+        for ideal in dec.ideals:
+            m = ideal.model_coords(v)
+            assert max_dev(m, loop_model_coords(ideal, v)) < 1e-12
+            assert max_dev(ideal.from_model(m), loop_from_model(ideal, m)) < 1e-12
+        assert abs(dec.recomposition_dev() - loop_recomposition_dev(dec)) < 1e-12
+        # a wrong weight makes both forms see the same large mismatch
+        dec.ideals[0].weight *= 1.5
+        got, want = dec.recomposition_dev(), loop_recomposition_dev(dec)
+        assert want > 1e-3
+        assert abs(got - want) < 1e-12
+
+
+def test_validation_catches_broken_unit():
+    alg = block_model([2, 1], [1.0, 2.0])
+    broken = HStarAlgebraData(alg.dim, alg.table, 1.5 * alg.unit, alg.star_matrix)
+    with pytest.raises(ValidationError, match="^unit fails"):
+        broken.validate()
+
+
+def test_validation_catches_star_that_is_no_involution():
+    alg = block_model([2, 1], [1.0, 2.0])
+    broken = HStarAlgebraData(alg.dim, alg.table, alg.unit, 1.1 * alg.star_matrix)
+    with pytest.raises(ValidationError, match="star is not an involution"):
+        broken.validate()
+
+
+def test_validation_catches_star_that_is_no_antihomomorphism():
+    # entrywise conjugation of 2 x 2 matrices is an involutive homomorphism
+    alg = block_model([2], [1.0])
+    broken = HStarAlgebraData(alg.dim, alg.table, alg.unit, np.eye(alg.dim))
+    with pytest.raises(ValidationError, match="star is not an antihomomorphism"):
+        broken.validate()
+
+
+def test_validation_catches_broken_product_identities():
+    # on the commutative Z/5 algebra, delta_g* = delta_g is an involutive
+    # antihomomorphism but not the adjoint of multiplication
+    alg = cyclic_group_algebra(5)
+    broken = HStarAlgebraData(alg.dim, alg.table, alg.unit, np.eye(alg.dim))
+    with pytest.raises(ValidationError, match="product identities fail"):
+        broken.validate()

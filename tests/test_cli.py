@@ -90,6 +90,13 @@ def test_fourier_z4(capsys):
         assert fibers[k] == 1 and sum(fibers) == 1
 
 
+def test_fourier_superhilb(capsys):
+    code, out, err = run_cli(capsys, "fourier", "--group", "SuperHilb", "--format", "json")
+    assert code == 0, err
+    rows = {r["irrep"]: r["fibers"] for r in json.loads(out)}
+    assert float(rows["(structure-map defect)"]) < 1e-12
+
+
 def test_fourier_rejects_nonabelian(capsys):
     code, _, err = run_cli(capsys, "fourier", "--group", "S3")
     assert code == 2

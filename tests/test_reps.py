@@ -395,3 +395,30 @@ def test_groupoid_hom_inner():
     one = cat.unit()
     alpha = {label: c.identity_map(one[label]) for label, c in cat.components}
     assert cat.hom_inner(alpha, alpha) == pytest.approx(2.0)
+
+
+def test_decompose_rejects_non_integral_multiplicity(s3):
+    # a sign on one transposition only is no representation: <chi, 1> = 2/3
+    mats = np.ones((6, 1, 1), dtype=np.complex128)
+    mats[1] = -1.0
+    with pytest.raises(ValidationError, match="non-integral multiplicity"):
+        s3.decompose(RepObject(s3, mats))
+
+
+def test_balancing_is_evaluated_once(monkeypatch):
+    cat = RepCategory(symmetric_group(4))
+    x = cat.irrep("3a")
+    calls = []
+    original = RepCategory.balancing_of
+
+    def counted(self, adj):
+        calls.append(adj)
+        return original(self, adj)
+
+    monkeypatch.setattr(RepCategory, "balancing_of", counted)
+    counts = {}
+    for name in ("balancing", "qdim", "dim"):
+        calls.clear()
+        getattr(cat, name)(x)
+        counts[name] = len(calls)
+    assert counts == {"balancing": 1, "qdim": 1, "dim": 1}

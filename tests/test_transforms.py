@@ -16,6 +16,7 @@ from twohilb.transforms import (
     GradedMorphism,
     GradedObject,
     convolution_morphism,
+    conv_layout,
     convolution_tensor,
     dual_group,
     gelfand_hat,
@@ -137,6 +138,40 @@ def test_graded_braiding_is_symmetry(rng):
                            {g_: np.eye(round_trip.src.fiber(g_))
                             for g_ in range(3) if round_trip.src.fiber(g_)})
     assert round_trip.dev_from(ident) < 1e-12
+
+
+def test_signed_graded_braiding_is_symmetry():
+    g = cyclic_group(4)
+    parity = [0, 1, 0, 1]
+    x = GradedObject.make(g, [1, 2, 0, 1])
+    y = GradedObject.make(g, [1, 1, 1, 0])
+    b = graded_braiding(x, y, parity)
+    plain = graded_braiding(x, y)
+    round_trip = b.then(graded_braiding(y, x, parity))
+    for h in range(4):
+        n = round_trip.src.fiber(h)
+        assert max_dev(round_trip.block(h), np.eye(n)) < 1e-12
+    # odd (x) odd fibers sit at grades 1 + 1 = 1 + 3 = 2: their swap changes sign
+    layout = {(g1, g2): (off, nx * ny) for g1, g2, off, nx, ny in conv_layout(x, y, 2)}
+    off, size = layout[(1, 1)]
+    block, unsigned = b.block(2)[:, off:off + size], plain.block(2)[:, off:off + size]
+    assert max_dev(block, -unsigned) < 1e-12 and np.abs(unsigned).max() == 1.0
+
+
+def test_fourier_monoidal_defect_graded():
+    rng = np.random.default_rng(3)
+    groups = [(cyclic_group(2), 1), (cyclic_group(4), 2),
+              (product_group(cyclic_group(2), cyclic_group(2)), 1)]
+    for g, z in groups:
+        cat = RepCategory(FiniteSuperGroup.make(g, z))
+        for category in (cat, cat.bosonized()):
+            fm = FourierMap(category)
+            for _ in range(3):
+                x = category.random_object(rng, max_dim=4)
+                y = category.random_object(rng, max_dim=4)
+                f = category.hom_basis(x, x, rng)[0]
+                fp = category.hom_basis(y, y, rng)[0]
+                assert fm.monoidal_defect(x, y, f, fp) < 1e-12
 
 
 def test_convolution_morphism_functorial(rng):
