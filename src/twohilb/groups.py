@@ -20,9 +20,19 @@ __all__ = ["FiniteGroup", "FiniteSuperGroup", "FiniteGroupoid",
            "load_group", "group_from_json"]
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group as a multiplication table on {0, .., order-1}."""
+    """A finite group as a multiplication table on {0, .., order-1}.
+
+    The table as an array, the identity, the inverses and the conjugacy
+    classes are derived once, on first use, and kept on the instance; the
+    arrays are read-only because every caller shares them.
+    """
 
     name: str
     table: tuple[tuple[int, ...], ...]
@@ -36,10 +46,16 @@ class FiniteGroup:
             raise ValidationError("multiplication table must be square")
         if np.any(arr < 0) or np.any(arr >= n):
             raise ValidationError("table entries out of range")
-        g = FiniteGroup(name, tuple(tuple(int(v) for v in row) for row in arr),
+        g = FiniteGroup(name, tuple(map(tuple, arr.tolist())),
                         tuple(element_names) if element_names else None)
         g.validate()
         return g
+
+    def _memo(self, key: str, build):
+        """The derived value stored under key, built on first use."""
+        if key not in self.__dict__:
+            object.__setattr__(self, key, build())
+        return self.__dict__[key]
 
     @property
     def order(self) -> int:
@@ -47,42 +63,49 @@ class FiniteGroup:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.asarray(self.table, dtype=int)
+        return self._memo("_matrix", lambda: _frozen(np.array(self.table, dtype=int)))
 
     def mult(self, a: int, b: int) -> int:
         return self.table[a][b]
 
     @property
     def identity(self) -> int:
-        t = self.matrix
-        for e in range(self.order):
-            if np.array_equal(t[e], np.arange(self.order)) and \
-               np.array_equal(t[:, e], np.arange(self.order)):
-                return e
-        raise ValidationError("no identity element")
+        return self._memo("_identity", self._find_identity)
+
+    def _find_identity(self) -> int:
+        t, ar = self.matrix, np.arange(self.order)
+        hits = np.flatnonzero((t == ar).all(axis=1) & (t.T == ar).all(axis=1))
+        if not hits.size:
+            raise ValidationError("no identity element")
+        return int(hits[0])
+
+    @property
+    def inverses(self) -> np.ndarray:
+        """inverses[a] is the index of a^-1 (read-only)."""
+        return self._memo("_inverses", self._find_inverses)
+
+    def _find_inverses(self) -> np.ndarray:
+        hits = self.matrix == self.identity
+        bad = np.flatnonzero(hits.sum(axis=1) != 1)
+        if bad.size:
+            raise ValidationError(f"element {bad[0]} has no unique inverse")
+        return _frozen(hits.argmax(axis=1))
 
     def inverse(self, a: int) -> int:
-        e = self.identity
-        row = self.matrix[a]
-        hits = np.nonzero(row == e)[0]
-        if len(hits) != 1:
-            raise ValidationError(f"element {a} has no unique inverse")
-        return int(hits[0])
+        return int(self.inverses[a])
 
     def validate(self) -> None:
         n = self.order
         t = self.matrix
-        for row in t:
-            if len(set(int(v) for v in row)) != n:
-                raise ValidationError("rows must be permutations")
-        self.identity
-        for a in range(n):
-            self.inverse(a)
-        # associativity; fine at catalog scale
-        for a in range(n):
-            lhs = t[t[a, :], :]
-            rhs = t[a, t]
-            if not np.array_equal(lhs, rhs):
+        if np.any(np.sort(t, axis=1) != np.arange(n)):
+            raise ValidationError("rows must be permutations")
+        self.inverses  # finds the identity and every inverse, or raises
+        # associativity, (ab)c = t[t][a, b, c] against a(bc) = t[:, t][a, b, c],
+        # over blocks of rows a so that no array exceeds about 2^20 entries
+        step = max(1, 2 ** 20 // (n * n))
+        for lo in range(0, n, step):
+            rows = t[lo:lo + step]
+            if not np.array_equal(t[rows], rows[:, t]):
                 raise ValidationError("multiplication table is not associative")
 
     def element_name(self, a: int) -> str:
@@ -110,19 +133,22 @@ class FiniteGroup:
 
     def center(self) -> list[int]:
         t = self.matrix
-        return [a for a in range(self.order) if np.array_equal(t[a, :], t[:, a])]
+        return np.flatnonzero((t == t.T).all(axis=1)).tolist()
 
     def conjugacy_classes(self) -> list[list[int]]:
-        seen = set()
+        return [list(c) for c in self._memo("_classes", self._find_classes)]
+
+    def _find_classes(self) -> tuple[tuple[int, ...], ...]:
+        t = self.matrix
+        conj = t[t, self.inverses[:, None]]  # conj[g, a] = g a g^-1
+        seen = np.zeros(self.order, dtype=bool)
         classes = []
         for a in range(self.order):
-            if a in seen:
-                continue
-            cls = sorted({self.mult(self.mult(g, a), self.inverse(g))
-                          for g in range(self.order)})
-            seen.update(cls)
-            classes.append(cls)
-        return classes
+            if not seen[a]:
+                cls = np.unique(conj[:, a])
+                seen[cls] = True
+                classes.append(tuple(cls.tolist()))
+        return tuple(classes)
 
     def central_involutions(self) -> list[int]:
         e = self.identity
@@ -190,30 +216,22 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def product_group(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     n, m = g.order, h.order
-
-    def idx(a, b):
-        return a * m + b
-    table = [[0] * (n * m) for _ in range(n * m)]
-    names = []
-    for a in range(n):
-        for b in range(m):
-            names.append(f"({g.element_name(a)},{h.element_name(b)})")
-            for c in range(n):
-                for d in range(m):
-                    table[idx(a, b)][idx(c, d)] = idx(g.mult(a, c), h.mult(b, d))
-    return FiniteGroup.make(f"{g.name}x{h.name}", table, names)
+    # element (a, b) has index a * m + b, and (a, b)(c, d) = (ac, bd)
+    table = g.matrix[:, None, :, None] * m + h.matrix[None, :, None, :]
+    names = [f"({g.element_name(a)},{h.element_name(b)})"
+             for a in range(n) for b in range(m)]
+    return FiniteGroup.make(f"{g.name}x{h.name}", table.reshape(n * m, n * m), names)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
     from itertools import permutations
-    elems = sorted(permutations(range(n)))
-    index = {p: i for i, p in enumerate(elems)}
-    table = [[0] * len(elems) for _ in elems]
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            comp = tuple(p[q[k]] for k in range(n))  # first q, then p
-            table[i][j] = index[comp]
-    names = ["".join(str(v) for v in p) for p in elems]
+    from math import factorial
+    elems = np.array(list(permutations(range(n))), dtype=int).reshape(factorial(n), n)
+    # elements are listed in lexicographic order, which is the order of their
+    # base-n codes; the product "first q, then p" is p[q], that is elems[:, elems]
+    weights = n ** np.arange(n - 1, -1, -1)
+    table = np.searchsorted(elems @ weights, elems[:, elems] @ weights)
+    names = ["".join(str(v) for v in p) for p in elems.tolist()]
     return FiniteGroup.make(f"S{n}", table, names)
 
 
@@ -237,25 +255,18 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 
 def quaternion_group() -> FiniteGroup:
-    """The quaternion group of order 8 on {1, -1, i, -i, j, -j, k, -k}."""
-    mats = {
-        0: np.eye(2, dtype=complex),
-        1: -np.eye(2, dtype=complex),
-        2: np.array([[1j, 0], [0, -1j]]),
-        3: -np.array([[1j, 0], [0, -1j]]),
-        4: np.array([[0, 1], [-1, 0]], dtype=complex),
-        5: -np.array([[0, 1], [-1, 0]], dtype=complex),
-        6: np.array([[0, 1j], [1j, 0]]),
-        7: -np.array([[0, 1j], [1j, 0]]),
-    }
+    """The quaternion group of order 8 on {1, -1, i, -i, j, -j, k, -k}.
+
+    Element 2u + s is (-1)^s times the unit u of (1, i, j, k).  Units
+    multiply by XOR of their indices (ij = k, jk = i, ki = j, ii = 1), with
+    the sign -1 for a square of i, j, k and for the reversed products ji,
+    kj, ik, that is when (v - u) % 3 == 2.
+    """
+    unit, sign = np.divmod(np.arange(8), 2)
+    u, v = unit[:, None], unit[None, :]
+    flip = (u > 0) & (v > 0) & ((u == v) | ((v - u) % 3 == 2))
+    table = 2 * (u ^ v) + (sign[:, None] ^ sign[None, :] ^ flip)
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    table = [[0] * 8 for _ in range(8)]
-    for a in range(8):
-        for b in range(8):
-            prod = mats[a] @ mats[b]
-            hits = [c for c in range(8) if np.allclose(prod, mats[c])]
-            assert len(hits) == 1
-            table[a][b] = hits[0]
     return FiniteGroup.make("Q8", table, names)
 
 

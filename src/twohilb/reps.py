@@ -41,8 +41,14 @@ class UnitaryIrrep:
 
     label: str
     degree: int
-    matrices: np.ndarray  # (order, d, d)
+    matrices: np.ndarray  # (order, d, d), a read-only view
     parity: int  # 0 even, 1 odd; always 0 without a grading
+
+    def __post_init__(self):
+        # every object_of_irrep shares these matrices without copying them
+        view = np.asarray(self.matrices).view()
+        view.flags.writeable = False
+        object.__setattr__(self, "matrices", view)
 
     @property
     def character(self) -> np.ndarray:
@@ -356,9 +362,7 @@ class RepCategory:
             guard += 1
             if guard > 20 * want + 20:
                 raise ValidationError("failed to span the intertwiner space")
-            m0 = random_complex(rng, (y.dim, x.dim))
-            avg = sum(y.matrix(g) @ m0 @ dagger(x.matrix(g))
-                      for g in range(self.group.order)) / self.group.order
+            avg = _average(y.matrices, random_complex(rng, (y.dim, x.dim)), x.matrices)
             for prev in found:
                 avg = avg - np.vdot(prev, avg) * prev
             nrm = np.linalg.norm(avg)
@@ -399,9 +403,7 @@ class RepCategory:
                 if guard > 20 * mult + 20:
                     raise ValidationError(
                         f"failed to separate the isotypic block of {irr.label}")
-                t0 = random_complex(rng, (x.dim, d))
-                t = sum(x.matrix(g) @ t0 @ dagger(irr.matrices[g])
-                        for g in range(order)) / order
+                t = _average(x.matrices, random_complex(rng, (x.dim, d)), irr.matrices)
                 for prev in basis:
                     overlap = np.trace(dagger(prev) @ t) / d
                     t = t - overlap * prev
@@ -689,14 +691,10 @@ def _adjacent_word(perm) -> list[int]:
 
 # -- irreducible computation ---------------------------------------------------
 
-def _regular_representation(group: FiniteGroup) -> np.ndarray:
-    n = group.order
-    mats = np.zeros((n, n, n), dtype=np.complex128)
-    t = group.matrix
-    for g in range(n):
-        for h in range(n):
-            mats[g, t[g, h], h] = 1.0
-    return mats
+def _average(left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """mean over g of left[g] @ m @ right[g]^H, as one batched matmul: the
+    projection of m onto the maps that intertwine right with left."""
+    return (left @ m @ np.conj(right.transpose(0, 2, 1))).mean(axis=0)
 
 
 def _cluster_indices(vals: np.ndarray, gap: float) -> list[list[int]]:
@@ -710,12 +708,22 @@ def _cluster_indices(vals: np.ndarray, gap: float) -> list[list[int]]:
 
 
 def _compute_irreps(group: FiniteGroup, z_index, attempts: int = 60):
+    """Split the regular representation reg (reg[g] e_h = e_{gh}) by the
+    eigenspaces of a group-averaged random Hermitian operator.
+
+    reg[g] permutes coordinates: (reg[g] v)[i] = v[p[i]] with p the row of
+    the table at g^-1.  So reg[g] h0 reg[g]^H is h0[p][:, p] and reg[g] @ basis
+    is basis[p]; nothing of size n^3 is built.
+    """
     n = group.order
-    reg = _regular_representation(group)
+    perms = group.matrix[group.inverses]  # row g: the table row of g^-1
     rng = np.random.default_rng(1234)
     for _ in range(attempts):
         h0 = random_hermitian(rng, n)
-        avg = sum(reg[g] @ h0 @ dagger(reg[g]) for g in range(n)) / n
+        avg = np.zeros_like(h0)
+        for p in perms:
+            avg += h0[np.ix_(p, p)]
+        avg /= n
         vals, vecs = np.linalg.eigh((avg + dagger(avg)) / 2.0)
         spread = max(vals[-1] - vals[0], 1.0)
         clusters = _cluster_indices(vals, 1e-7 * spread)
@@ -723,14 +731,15 @@ def _compute_irreps(group: FiniteGroup, z_index, attempts: int = 60):
         ok = True
         for cluster in clusters:
             basis = vecs[:, cluster]
-            mats = dagger(basis) @ reg @ basis
+            moved = basis[perms]  # moved[g] = reg[g] @ basis
+            mats = dagger(basis) @ moved
             char = np.einsum("gii->g", mats)
             norm2 = float(np.real(np.sum(np.abs(char) ** 2))) / n
             if abs(norm2 - 1.0) > 1e-6:
                 ok = False  # eigenvalue collision merged non-isotypic spaces
                 break
             # invariance check of the eigenspace
-            dev = max(max_dev(reg[g] @ basis, basis @ mats[g]) for g in range(n))
+            dev = max_dev(moved, basis @ mats)
             if dev > 1e-7:
                 ok = False
                 break
@@ -890,7 +899,5 @@ class RestrictionFunctor:
 
 
 def _random_intertwiner(cat: RepCategory, rng, x: RepObject, y: RepObject) -> Intertwiner:
-    m0 = random_complex(rng, (y.dim, x.dim))
-    avg = sum(y.matrix(g) @ m0 @ dagger(x.matrix(g))
-              for g in range(cat.group.order)) / cat.group.order
-    return Intertwiner(x, y, avg)
+    return Intertwiner(x, y, _average(y.matrices, random_complex(rng, (y.dim, x.dim)),
+                                      x.matrices))

@@ -102,8 +102,8 @@ def conv_layout(x: GradedObject, y: GradedObject, g: int):
     group = x.group
     layout = []
     offset = 0
-    for g1 in range(group.order):
-        g2 = group.mult(group.inverse(g1), g)
+    # g2 = g1^-1 g for every g1 at once
+    for g1, g2 in enumerate(group.matrix[group.inverses, g].tolist()):
         nx, ny = x.fiber(g1), y.fiber(g2)
         if nx * ny:
             layout.append((g1, g2, offset, nx, ny))

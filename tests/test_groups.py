@@ -115,3 +115,16 @@ def test_groupoid_from_hom_data():
     gpd = FiniteGroupoid.from_hom_data(["A", "B"], morphisms, comp)
     assert gpd.is_connected
     assert gpd.components[0][1].order == 1
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 0, 1], [1, 2, 0], [2, 0, 1]], "rows must be permutations"),
+    # a Latin square: every row and column is a permutation, but no element
+    # acts as the identity on both sides
+    ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "no identity element"),
+    # permutation rows and the two-sided identity 0, yet (1 1) 1 = 1 and 1 (1 1) = 0
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "multiplication table is not associative"),
+])
+def test_validate_rejections_keep_their_messages(table, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        FiniteGroup.make("bad", table)

@@ -422,3 +422,16 @@ def test_balancing_is_evaluated_once(monkeypatch):
         getattr(cat, name)(x)
         counts[name] = len(calls)
     assert counts == {"balancing": 1, "qdim": 1, "dim": 1}
+
+
+def test_shared_arrays_are_read_only(s3):
+    """The group table, the inverse array and the irreducible matrices are
+    shared by every caller (object_of_irrep does not copy), so an in-place
+    write must fail instead of corrupting them."""
+    group = s3.group
+    irr = s3.irreps()[0]
+    x = s3.object_of_irrep(irr)
+    shared = [group.matrix, group.inverses, irr.matrices, x.matrices]
+    for arr in shared:
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
