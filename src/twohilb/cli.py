@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -274,7 +275,10 @@ def _cmd_suite(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args fills a fresh
+    namespace on every call and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="twohilb",
         description="skeletal 2-Hilbert spaces, finite (super)group "
@@ -337,14 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except TwoHilbError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
-    except FileNotFoundError as err:
+    except (TwoHilbError, FileNotFoundError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

@@ -106,12 +106,3 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     a = random_complex(rng, (n, n))
     return (a + dagger(a)) / 2.0
 
-
-def kron_all(mats) -> np.ndarray:
-    """Kronecker product of a nonempty sequence, left to right."""
-    out = None
-    for m in mats:
-        out = m if out is None else np.kron(out, m)
-    if out is None:
-        return np.eye(1, dtype=np.complex128)
-    return out

@@ -11,9 +11,9 @@ representation with a randomly averaged equivariant Hermitian operator.
 """
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -314,21 +314,14 @@ class RepCategory:
 
     def random_object(self, rng: np.random.Generator, max_copies: int = 2,
                       max_dim: int = 8) -> RepObject:
-        """Random direct sum of irreducibles on a randomly rotated carrier."""
+        """Random direct sum of irreducibles on a randomly rotated carrier.
+
+        The copies of each irreducible are uniform over the vectors with
+        entries in 0..max_copies and total degree in 1..max_dim."""
         irreps = self.irreps()
-        while True:
-            copies = [int(rng.integers(0, max_copies + 1)) for _ in irreps]
-            total = sum(c * i.degree for c, i in zip(copies, irreps))
-            if 0 < total <= max_dim:
-                break
-        blocks = []
-        for c, irr in zip(copies, irreps):
-            blocks.extend([irr] * c)
-        mats = np.zeros((self.group.order, 0, 0), dtype=np.complex128)
-        x = None
-        for irr in blocks:
-            piece = self.object_of_irrep(irr)
-            x = piece if x is None else self.direct_sum(x, piece)
+        copies = _uniform_copies(rng, [i.degree for i in irreps], max_copies, max_dim)
+        x = reduce(self.direct_sum, [self.object_of_irrep(irr)
+                                     for c, irr in zip(copies, irreps) for _ in range(c)])
         u = random_unitary(rng, x.dim)
         return RepObject(self, u @ x.matrices @ dagger(u), name="random")
 
@@ -563,53 +556,32 @@ class RepCategory:
 
     # -- symmetrizers ---------------------------------------------------------
 
-    def symmetric_group_action(self, x: RepObject, n: int) -> dict:
-        """Braiding-built operators for all permutations of n tensor factors."""
-        from itertools import permutations
+    def symmetrizer_power(self, x: RepObject, n: int):
+        """Complete (anti)symmetrizers on the n-th tensor power and their images.
+
+        Each projector is u^H u for the isometry u onto its image, built in
+        the eigenbasis of the grading; the image representation u rho^(x)n u^H
+        applies rho one factor at a time, so the power's carrier is never built.
+        """
         if n < 1:
             raise ValidationError("need at least one tensor factor")
         if n > 6:
             raise ValidationError("permutation enumeration capped at 6 factors")
-        d = x.dim
-        b = self.braiding(x, x).matrix
-        adjacent = []
-        for pos in range(n - 1):
-            op = np.kron(np.kron(np.eye(d ** pos), b), np.eye(d ** (n - 2 - pos)))
-            adjacent.append(op)
-        ops = {}
-        for perm in permutations(range(n)):
-            word = _adjacent_word(perm)
-            op = np.eye(d ** n, dtype=np.complex128)
-            for pos in word:
-                op = adjacent[pos] @ op
-            ops[perm] = (op, 1 if len(word) % 2 == 0 else -1)
-        return ops
-
-    def symmetrizer_power(self, x: RepObject, n: int):
-        """Complete (anti)symmetrizers on the n-th tensor power and their images."""
-        try:
-            math.factorial(n)
-        except (ValueError, OverflowError) as exc:
-            raise ValidationError("factorial overflow") from exc
-        ops = self.symmetric_group_action(x, n)
         power = x
         for _ in range(n - 1):
             power = self.tensor(power, x)
-        total = len(ops)
-        p_s = sum(op for op, _ in ops.values()) / total
-        p_a = sum(sgn * op for op, sgn in ops.values()) / total
-        sym = self._image_rep(power, p_s)
-        alt = self._image_rep(power, p_a)
-        return SymmetrizerData(power,
-                               Intertwiner(power, power, p_s),
-                               Intertwiner(power, power, p_a),
-                               sym, alt)
-
-    def _image_rep(self, big: RepObject, projector: np.ndarray, tol=1e-9):
-        w, v = np.linalg.eigh((projector + dagger(projector)) / 2.0)
-        cols = v[:, w > 0.5]
-        u = dagger(cols)
-        return RepObject(self, u @ big.matrices @ cols, name="image"), u
+        basis, odd = None, np.zeros(x.dim, dtype=bool)
+        if not self.bosonic:
+            vals, basis = np.linalg.eigh(x.grading)
+            odd = vals < 0
+        projectors, images = [], []
+        for cols in _signed_permutation_sums(x.dim, n, odd):
+            if basis is not None:
+                cols = _power_apply(basis[None], cols, n)[0]
+            image = dagger(cols) @ _power_apply(x.matrices, cols, n)
+            projectors.append(Intertwiner(power, power, cols @ dagger(cols)))
+            images.append((RepObject(self, image, name="image"), dagger(cols)))
+        return SymmetrizerData(power, *projectors, *images)
 
     # -- self-duality -----------------------------------------------------------
 
@@ -674,19 +646,69 @@ class SymmetrizerData:
     alternating_part: tuple[RepObject, np.ndarray]
 
 
-def _adjacent_word(perm) -> list[int]:
-    """Adjacent-transposition word sorting the permutation (bubble sort)."""
-    seq = list(perm)
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(seq) - 1):
-            if seq[i] > seq[i + 1]:
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
-                word.append(i)
-                changed = True
-    return word
+def _uniform_copies(rng: np.random.Generator, degrees: list[int], max_copies: int,
+                    max_dim: int) -> list[int]:
+    """A uniform draw of copies c (0 <= c_i <= max_copies) with total degree
+    sum c_i degrees[i] in 1..max_dim: the vector of a uniform rank >= 1 in
+    the order that compares c_0 first (the zero vector has rank 0).  ways[i][r]
+    counts the choices for irreducibles i, i+1, ... of total degree <= r.
+    """
+    ways = [[1] * (max_dim + 1)]
+    for deg in reversed(degrees):
+        ways.insert(0, [sum(ways[0][r - c * deg] for c in range(max_copies + 1)
+                            if c * deg <= r) for r in range(max_dim + 1)])
+    if max_dim < 1 or ways[0][max_dim] < 2:
+        raise ValidationError(f"no direct sum of at most {max_copies} copies of each "
+                              f"irreducible has a degree in 1..{max_dim}")
+    rank = int(rng.integers(1, ways[0][max_dim]))
+    copies, left = [], max_dim
+    for i, deg in enumerate(degrees):
+        c = 0
+        while rank >= ways[i + 1][left - c * deg]:
+            rank -= ways[i + 1][left - c * deg]
+            c += 1
+        copies.append(c)
+        left -= c * deg
+    return copies
+
+
+def _signed_permutation_sums(d: int, n: int, odd: np.ndarray):
+    """Isometries onto the images of the symmetrizer and the antisymmetrizer
+    on the n-th tensor power of a d-dimensional carrier whose basis vector i
+    is odd where odd[i].
+
+    A permutation sends the basis vector with index tuple (i_1, ..., i_n) to
+    the one with the permuted tuple, times -1 for each pair of odd indices
+    it puts in the opposite order (the Koszul sign of the graded braiding);
+    the antisymmetrizer also weighs it by its sign.  The projectors are the
+    means over the n! permutations.  Their columns at sorted tuples lie on
+    disjoint orbits and span their images, so the nonzero ones, normalised,
+    are the isometries: one scatter-add of n! signs per sorted tuple.
+    """
+    slots = np.array(list(itertools.permutations(range(n))))  # slots[s, a]: new place of factor a
+    tuples = np.indices((d,) * n).reshape(n, -1)
+    tuples = tuples[:, np.all(tuples[:-1] <= tuples[1:], axis=0)]
+    rows = (d ** (n - 1 - slots)) @ tuples  # rows[s, k]: image of the k-th sorted tuple
+    flat = (rows * tuples.shape[1] + np.arange(tuples.shape[1])).ravel()
+    crossed = (slots[:, :, None] > slots[:, None, :]) & np.triu(np.ones((n, n), bool), 1)
+    sign = (-1.0) ** crossed.sum(axis=(1, 2))
+    parity = odd[tuples].astype(float)
+    koszul = (-1.0) ** np.sum((crossed @ parity) * parity, axis=1)  # over crossed odd pairs
+    for weights in (koszul, sign[:, None] * koszul):
+        cols = np.bincount(flat, weights.ravel(), minlength=d ** n * tuples.shape[1])
+        cols = cols.reshape(d ** n, tuples.shape[1])
+        norms = np.linalg.norm(cols, axis=0)  # integer entries: a nonzero norm is >= 1
+        yield cols[:, norms > 0.5] / norms[norms > 0.5]
+
+
+def _power_apply(mats: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
+    """mats[g]^(x)n @ t for each g, for t with d^n rows, one tensor factor at
+    a time: no d^n x d^n Kronecker power is built."""
+    order, d = mats.shape[:2]
+    out = np.broadcast_to(t, (order,) + t.shape)
+    for k in range(n):
+        out = mats[:, None] @ out.reshape(order, d ** k, d, d ** (n - 1 - k) * t.shape[1])
+    return out.reshape(order, d ** n, t.shape[1])
 
 
 # -- irreducible computation ---------------------------------------------------

@@ -410,27 +410,6 @@ class SpectrumPoint:
             mats.append(piece.coisometry)
         return FusedLayout(pieces, np.vstack(mats))
 
-    def transport_fused(self, layout: FusedLayout, mat: np.ndarray,
-                        tol: float = 1e-8) -> np.ndarray:
-        """Send a fused-coordinate endomorphism-shaped block matrix to values.
-
-        Each diagonal block must have the Schur form kron(I_degree, A); the
-        image replaces the irrep degree by the value dimension.
-        """
-        out_size = sum(self.value_dim(lab) * m for lab, _, m, _ in layout.pieces)
-        out = np.zeros((out_size, out_size), dtype=np.complex128)
-        out_off = 0
-        for lab, d, m, off in layout.pieces:
-            block = mat[off:off + d * m, off:off + d * m]
-            full = block.reshape(d, m, d, m)
-            a = np.einsum("iaib->ab", full) / d
-            if max_dev(block, np.kron(np.eye(d), a)) > tol:
-                raise ValidationError("fused block is not multiplicity-shaped")
-            n = self.value_dim(lab)
-            out[out_off:out_off + n * m, out_off:out_off + n * m] = np.kron(np.eye(n), a)
-            out_off += n * m
-        return out
-
     def structure_map(self, lam: str, mu: str) -> np.ndarray:
         """Unitary from value(lam) (x) value(mu) onto the fused value layout."""
         layout = self.fused_layout(lam, mu)

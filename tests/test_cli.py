@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from twohilb.cli import main
+from twohilb.cli import build_parser, main
 from twohilb.groups import cyclic_group
 
 
@@ -159,6 +159,57 @@ def test_irreps_past_26_labels(tmp_path, capsys):
     labels = [r["label"] for r in json.loads(out)]
     assert len(set(labels)) == 27
     assert labels[25:] == ["1z", "1aa"]
+
+
+def test_fourier_z27(tmp_path, capsys):
+    """Random objects of degree at most 4 among 27 irreducibles of degree 1."""
+    path = tmp_path / "Z27.json"
+    path.write_text(json.dumps(cyclic_group(27).to_json()))
+    code, out, err = run_cli(capsys, "fourier", "--group", str(path), "--format", "json")
+    assert code == 0, err
+    rows = {r["irrep"]: r["fibers"] for r in json.loads(out)}
+    assert float(rows["(structure-map defect)"]) < 1e-9
+
+
+SUBCOMMANDS = {
+    "irreps": ["irreps", "--group", "Z2"],
+    "fusion": ["fusion", "--group", "Z2"],
+    "report": ["report", "--group", "Z2"],
+    "tangle": ["tangle", "eval", "coev ; coev*", "--group", "Z2", "--object", "triv"],
+    "fourier": ["fourier", "--group", "Z2"],
+    "tannaka": ["tannaka", "--group", "Z2"],
+    "suite": ["suite"],
+}
+
+
+@pytest.mark.parametrize("bad", [["--seed", "x"], ["--tol", "x"], ["--format", "xml"],
+                                 ["--no-such-option"]])
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_invalid_argument_exits_2(capsys, command, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(SUBCOMMANDS[command] + bad)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(set(SUBCOMMANDS) - {"suite"}))
+def test_invalid_group_exits_2(capsys, command):
+    argv = [a if a != "Z2" else "Nope" for a in SUBCOMMANDS[command]]
+    code, _, err = run_cli(capsys, *argv)
+    assert_input_error(code, err)
+
+
+def test_options_do_not_leak_between_calls(tmp_path, capsys):
+    first = run_cli(capsys, "fourier", "--group", "Z4")
+    path = tmp_path / "fourier.json"
+    code, out, _ = run_cli(capsys, "fourier", "--group", "Z4", "--seed", "5",
+                           "--format", "json", "--out", str(path))
+    assert code == 0 and out == ""
+    assert json.loads(path.read_text())
+    assert run_cli(capsys, "fourier", "--group", "Z4") == first
+    assert build_parser() is build_parser()
 
 
 def test_csv_output(capsys):

@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -238,7 +240,35 @@ def test_falling_factorial_trace(s3):
 def test_symmetrizer_cap():
     cat = RepCategory(cyclic_group(2))
     with pytest.raises(ValidationError):
-        cat.symmetric_group_action(cat.unit(), 7)
+        cat.symmetrizer_power(cat.unit(), 7)
+
+
+def test_random_object_needs_an_admissible_degree(s3):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValidationError):
+        s3.random_object(rng, max_dim=0)
+    with pytest.raises(ValidationError):
+        s3.random_object(rng, max_copies=0)
+
+
+def test_random_object_is_uniform(s3):
+    """Copies of 1a, 1b, 2a with entries in 0..2 and degree in 1..3: ten
+    vectors, each drawn with frequency 1/10 (chi-square, 9 degrees of
+    freedom, below its 0.999 quantile 27.88)."""
+    degrees = [i.degree for i in s3.irreps()]
+    admissible = [c for c in itertools.product(range(3), repeat=3)
+                  if 1 <= sum(a * b for a, b in zip(c, degrees)) <= 3]
+    rng = np.random.default_rng(5)
+    irreps = [s3.object_of_irrep(i) for i in s3.irreps()]
+    draws = 3000
+    counts = Counter()
+    for _ in range(draws):
+        x = s3.random_object(rng, max_dim=3)
+        counts[tuple(s3.hom_dim(irr, x) for irr in irreps)] += 1
+    assert set(counts) == set(admissible)
+    expected = draws / len(admissible)
+    chi2 = sum((counts[c] - expected) ** 2 / expected for c in admissible)
+    assert chi2 < 27.88
 
 
 def test_self_duality_classification(s3, super_q8):
