@@ -29,7 +29,7 @@ from .hstar import (
     polar_decompose,
     star,
 )
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, block_diag
 
 __all__ = [
     "FusionFunctor", "NatBlock", "hom_dim", "adjoint_functor", "funcomp",
@@ -125,7 +125,7 @@ def apply_morphism(f: FusionFunctor, m: BlockMorphism) -> BlockMorphism:
                 continue
             pieces.append(np.kron(m.block(lam), np.eye(n)))
         if pieces:
-            total = _blockdiag(pieces)
+            total = block_diag(pieces)
             if total.size:
                 blocks[mu] = total
     return BlockMorphism(src, dst, blocks)
@@ -138,18 +138,6 @@ def apply(f: FusionFunctor, arg):
     if isinstance(arg, BlockMorphism):
         return apply_morphism(f, arg)
     raise TypeError("expected an ObjectExpr or BlockMorphism")
-
-
-def _blockdiag(mats):
-    rows = sum(m.shape[0] for m in mats)
-    cols = sum(m.shape[1] for m in mats)
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    r = c = 0
-    for m in mats:
-        out[r:r + m.shape[0], c:c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
-    return out
 
 
 class NatBlock:
@@ -210,7 +198,7 @@ class NatBlock:
                 comp_block = self.components[lam].block(mu)
                 pieces.append(np.kron(np.eye(n), comp_block))
             if pieces:
-                total = _blockdiag(pieces)
+                total = block_diag(pieces)
                 if total.size:
                     blocks[mu] = total
         return BlockMorphism(src_obj, dst_obj, blocks)
@@ -298,14 +286,6 @@ def horizontal(alpha: NatBlock, beta: NatBlock) -> NatBlock:
         step2 = beta.at_object(apply_object(fp, f.src.simple(lam)))
         comps[lam] = compose(step1, step2)
     return NatBlock(funcomp(f, g), funcomp(fp, gp), comps)
-
-
-def whisker_left(f: FusionFunctor, beta: NatBlock) -> NatBlock:
-    return horizontal(NatBlock.identity_on(f), beta)
-
-
-def whisker_right(alpha: NatBlock, g: FusionFunctor) -> NatBlock:
-    return horizontal(alpha, NatBlock.identity_on(g))
 
 
 # -- adjunctions between functors -------------------------------------------

@@ -127,9 +127,6 @@ class ObjectExpr:
     def total_dim(self) -> int:
         return sum(self.mults)
 
-    def support(self) -> list[str]:
-        return [s for s, m in zip(self.space.simples, self.mults) if m > 0]
-
     def to_json(self) -> dict:
         return {"space": self.space.to_json(),
                 "mult": {s: m for s, m in zip(self.space.simples, self.mults) if m}}

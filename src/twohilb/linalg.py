@@ -57,6 +57,18 @@ def distance_to_unitary(a: np.ndarray) -> float:
     return max_dev(a, nearest_unitary(a))
 
 
+def block_diag(mats) -> np.ndarray:
+    """The complex block-diagonal matrix of (possibly rectangular or empty) blocks."""
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)),
+                   dtype=np.complex128)
+    r = c = 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r += m.shape[0]
+        c += m.shape[1]
+    return out
+
+
 def range_complement_basis(a: np.ndarray, tol: float = DEFAULT_TOL):
     """Orthonormal bases (range, complement) of the column space of ``a``.
 

@@ -374,10 +374,16 @@ class RepCategory:
 
         The co-isometry u satisfies u rho_x(g) u^H = irrep(g) (x) I_mult and
         the pulled-back projectors u^H u sum to the identity on the carrier.
+
+        It is built from the matrix-coefficient operators
+        E_j0 = (d/|G|) sum_g conj(irrep(g)[j, 0]) rho_x(g), one contraction
+        over the group per irreducible: E_00 is the Hermitian projector onto
+        a multiplicity space, an orthonormal basis v_b of its range comes
+        from one eigh, and column (j, b) of u^H is E_j0 v_b.  No random draw
+        is made, so equal matrices give identical co-isometries.
         """
         if x._isotypic is not None:
             return x._isotypic
-        rng = np.random.default_rng(11)
         pieces = []
         order = self.group.order
         for irr in self.irreps():
@@ -388,25 +394,10 @@ class RepCategory:
             if mult == 0:
                 continue
             d = irr.degree
-            # orthonormal basis of Hom(standard irrep carrier, x)
-            basis: list[np.ndarray] = []
-            guard = 0
-            while len(basis) < mult:
-                guard += 1
-                if guard > 20 * mult + 20:
-                    raise ValidationError(
-                        f"failed to separate the isotypic block of {irr.label}")
-                t = _average(x.matrices, random_complex(rng, (x.dim, d)), irr.matrices)
-                for prev in basis:
-                    overlap = np.trace(dagger(prev) @ t) / d
-                    t = t - overlap * prev
-                scale = np.sqrt(np.real(np.trace(dagger(t) @ t)) / d)
-                if scale > 1e-8:
-                    basis.append(t / scale)
-            u_cols = np.zeros((x.dim, d * mult), dtype=np.complex128)
-            for j in range(d):
-                for b in range(mult):
-                    u_cols[:, j * mult + b] = basis[b][:, j]
+            coeffs = np.conj(irr.matrices[:, :, 0]).T * (d / order)  # (d, |G|)
+            e = (coeffs @ x.matrices.reshape(order, -1)).reshape(d, x.dim, x.dim)
+            _, vecs = np.linalg.eigh((e[0] + dagger(e[0])) / 2.0)
+            u_cols = (e @ vecs[:, -mult:]).transpose(1, 0, 2).reshape(x.dim, d * mult)
             pieces.append(IsotypicPiece(irr, mult, dagger(u_cols)))
         worst = max_dev(sum(dagger(p.coisometry) @ p.coisometry for p in pieces),
                         np.eye(x.dim))

@@ -40,10 +40,6 @@ def random_morphism(rng: np.random.Generator, src: ObjectExpr,
     return BlockMorphism(src, dst, blocks)
 
 
-def random_endomorphism(rng: np.random.Generator, x: ObjectExpr) -> BlockMorphism:
-    return random_morphism(rng, x, x)
-
-
 def random_isomorphism(rng: np.random.Generator, x: ObjectExpr) -> BlockMorphism:
     """A random invertible endo-shaped morphism (well conditioned w.h.p.)."""
     blocks = {}

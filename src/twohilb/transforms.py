@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CompositionError, ValidationError
 from .groups import FiniteGroup
-from .linalg import dagger, max_dev, random_unitary
+from .linalg import block_diag, dagger, max_abs, max_dev, random_unitary
 from .reps import Intertwiner, RepCategory, RepObject, _swap_matrix
 
 __all__ = ["GradedObject", "GradedMorphism", "unit_graded", "convolution_tensor",
@@ -302,22 +302,14 @@ class FourierMap:
         """Block-diagonal representation with each fiber transforming by its character."""
         if graded.group.table != self.dual.table:
             raise CompositionError("graded object lives over a different dual group")
-        total = graded.total_dim
-        mats = np.zeros((self.cat.group.order, total, total), dtype=np.complex128)
-        for t in range(self.cat.group.order):
-            off = 0
-            for k in range(self.dual.order):
-                n = graded.fiber(k)
-                if n:
-                    mats[t, off:off + n, off:off + n] = self.chars[k, t] * np.eye(n)
-                    off += n
+        diag = np.repeat(self.chars, graded.fibers, axis=0).T  # (|G|, total)
+        mats = diag[:, :, None] * np.eye(graded.total_dim)
         return RepObject(self.cat, mats, name="inverse-transform")
 
     def round_trip_iso(self, x: RepObject) -> Intertwiner:
         """Unitary natural isomorphism x -> inverse(transform(x))."""
         target = self.inverse(self.object_fibers(x))
-        stack = np.vstack([u for u in self.coisometries(x) if u.shape[0]])
-        return Intertwiner(x, target, stack)
+        return Intertwiner(x, target, _stacked(self.cat.decompose(x)))
 
     def round_trip_defect(self, x: RepObject, f: Intertwiner | None = None) -> float:
         eta = self.round_trip_iso(x)
@@ -333,27 +325,10 @@ class FourierMap:
 
     def inverse_morphism(self, f: GradedMorphism) -> np.ndarray:
         """Matrix of the inverse-transformed morphism in the block-diagonal carriers."""
-        src = self.inverse(f.src)
-        dst = self.inverse(f.dst)
-        mat = np.zeros((dst.dim, src.dim), dtype=np.complex128)
-        r_off = c_off = 0
-        for k in range(self.dual.order):
-            nr, nc = f.dst.fiber(k), f.src.fiber(k)
-            mat[r_off:r_off + nr, c_off:c_off + nc] = f.block(k)
-            r_off += nr
-            c_off += nc
-        return mat
+        return block_diag([f.block(k) for k in range(self.dual.order)])
 
 
 # -- spectrum points and the evaluation transform ------------------------------
-
-@dataclass
-class FusedLayout:
-    """Layout of the canonical isotypic coordinates of a tensor of simples."""
-
-    pieces: list  # (label, irrep_degree, multiplicity, offset)
-    coisometry: np.ndarray
-
 
 class SpectrumPoint:
     """A concrete symmetric star-functor from a rep category to super vector spaces.
@@ -394,43 +369,29 @@ class SpectrumPoint:
     def value_grading(self, label: str) -> np.ndarray:
         return self.values[label][1]
 
-    def fused_layout(self, lam: str, mu: str) -> FusedLayout:
+    def fused_layout(self, lam: str, mu: str) -> list:
+        """The isotypic pieces of the tensor of two simples, in irreducible order."""
         cat = self.cat
-        tensor = cat.tensor(cat.irrep(lam), cat.irrep(mu))
-        pieces = []
-        mats = []
-        offset = 0
-        by_label = {p.irrep.label: p for p in cat.decompose(tensor)}
-        for irr in cat.irreps():
-            piece = by_label.get(irr.label)
-            if piece is None:
-                continue
-            pieces.append((irr.label, irr.degree, piece.multiplicity, offset))
-            offset += irr.degree * piece.multiplicity
-            mats.append(piece.coisometry)
-        return FusedLayout(pieces, np.vstack(mats))
+        return cat.decompose(cat.tensor(cat.irrep(lam), cat.irrep(mu)))
 
     def structure_map(self, lam: str, mu: str) -> np.ndarray:
         """Unitary from value(lam) (x) value(mu) onto the fused value layout."""
         layout = self.fused_layout(lam, mu)
-        fused_dim = sum(self.value_dim(lab) * m for lab, _, m, _ in layout.pieces)
+        fused_dim = sum(self.value_dim(p.irrep.label) * p.multiplicity for p in layout)
         n_lam, n_mu = self.value_dim(lam), self.value_dim(mu)
         if fused_dim != n_lam * n_mu:
             raise ValidationError(
                 f"fusion dimensions are inconsistent at ({lam}, {mu})")
         # canonical: the decomposition coisometry, twisted
-        same_dims = all(self.value_dim(lab) == d for lab, d, _, _ in layout.pieces) \
+        same_dims = all(self.value_dim(p.irrep.label) == p.irrep.degree for p in layout) \
             and n_lam == self.cat.irrep(lam).dim and n_mu == self.cat.irrep(mu).dim
         if not same_dims:
             raise ValidationError("value dimensions do not match any carrier "
                                   "presentation; no structure map available")
-        pieces = []
-        for lab, d, m, off in layout.pieces:
-            pieces.append(np.kron(self.twists[lab], np.eye(m)))
-        twist_out = _blockdiag_complex(pieces)
-        base = layout.coisometry
-        return twist_out @ base @ np.kron(dagger(self.twists[lam]),
-                                          dagger(self.twists[mu]))
+        twist_out = block_diag([np.kron(self.twists[p.irrep.label], np.eye(p.multiplicity))
+                                for p in layout])
+        return twist_out @ _stacked(layout) @ np.kron(dagger(self.twists[lam]),
+                                                      dagger(self.twists[mu]))
 
     def balancing_defect(self) -> float:
         """Deviation from F(beta_x) = b_F(x): gradings must match the parities."""
@@ -462,20 +423,18 @@ class SpectrumPoint:
                 layout = self.fused_layout(lam, mu)
                 layout_back = self.fused_layout(mu, lam)
                 b_rep = cat.braiding(cat.irrep(lam), cat.irrep(mu)).matrix
-                fused_b = layout_back.coisometry @ b_rep @ dagger(layout.coisometry)
+                fused_b = _stacked(layout_back) @ b_rep @ dagger(_stacked(layout))
                 # transported braiding must match the graded swap of the values
                 g_lam = self.value_grading(lam)
                 g_mu = self.value_grading(mu)
                 n_lam, n_mu = self.value_dim(lam), self.value_dim(mu)
                 swap = _swap_matrix(n_lam, n_mu)
-                koszul = 0.5 * (np.kron(np.eye(n_lam), np.eye(n_mu))
-                                + np.kron(np.eye(n_lam), np.diag(g_mu))
-                                + np.kron(np.diag(g_lam), np.eye(n_mu))
-                                - np.kron(np.diag(g_lam), np.diag(g_mu)))
-                value_b = swap @ koszul if not cat.bosonic else swap
+                # -1 exactly where both value gradings are odd
+                koszul = np.where(np.outer(g_lam < 0, g_mu < 0), -1.0, 1.0).ravel()
+                value_b = swap * koszul if not cat.bosonic else swap
                 phi_back = self.structure_map(mu, lam)
                 # square: phi then transported braiding vs value braiding then phi
-                transported = _rebase_rect(self, layout, layout_back, fused_b, tol)
+                transported = _value_transport(self, layout_back, layout, fused_b, tol)
                 worst = max(worst, max_dev(transported @ phi, phi_back @ value_b))
         if worst > tol:
             raise ValidationError(f"point coherence fails ({worst:.3e})", violation=worst)
@@ -493,31 +452,13 @@ class SpectrumPoint:
         return dim, np.array(grading)
 
     def morphism_value(self, f: Intertwiner, tol: float = 1e-8) -> np.ndarray:
-        """Transport of a morphism to the point's value coordinates."""
-        src_pieces = self.cat.decompose(f.src)
-        dst_pieces = self.cat.decompose(f.dst)
-        src_map = {p.irrep.label: p for p in src_pieces}
-        dst_map = {p.irrep.label: p for p in dst_pieces}
-        rows = sum(self.value_dim(p.irrep.label) * p.multiplicity for p in dst_pieces)
-        cols = sum(self.value_dim(p.irrep.label) * p.multiplicity for p in src_pieces)
-        out = np.zeros((rows, cols), dtype=np.complex128)
-        r_off = 0
-        for dp in dst_pieces:
-            c_off = 0
-            for sp in src_pieces:
-                if sp.irrep.label == dp.irrep.label:
-                    d = sp.irrep.degree
-                    block = dp.coisometry @ f.matrix @ dagger(sp.coisometry)
-                    full = block.reshape(d, dp.multiplicity, d, sp.multiplicity)
-                    a = np.einsum("iaib->ab", full) / d
-                    if max_dev(block, np.kron(np.eye(d), a)) > tol:
-                        raise ValidationError("morphism block is not multiplicity-shaped")
-                    n = self.value_dim(sp.irrep.label)
-                    out[r_off:r_off + n * dp.multiplicity,
-                        c_off:c_off + n * sp.multiplicity] = np.kron(np.eye(n), a)
-                c_off += self.value_dim(sp.irrep.label) * sp.multiplicity
-            r_off += self.value_dim(dp.irrep.label) * dp.multiplicity
-        return out
+        """Transport of a morphism to the point's value coordinates.
+
+        Raises unless f is block-shaped in isotypic coordinates: in particular
+        a map that mixes distinct simples has no value."""
+        src, dst = self.cat.decompose(f.src), self.cat.decompose(f.dst)
+        mat = _stacked(dst) @ f.matrix @ dagger(_stacked(src))
+        return _value_transport(self, dst, src, mat, tol)
 
     def twisted(self, rng: np.random.Generator) -> "SpectrumPoint":
         """An isomorphic point: the same values on randomly rotated carriers."""
@@ -533,40 +474,44 @@ class SpectrumPoint:
                              twists, name=self.name + "-twisted")
 
 
-def _blockdiag_complex(mats):
-    rows = sum(m.shape[0] for m in mats)
-    cols = sum(m.shape[1] for m in mats)
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    r = c = 0
-    for m in mats:
-        out[r:r + m.shape[0], c:c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
-    return out
+def _stacked(pieces) -> np.ndarray:
+    """The co-isometry onto the isotypic coordinates of an object, from its pieces."""
+    return np.vstack([p.coisometry for p in pieces])
 
 
-def _rebase_rect(point: SpectrumPoint, layout_from: FusedLayout,
-                 layout_to: FusedLayout, mat: np.ndarray, tol: float) -> np.ndarray:
-    """Transport a fused-coordinate map between two layouts to value coordinates."""
-    rows = sum(point.value_dim(lab) * m for lab, _, m, _ in layout_to.pieces)
-    cols = sum(point.value_dim(lab) * m for lab, _, m, _ in layout_from.pieces)
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    r_out = 0
-    for lab_t, d_t, m_t, off_t in layout_to.pieces:
-        c_out = 0
-        for lab_f, d_f, m_f, off_f in layout_from.pieces:
-            block = mat[off_t:off_t + d_t * m_t, off_f:off_f + d_f * m_f]
-            if lab_t == lab_f:
-                full = block.reshape(d_t, m_t, d_f, m_f)
-                a = np.einsum("iaib->ab", full) / d_t
-                if max_dev(block, np.kron(np.eye(d_t), a)) > tol:
-                    raise ValidationError("fused block is not multiplicity-shaped")
-                n = point.value_dim(lab_t)
-                out[r_out:r_out + n * m_t, c_out:c_out + n * m_f] = np.kron(np.eye(n), a)
-            elif np.max(np.abs(block)) > tol:
-                raise ValidationError("fused map mixes distinct simples")
-            c_out += point.value_dim(lab_f) * m_f
-        r_out += point.value_dim(lab_t) * m_t
+def _value_transport(point: SpectrumPoint, rows, cols, mat: np.ndarray,
+                     tol: float) -> np.ndarray:
+    """Carry a map between isotypic coordinates to the point's value coordinates.
+
+    ``rows`` and ``cols`` are the isotypic pieces of the target and the
+    source.  Each block between pieces of one simple of degree d must be
+    kron(I_d, a); it becomes kron(I_n, a) for the value dimension n of that
+    simple.  Blocks between distinct simples must vanish.
+    """
+    def iso(p):
+        return p.irrep.degree * p.multiplicity
+
+    def val(p):
+        return point.value_dim(p.irrep.label) * p.multiplicity
+
+    out = np.zeros((sum(map(val, rows)), sum(map(val, cols))), dtype=np.complex128)
+    r_iso = r_val = 0
+    for rp in rows:
+        c_iso = c_val = 0
+        for cp in cols:
+            block = mat[r_iso:r_iso + iso(rp), c_iso:c_iso + iso(cp)]
+            if rp.irrep.label == cp.irrep.label:
+                d = rp.irrep.degree
+                a = np.einsum("iaib->ab",
+                              block.reshape(d, rp.multiplicity, d, cp.multiplicity)) / d
+                if max_dev(block, np.kron(np.eye(d), a)) > tol:
+                    raise ValidationError("block is not multiplicity-shaped")
+                n = point.value_dim(rp.irrep.label)
+                out[r_val:r_val + val(rp), c_val:c_val + val(cp)] = np.kron(np.eye(n), a)
+            elif max_abs(block) > tol:
+                raise ValidationError("map mixes distinct simples")
+            c_iso, c_val = c_iso + iso(cp), c_val + val(cp)
+        r_iso, r_val = r_iso + iso(rp), r_val + val(rp)
     return out
 
 
@@ -643,7 +588,7 @@ def gelfand_hom_dim(point: SpectrumPoint, x: RepObject, y: RepObject) -> int:
             u = point.twists[p.irrep.label]
             mat = u @ p.irrep.matrices[g] @ dagger(u)
             blocks.append(np.kron(mat, np.eye(p.multiplicity)))
-        return _blockdiag_complex(blocks)
+        return block_diag(blocks)
 
     # the averaging projector onto the commutant has trace
     # (1/|R|) sum over transformations of tr(a_y) conj(tr(a_x))

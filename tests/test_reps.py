@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from twohilb.groups import (
     quaternion_group,
     symmetric_group,
 )
-from twohilb.linalg import dagger, distance_to_unitary, max_dev
+from twohilb.linalg import dagger, distance_to_unitary, max_dev, random_unitary
 from twohilb.reps import (
     Adjunction,
     GroupoidRepCategory,
@@ -90,6 +91,25 @@ def test_decompose_standard_form(s3, rng):
             got = p.coisometry @ x.matrix(g) @ dagger(p.coisometry)
             want = np.kron(p.irrep.matrices[g], np.eye(p.multiplicity))
             assert max_dev(got, want) < 1e-8
+
+
+def test_decompose_draws_nothing_and_is_deterministic(s3, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("decompose drew a random matrix")
+
+    two, one_a, one_b = s3.irrep("2a"), s3.irrep("1a"), s3.irrep("1b")
+    x = reduce(s3.direct_sum, [two, two, two, one_a, one_b])
+    u = random_unitary(np.random.default_rng(5), x.dim)
+    mats = u @ x.matrices @ dagger(u)
+    monkeypatch.setattr("twohilb.reps.random_complex", no_draws)
+    first = s3.decompose(RepObject(s3, mats))
+    second = s3.decompose(RepObject(s3, mats))
+    assert [(p.irrep.label, p.multiplicity) for p in first] == [("1a", 1), ("1b", 1), ("2a", 3)]
+    for p, q in zip(first, second):
+        assert np.array_equal(p.coisometry, q.coisometry)
+        for g in range(s3.group.order):
+            got = p.coisometry @ mats[g] @ dagger(p.coisometry)
+            assert max_dev(got, np.kron(p.irrep.matrices[g], np.eye(p.multiplicity))) < 1e-9
 
 
 def test_unit_law_tensor(s3, rng):

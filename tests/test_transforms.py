@@ -10,7 +10,7 @@ from twohilb.groups import (
     symmetric_group,
 )
 from twohilb.linalg import dagger, max_dev
-from twohilb.reps import RepCategory
+from twohilb.reps import Intertwiner, RepCategory
 from twohilb.transforms import (
     FourierMap,
     GradedMorphism,
@@ -239,6 +239,14 @@ def test_hat_is_multiplicative_and_additive(rng):
     f = cat.hom_basis(x, x, rng)[0]
     assert max_dev(point.morphism_value(f.star()),
                    dagger(point.morphism_value(f))) < 1e-9
+
+
+def test_morphism_value_rejects_maps_that_mix_simples():
+    cat = RepCategory(symmetric_group(3))
+    x = cat.direct_sum(cat.irrep("1a"), cat.irrep("1b"))
+    swap = Intertwiner(x, x, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValidationError, match="mixes distinct simples"):
+        tautological_point(cat).morphism_value(swap)
 
 
 def test_twisted_points_are_conjugate(rng):
