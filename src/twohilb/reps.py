@@ -137,7 +137,8 @@ class _TensorObject(RepObject):
     @property
     def grading(self) -> np.ndarray:
         x, y = self._factors
-        return np.kron(x.grading, y.grading)
+        gx, gy = x.grading, y.grading
+        return (gx[:, None, :, None] * gy[None, :, None, :]).reshape(self.dim, self.dim)
 
 
 class Intertwiner:
@@ -213,13 +214,24 @@ class Adjunction:
                           Intertwiner(self.e.src, self.e.dst, self.e.matrix * factor))
 
 
-def _swap_rows(mat: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
-    """The swap (a (x) b -> b (x) a) times mat: row (i, j) moves to (j, i)."""
-    return mat.reshape(d_left, d_right, -1).transpose(1, 0, 2).reshape(d_left * d_right, -1)
-
-
 def _swap_matrix(d_left: int, d_right: int) -> np.ndarray:
-    return _swap_rows(np.eye(d_left * d_right, dtype=np.complex128), d_left, d_right)
+    """The swap a (x) b -> b (x) a: column (i, j) has its one in row (j, i)."""
+    n = d_left * d_right
+    cols = np.arange(n)
+    mat = np.zeros((n, n), dtype=np.complex128)
+    mat[(cols % d_right) * d_left + cols // d_right, cols] = 1.0
+    return mat
+
+
+def _koszul(gx: np.ndarray, gy: np.ndarray, rows: str) -> np.ndarray:
+    """P+[i, r] delta[j, b] + P-[i, r] gy[j, b] with P+- = (1 +- gx) / 2, as a
+    matrix with rows (i, j) (rows="ijrb") or swapped to (j, i) (rows="jirb")
+    and columns (r, b): the Koszul sign, alone or after the swap."""
+    eye_x = np.eye(len(gx))
+    signs = np.stack([(eye_x + gx) / 2.0, (eye_x - gx) / 2.0])
+    factors = np.stack([np.eye(len(gy)), gy])
+    n = len(gx) * len(gy)
+    return np.einsum(f"sir,sjb->{rows}", signs, factors).reshape(n, n)
 
 
 def frobenius_schur_indicator(group: FiniteGroup, character: np.ndarray) -> float:
@@ -415,17 +427,14 @@ class RepCategory:
     def koszul_operator(self, x: RepObject, y: RepObject) -> np.ndarray:
         """(1 + gx + gy - gx gy) / 2 on x (x) y, written as P+ (x) 1 + P- (x) gy
         with P+- = (1 +- gx) / 2: -1 exactly where both factors are odd."""
-        gx, gy = x.grading, y.grading
-        eye_x = np.eye(x.dim)
-        return (np.kron((eye_x + gx) / 2.0, np.eye(y.dim))
-                + np.kron((eye_x - gx) / 2.0, gy))
+        return _koszul(x.grading, y.grading, "ijrb")
 
     def braiding(self, x: RepObject, y: RepObject) -> Intertwiner:
         """The symmetry x (x) y -> y (x) x; sign-twisted unless bosonic."""
         if self.bosonic:
             mat = _swap_matrix(x.dim, y.dim)
         else:
-            mat = _swap_rows(self.koszul_operator(x, y), x.dim, y.dim)
+            mat = _koszul(x.grading, y.grading, "jirb")
         return Intertwiner(self.tensor(x, y), self.tensor(y, x), mat)
 
     def adjunction(self, x: RepObject) -> Adjunction:
@@ -433,11 +442,8 @@ class RepCategory:
         xstar = self.conjugate(x)
         d = x.dim
         one = self.unit()
-        e_mat = np.zeros((1, d * d), dtype=np.complex128)
-        i_mat = np.zeros((d * d, 1), dtype=np.complex128)
-        for j in range(d):
-            e_mat[0, j * d + j] = 1.0
-            i_mat[j * d + j, 0] = 1.0
+        e_mat = np.eye(d, dtype=np.complex128).reshape(1, d * d)
+        i_mat = np.eye(d, dtype=np.complex128).reshape(d * d, 1)
         e = Intertwiner(self.tensor(xstar, x), one, e_mat)
         i = Intertwiner(one, self.tensor(x, xstar), i_mat)
         return Adjunction(x, xstar, i, e)
@@ -445,15 +451,18 @@ class RepCategory:
     def balancing_of(self, adj: Adjunction) -> Intertwiner:
         """Evaluate the twist composite (e (x) 1)(1 (x) B)(e^H (x) 1) of an adjunction.
 
-        With E the counit as a matrix and B the braiding of x with itself
-        reshaped to B[p, a, r, b], the composite is
-        sum_{p,r} (E^T conj(E))[p, r] B[p, a, r, b]: O(d^4) work and memory.
+        With E the counit as a matrix, M = E^H E, g the grading of x and
+        P+- = (1 +- g) / 2, the braiding of x with itself contracts to
+        P+ M + P- M g = (M + M g + g (M - M g)) / 2, and to M for the plain
+        swap: O(d^3) work and O(d^2) memory, the braiding is never built.
         """
         x = adj.x
-        d = x.dim
         e_m = adj.counit_matrix
-        b_m = self.braiding(x, x).matrix.reshape(d, d, d, d)
-        mat = np.einsum("pr,parb->ab", e_m.T @ np.conj(e_m), b_m)
+        mat = dagger(e_m) @ e_m
+        if not self.bosonic:
+            g = x.grading
+            mg = mat @ g
+            mat = (mat + mg + g @ (mat - mg)) / 2.0
         return Intertwiner(x, x, mat)
 
     def well_balanced_adjunction(self, x: RepObject,

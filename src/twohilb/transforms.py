@@ -362,6 +362,7 @@ class SpectrumPoint:
             if twist.shape != (self.values[irr.label][0],) * 2:
                 raise ValidationError("twist has the wrong shape")
             self.twists[irr.label] = twist
+        self._layouts = {}
 
     def value_dim(self, label: str) -> int:
         return self.values[label][0]
@@ -370,9 +371,14 @@ class SpectrumPoint:
         return self.values[label][1]
 
     def fused_layout(self, lam: str, mu: str) -> list:
-        """The isotypic pieces of the tensor of two simples, in irreducible order."""
-        cat = self.cat
-        return cat.decompose(cat.tensor(cat.irrep(lam), cat.irrep(mu)))
+        """The isotypic pieces of the tensor of two simples, in irreducible order.
+
+        Each ordered pair is decomposed once and kept on the point:
+        ``cat.irrep`` returns a fresh object, whose own cache would miss."""
+        if (lam, mu) not in self._layouts:
+            cat = self.cat
+            self._layouts[lam, mu] = cat.decompose(cat.tensor(cat.irrep(lam), cat.irrep(mu)))
+        return self._layouts[lam, mu]
 
     def structure_map(self, lam: str, mu: str) -> np.ndarray:
         """Unitary from value(lam) (x) value(mu) onto the fused value layout."""

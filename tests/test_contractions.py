@@ -265,3 +265,45 @@ def test_balancing_and_qdim_memory(dim, mults, budget_mb):
         assert peak < budget_mb, f"peak {peak:.1f} MB at d = {x.dim}"
     assert max_dev(cat.balancing(x).matrix, np.eye(x.dim)) < 1e-9
     assert abs(cat.qdim(x) - x.dim) < 1e-9
+
+
+# -- balancing without the braiding ------------------------------------------------------
+
+S4_D48 = {"1a": 2, "1b": 2, "2a": 4, "3a": 6, "3b": 6}
+
+
+def _closed_form_objects():
+    """A 48-dimensional object of Rep(S4) and a graded object of SuperRep(Q8)
+    with even and odd summands, with their expected balancing (the grading)."""
+    s4 = RepCategory(symmetric_group(4))
+    q8 = _q8_super()
+    # _s4_object only reads the category's irreducibles; 2a is the odd one of Q8
+    return [(s4, _s4_object(s4, S4_D48, seed=9)),
+            (q8, _s4_object(q8, {"1a": 2, "1b": 1, "1d": 1, "2a": 3}, seed=10))]
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_duality_diagrams_never_build_the_braiding(index, monkeypatch):
+    cat, x = _closed_form_objects()[index]
+    grading = x.grading
+    superdim = float(np.real(np.trace(grading)))
+    f = Intertwiner(x, x, random_complex(np.random.default_rng(11), (x.dim, x.dim)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the braiding was built")
+
+    monkeypatch.setattr(RepCategory, "braiding", forbidden)
+    monkeypatch.setattr(np, "kron", forbidden)
+    assert max_dev(cat.balancing(x).matrix, grading) < 1e-9
+    assert abs(cat.dim(x) - x.dim) < 1e-9
+    assert abs(cat.qdim(x) - superdim) < 1e-9
+    assert abs(cat.trace(f) - np.trace(f.matrix)) < 1e-9 * x.dim
+
+
+def test_balancing_and_qdim_memory_d48():
+    """O(d^2) memory: the d^2 x d^2 braiding at d = 48 alone is 85 MB."""
+    cat, x = _closed_form_objects()[0]
+    assert x.dim == 48
+    for fn in (lambda: cat.balancing(x), lambda: cat.qdim(x)):
+        peak = _peak_mb(fn)
+        assert peak < 4.0, f"peak {peak:.1f} MB at d = {x.dim}"

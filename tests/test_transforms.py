@@ -198,6 +198,26 @@ def test_tautological_point_validates():
         assert point.validate() < 1e-8
 
 
+def test_point_validation_decomposes_each_pair_once(monkeypatch):
+    """validate reaches every ordered pair of simples through two structure
+    maps and two fused layouts; each tensor is decomposed only once."""
+    cat = RepCategory(symmetric_group(3))
+    point = tautological_point(cat)
+    computed = []
+    original = RepCategory.decompose
+
+    def counted(self, x):
+        if x._isotypic is None:
+            computed.append(x.name)
+        return original(self, x)
+
+    monkeypatch.setattr(RepCategory, "decompose", counted)
+    assert point.validate() < 1e-8
+    assert len(computed) <= len(cat.irreps()) ** 2 == 9
+    assert point.validate() < 1e-8
+    assert len(computed) <= 9
+
+
 def test_wrongly_graded_point_rejected():
     cat = RepCategory(quaternion_group())  # even category
     values = {}
