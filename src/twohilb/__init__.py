@@ -43,9 +43,9 @@ from .reps import Adjunction, Intertwiner, RepCategory, RepObject
 from .tangles import EvalContext, evaluate, move_suite, parse
 from .transforms import (
     FourierMap,
-    GradedObject,
     convolution_tensor,
     gelfand_hat,
+    graded_space,
     tannaka_reconstruct,
     tautological_point,
 )
@@ -60,7 +60,7 @@ __all__ = [
     "hom_space", "dual_space", "riesz_represent", "tensor_space",
     "FiniteGroup", "FiniteSuperGroup", "FiniteGroupoid", "catalog", "load_group",
     "RepCategory", "RepObject", "Intertwiner", "Adjunction",
-    "GradedObject", "convolution_tensor", "FourierMap",
+    "graded_space", "convolution_tensor", "FourierMap",
     "tautological_point", "gelfand_hat", "tannaka_reconstruct",
     "parse", "evaluate", "EvalContext", "move_suite",
 ]

@@ -269,7 +269,7 @@ def check_fourier(seed=DEFAULT_SEED) -> CheckResult:
         cat = RepCategory(group)
         fm = FourierMap(cat)
         for k, lab in enumerate(cat.irrep_labels()):
-            fibers = fm.transform(cat.irrep(lab)).fibers
+            fibers = fm.transform(cat.irrep(lab)).mults
             want = tuple(1 if j == k else 0 for j in range(group.order))
             fibers_exact &= fibers == want
         for _ in range(3):

@@ -16,6 +16,7 @@ from .errors import ValidationError
 from .linalg import (
     DEFAULT_TOL,
     as_complex,
+    cluster_indices,
     dagger,
     max_abs,
     max_dev,
@@ -249,18 +250,6 @@ class AmbroseDecomposition:
         return max_dev(alg.table, rebuilt)
 
 
-def _cluster(values: np.ndarray, gap: float):
-    """Group sorted real values into clusters separated by more than ``gap``."""
-    order = np.argsort(values)
-    clusters = [[order[0]]]
-    for idx in order[1:]:
-        if values[idx] - values[clusters[-1][-1]] <= gap:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    return clusters
-
-
 def _lagrange_projection(alg, element, eigenvalues, which, unit):
     p = unit.copy()
     lam = eigenvalues[which]
@@ -284,7 +273,7 @@ def _minimal_projections(alg, p, d, rng, tol, attempts=40):
         compressed = dagger(ideal_basis) @ ly @ ideal_basis
         vals = np.linalg.eigvalsh((compressed + dagger(compressed)) / 2.0)
         spread = max(vals[-1] - vals[0], 1.0)
-        clusters = _cluster(vals, 1e-6 * spread)
+        clusters = cluster_indices(vals, 1e-6 * spread)
         if len(clusters) != d or any(len(c) != d for c in clusters):
             continue
         mus = np.array([np.mean(vals[c]) for c in clusters])
@@ -317,7 +306,7 @@ def ambrose_decompose(alg: HStarAlgebraData, tol: float = 1e-7,
         lz = alg.left_mult_matrix(z)
         vals = np.linalg.eigvalsh((lz + dagger(lz)) / 2.0)
         spread = max(vals[-1] - vals[0], 1.0)
-        clusters = _cluster(vals, 1e-6 * spread)
+        clusters = cluster_indices(vals, 1e-6 * spread)
         if len(clusters) != n_ideals:
             continue
         sizes2 = [len(c) for c in clusters]

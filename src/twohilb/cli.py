@@ -215,7 +215,7 @@ def _cmd_fourier(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
     for lab in cat.irrep_labels():
-        fibers = fm.transform(cat.irrep(lab)).fibers
+        fibers = fm.transform(cat.irrep(lab)).mults
         rows.append({"irrep": lab,
                      "fibers": " ".join(str(n) for n in fibers)})
     x = cat.random_object(rng, max_dim=4)

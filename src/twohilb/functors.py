@@ -14,6 +14,7 @@ as (middle simple, first inflation, second inflation), lexicographically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,15 +63,18 @@ class FusionFunctor:
             raise ValidationError(f"multiplicity matrix must be {src.dim} x {dst.dim}")
         if np.any(arr < 0):
             raise ValidationError("multiplicities must be nonnegative")
-        return FusionFunctor(src, dst, tuple(tuple(int(v) for v in row) for row in arr))
+        return FusionFunctor(src, dst, tuple(map(tuple, arr.tolist())))
 
     @staticmethod
     def identity_on(space: SpaceTable) -> "FusionFunctor":
         return FusionFunctor.make(space, space, np.eye(space.dim, dtype=int))
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        return np.asarray(self.mult, dtype=int).reshape(self.src.dim, self.dst.dim)
+        """The multiplicity matrix, built on first read and shared read-only."""
+        arr = np.asarray(self.mult, dtype=int).reshape(self.src.dim, self.dst.dim)
+        arr.flags.writeable = False
+        return arr
 
     @property
     def is_zero(self) -> bool:
@@ -116,14 +120,14 @@ def apply_morphism(f: FusionFunctor, m: BlockMorphism) -> BlockMorphism:
     src = apply_object(f, m.src)
     dst = apply_object(f, m.dst)
     mat = f.matrix
+    # a simple where m has no source and no target coordinate adds nothing
+    support = np.asarray(m.src.mults) + np.asarray(m.dst.mults) > 0
     blocks = {}
     for col, mu in enumerate(f.dst.simples):
         pieces = []
-        for row, lam in enumerate(f.src.simples):
-            n = mat[row, col]
-            if n == 0:
-                continue
-            pieces.append(np.kron(m.block(lam), np.eye(n)))
+        for row in np.flatnonzero((mat[:, col] > 0) & support):
+            b, n = m.block(f.src.simples[row]), mat[row, col]
+            pieces.append(b if n == 1 else np.kron(b, np.eye(n)))
         if pieces:
             total = block_diag(pieces)
             if total.size:
@@ -506,16 +510,9 @@ class TensorSpace:
     def morphism_pair(self, f: BlockMorphism, g: BlockMorphism) -> BlockMorphism:
         src = self.object_pair(f.src, g.src)
         dst = self.object_pair(f.dst, g.dst)
-        blocks = {}
-        for lam in self.left.simples:
-            fb = f.block(lam)
-            if not fb.size:
-                continue
-            for mu in self.right.simples:
-                gb = g.block(mu)
-                if not gb.size:
-                    continue
-                blocks[self.pair_label(lam, mu)] = np.kron(fb, gb)
+        # an absent block is zero, and so is its kron product with any block
+        blocks = {self.pair_label(lam, mu): np.kron(fb, gb)
+                  for lam, fb in f.blocks.items() for mu, gb in g.blocks.items()}
         return BlockMorphism(src, dst, blocks)
 
 

@@ -69,6 +69,17 @@ def block_diag(mats) -> np.ndarray:
     return out
 
 
+def cluster_indices(vals: np.ndarray, gap: float) -> list[list[int]]:
+    """Index runs of ascending values, split where neighbours differ by more than ``gap``."""
+    clusters = [[0]]
+    for idx in range(1, len(vals)):
+        if vals[idx] - vals[clusters[-1][-1]] <= gap:
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    return clusters
+
+
 def range_complement_basis(a: np.ndarray, tol: float = DEFAULT_TOL):
     """Orthonormal bases (range, complement) of the column space of ``a``.
 

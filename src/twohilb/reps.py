@@ -19,8 +19,10 @@ import numpy as np
 
 from .errors import CompositionError, ValidationError
 from .groups import FiniteGroup, FiniteGroupoid, FiniteSuperGroup
+from .hstar import BlockMorphism, ObjectExpr, SpaceTable
 from .linalg import (
     DEFAULT_TOL,
+    cluster_indices,
     dagger,
     distance_to_unitary,
     max_abs,
@@ -266,6 +268,7 @@ class RepCategory:
             raise ValidationError("need a FiniteGroup or FiniteSuperGroup")
         self.bosonic = bosonic or self.z_index is None
         self._irreps = _irreps
+        self._skeleton = None
 
     # -- basics ---------------------------------------------------------
 
@@ -288,6 +291,7 @@ class RepCategory:
         cat.z_index = self.z_index
         cat.bosonic = True
         cat._irreps = self._irreps
+        cat._skeleton = self._skeleton
         return cat
 
     def unit(self) -> RepObject:
@@ -421,6 +425,51 @@ class RepCategory:
 
     def multiplicities(self, x: RepObject) -> dict[str, int]:
         return {p.irrep.label: p.multiplicity for p in self.decompose(x)}
+
+    # -- the skeleton -----------------------------------------------------
+
+    def skeleton(self) -> SpaceTable:
+        """The skeletal space of the category: one simple per irreducible,
+        weighted by its degree, so that the weighted Hilbert-Schmidt pairing
+        of block morphisms is the trace pairing of intertwiners."""
+        if self._skeleton is None:
+            irreps = self.irreps()
+            self._skeleton = SpaceTable.make([i.label for i in irreps],
+                                             {i.label: i.degree for i in irreps})
+        return self._skeleton
+
+    def to_blocks(self, f: Intertwiner, tol: float = 1e-8) -> BlockMorphism:
+        """The intertwiner in the skeleton.
+
+        In isotypic coordinates u_y f u_x^H is the direct sum over the
+        irreducibles of kron(I_d, a_lam); the block morphism holds the a_lam.
+        Raises when a block between two pieces of one simple is not of that
+        form, or when a block between distinct simples does not vanish.
+        """
+        space = self.skeleton()
+        rows, cols = self.decompose(f.dst), self.decompose(f.src)
+        mat = _stacked(rows) @ f.matrix @ dagger(_stacked(cols))
+        col_at, c = {}, 0
+        for p in cols:
+            col_at[p.irrep.label] = (c, p.multiplicity)
+            c += p.irrep.degree * p.multiplicity
+        # subtract each kron(I_d, a) in place: what is left must vanish
+        blocks, residuals, r = {}, [], 0
+        for p in rows:
+            d, m = p.irrep.degree, p.multiplicity
+            if p.irrep.label in col_at:
+                c, n = col_at[p.irrep.label]
+                block = mat[r:r + d * m, c:c + d * n].reshape(d, m, d, n)  # a view
+                a = blocks[p.irrep.label] = block[0, :, 0, :].copy()
+                for j in range(d):
+                    block[j, :, j, :] -= a
+                residuals.append(block)
+            r += d * m
+        if max_abs(mat) > tol:
+            if any(max_abs(b) > tol for b in residuals):
+                raise ValidationError("block is not multiplicity-shaped")
+            raise ValidationError("map mixes distinct simples")
+        return BlockMorphism(_skeletal(space, cols), _skeletal(space, rows), blocks)
 
     # -- braiding and balancing -------------------------------------------
 
@@ -637,6 +686,17 @@ class IsotypicPiece:
     coisometry: np.ndarray  # (degree * multiplicity, carrier_dim)
 
 
+def _stacked(pieces) -> np.ndarray:
+    """The co-isometry onto the isotypic coordinates of an object, from its pieces."""
+    return np.concatenate([p.coisometry for p in pieces])
+
+
+def _skeletal(space: SpaceTable, pieces) -> ObjectExpr:
+    """The object of the skeleton with the multiplicities of the pieces."""
+    mult = {p.irrep.label: p.multiplicity for p in pieces}
+    return ObjectExpr(space, tuple(mult.get(s, 0) for s in space.simples))
+
+
 @dataclass
 class SymmetrizerData:
     power: RepObject
@@ -719,16 +779,6 @@ def _average(left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (left @ m @ np.conj(right.transpose(0, 2, 1))).mean(axis=0)
 
 
-def _cluster_indices(vals: np.ndarray, gap: float) -> list[list[int]]:
-    clusters = [[0]]
-    for idx in range(1, len(vals)):
-        if vals[idx] - vals[clusters[-1][-1]] <= gap:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    return clusters
-
-
 def _compute_irreps(group: FiniteGroup, z_index, attempts: int = 60):
     """Split the regular representation reg (reg[g] e_h = e_{gh}) by the
     eigenspaces of a group-averaged random Hermitian operator.
@@ -748,7 +798,7 @@ def _compute_irreps(group: FiniteGroup, z_index, attempts: int = 60):
         avg /= n
         vals, vecs = np.linalg.eigh((avg + dagger(avg)) / 2.0)
         spread = max(vals[-1] - vals[0], 1.0)
-        clusters = _cluster_indices(vals, 1e-7 * spread)
+        clusters = cluster_indices(vals, 1e-7 * spread)
         raw = []
         ok = True
         for cluster in clusters:

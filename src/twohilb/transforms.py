@@ -5,166 +5,102 @@ at finite scale.
 For a finite abelian group T the dual group is materialized from the
 character table; the Fourier transform sends a representation to its
 isotypic grading over the dual and comes with explicit unitary structure
-maps that are validated numerically.
+maps that are validated numerically.  Graded objects and morphisms are the
+``hstar`` objects and block morphisms of ``graded_space``, with one simple
+per group element, and the convolution product is a ``FusionFunctor``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CompositionError, ValidationError
+from .functors import FusionFunctor, TensorSpace, apply, tensor_space
 from .groups import FiniteGroup
+from .hstar import (
+    BlockMorphism,
+    ObjectExpr,
+    SpaceTable,
+    compose,
+    identity,
+    morphism_dev,
+    star,
+)
 from .linalg import block_diag, dagger, max_abs, max_dev, random_unitary
-from .reps import Intertwiner, RepCategory, RepObject, _swap_matrix
+from .reps import Intertwiner, RepCategory, RepObject, _skeletal, _stacked, _swap_matrix
 
-__all__ = ["GradedObject", "GradedMorphism", "unit_graded", "convolution_tensor",
-           "conv_layout", "graded_braiding", "dual_group", "FourierMap",
-           "SpectrumPoint", "tautological_point", "gelfand_hat", "GelfandHat",
+__all__ = ["graded_space", "convolution", "convolution_tensor", "conv_layout",
+           "graded_braiding", "dual_group", "FourierMap", "SpectrumPoint",
+           "tautological_point", "gelfand_hat", "GelfandHat",
            "tannaka_reconstruct", "TannakaResult"]
 
 
-# -- graded objects and convolution ------------------------------------------
+# -- graded spaces and convolution ---------------------------------------------
 
-@dataclass(frozen=True)
-class GradedObject:
-    """A group-graded finite-dimensional Hilbert space: one fiber dimension per element."""
-
-    group: FiniteGroup
-    fibers: tuple[int, ...]
-
-    @staticmethod
-    def make(group: FiniteGroup, fibers) -> "GradedObject":
-        if isinstance(fibers, dict):
-            vec = [0] * group.order
-            for g, n in fibers.items():
-                vec[int(g)] = int(n)
-        else:
-            vec = [int(n) for n in fibers]
-        if len(vec) != group.order or any(n < 0 for n in vec):
-            raise ValidationError("need one nonnegative fiber dimension per element")
-        return GradedObject(group, tuple(vec))
-
-    def fiber(self, g: int) -> int:
-        return self.fibers[g]
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.fibers)
-
-    def to_json(self) -> dict:
-        return {"group": self.group.to_json(),
-                "fibers": {str(g): n for g, n in enumerate(self.fibers) if n}}
-
-    @staticmethod
-    def from_json(data: dict) -> "GradedObject":
-        group = FiniteGroup.from_json(data["group"])
-        return GradedObject.make(group, {int(k): v for k, v in data["fibers"].items()})
+def graded_space(group: FiniteGroup) -> SpaceTable:
+    """Hilb^G as a skeletal space: one simple of weight 1 per group element."""
+    return SpaceTable.make([group.element_name(g) for g in range(group.order)])
 
 
-@dataclass
-class GradedMorphism:
-    """A grading-preserving linear map: one matrix per fiber."""
-
-    src: GradedObject
-    dst: GradedObject
-    blocks: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def block(self, g: int) -> np.ndarray:
-        if g in self.blocks:
-            return self.blocks[g]
-        return np.zeros((self.dst.fiber(g), self.src.fiber(g)), dtype=np.complex128)
-
-    def then(self, other: "GradedMorphism") -> "GradedMorphism":
-        if self.dst.fibers != other.src.fibers:
-            raise CompositionError("fiber dimensions do not match")
-        return GradedMorphism(self.src, other.dst,
-                              {g: other.block(g) @ self.block(g)
-                               for g in range(self.src.group.order)})
-
-    def star(self) -> "GradedMorphism":
-        return GradedMorphism(self.dst, self.src,
-                              {g: dagger(b) for g, b in self.blocks.items()})
-
-    def dev_from(self, other: "GradedMorphism") -> float:
-        return max((max_dev(self.block(g), other.block(g))
-                    for g in range(self.src.group.order)), default=0.0)
+def convolution(group: FiniteGroup) -> FusionFunctor:
+    """The convolution product of Hilb^G as a functor from S (x) S to S: the
+    simple (g1, g2) goes to the simple g1 g2."""
+    space = graded_space(group)
+    n = group.order
+    mult = np.zeros((n * n, n), dtype=int)
+    mult[np.arange(n * n), group.matrix.ravel()] = 1
+    return FusionFunctor.make(tensor_space(space, space).table, space, mult)
 
 
-def unit_graded(group: FiniteGroup) -> GradedObject:
-    fibers = [0] * group.order
-    fibers[group.identity] = 1
-    return GradedObject.make(group, fibers)
+def convolution_tensor(conv: FusionFunctor, x, y):
+    """The convolution of two objects, or of two morphisms, of the graded space.
+
+    The fiber at g has one block for each g1 g2 = g, in the order of g1."""
+    pair = TensorSpace(conv.dst, conv.dst, conv.src)  # conv.src is the pair table already
+    if isinstance(x, ObjectExpr):
+        return apply(conv, pair.object_pair(x, y))
+    return apply(conv, pair.morphism_pair(x, y))
 
 
-def conv_layout(x: GradedObject, y: GradedObject, g: int):
+def conv_layout(group: FiniteGroup, x: ObjectExpr, y: ObjectExpr, g: int):
     """Pair blocks (g1, g2, offset, nx, ny) of the convolution fiber at g."""
-    group = x.group
     layout = []
     offset = 0
     # g2 = g1^-1 g for every g1 at once
     for g1, g2 in enumerate(group.matrix[group.inverses, g].tolist()):
-        nx, ny = x.fiber(g1), y.fiber(g2)
+        nx, ny = x.mults[g1], y.mults[g2]
         if nx * ny:
             layout.append((g1, g2, offset, nx, ny))
             offset += nx * ny
     return layout
 
 
-def convolution_tensor(x: GradedObject, y: GradedObject) -> GradedObject:
-    """Fiber dimensions convolve: (x y)(g) = sum over g1 g2 = g of x(g1) y(g2)."""
-    if x.group.table != y.group.table:
-        raise CompositionError("graded objects live over different groups")
-    fibers = []
-    for g in range(x.group.order):
-        fibers.append(sum(nx * ny for _, _, _, nx, ny in conv_layout(x, y, g)))
-    return GradedObject.make(x.group, fibers)
-
-
-def convolution_morphism(f: GradedMorphism, h: GradedMorphism) -> GradedMorphism:
-    src = convolution_tensor(f.src, h.src)
-    dst = convolution_tensor(f.dst, h.dst)
-    blocks = {}
-    for g in range(src.group.order):
-        src_layout = conv_layout(f.src, h.src, g)
-        dst_layout = conv_layout(f.dst, h.dst, g)
-        mat = np.zeros((dst.fiber(g), src.fiber(g)), dtype=np.complex128)
-        dst_off = {(g1, g2): off for g1, g2, off, _, _ in dst_layout}
-        for g1, g2, off, nx, ny in src_layout:
-            if (g1, g2) not in dst_off:
-                continue
-            piece = np.kron(f.block(g1), h.block(g2))
-            doff = dst_off[(g1, g2)]
-            mat[doff:doff + piece.shape[0], off:off + piece.shape[1]] = piece
-        if mat.size:
-            blocks[g] = mat
-    return GradedMorphism(src, dst, blocks)
-
-
-def graded_braiding(x: GradedObject, y: GradedObject, parity=None) -> GradedMorphism:
+def graded_braiding(group: FiniteGroup, x: ObjectExpr, y: ObjectExpr,
+                    parity=None) -> BlockMorphism:
     """The symmetry of the convolution product (abelian grading group).
 
     ``parity[g]`` is 1 for an odd grading element; the swap of fibers g1 and
     g2 then carries the Koszul sign -1 when both are odd.  Without it every
     element is even and the swap is unsigned.
     """
-    if not x.group.is_abelian:
+    if not group.is_abelian:
         raise ValidationError("the convolution braiding needs an abelian group")
-    src = convolution_tensor(x, y)
-    dst = convolution_tensor(y, x)
-    blocks = {}
-    for g in range(x.group.order):
-        src_layout = conv_layout(x, y, g)
-        dst_layout = conv_layout(y, x, g)
-        mat = np.zeros((dst.fiber(g), src.fiber(g)), dtype=np.complex128)
-        dst_off = {(g1, g2): off for g1, g2, off, _, _ in dst_layout}
-        for g1, g2, off, nx, ny in src_layout:
+    fibers, blocks = [], {}
+    for g, label in enumerate(x.space.simples):
+        dst_off = {(g1, g2): off for g1, g2, off, _, _ in conv_layout(group, y, x, g)}
+        layout = conv_layout(group, x, y, g)
+        n = sum(nx * ny for *_, nx, ny in layout)
+        mat = np.zeros((n, n), dtype=np.complex128)
+        for g1, g2, off, nx, ny in layout:
             doff = dst_off[(g2, g1)]
             sign = -1.0 if parity is not None and parity[g1] and parity[g2] else 1.0
             mat[doff:doff + nx * ny, off:off + nx * ny] = sign * _swap_matrix(nx, ny)
-        if mat.size:
-            blocks[g] = mat
-    return GradedMorphism(src, dst, blocks)
+        fibers.append(n)
+        blocks[label] = mat
+    # over an abelian group both convolutions have the same fibers
+    obj = ObjectExpr.make(x.space, fibers)
+    return BlockMorphism(obj, obj, blocks)
 
 
 # -- the dual group -----------------------------------------------------------
@@ -180,18 +116,28 @@ def dual_group(cat: RepCategory) -> tuple[FiniteGroup, np.ndarray]:
         raise ValidationError("the dual group is only formed for abelian groups")
     irreps = cat.irreps()
     chars = np.array([irr.character for irr in irreps])
-    n = len(irreps)
-    table = np.zeros((n, n), dtype=int)
-    for a in range(n):
-        for b in range(n):
-            product = chars[a] * chars[b]
-            hits = [c for c in range(n) if np.max(np.abs(product - chars[c])) < 1e-6]
-            if len(hits) != 1:
-                raise ValidationError("character products failed to close")
-            table[a, b] = hits[0]
+    table = _product_table(chars, "character products failed to close")
     names = [irr.label for irr in irreps]
     dual = FiniteGroup.make(f"dual({group.name})", table, names)
     return dual, chars
+
+
+def _product_table(rows: np.ndarray, message: str) -> np.ndarray:
+    """table[a, b] = c where rows[a] * rows[b] = rows[c], for orthonormal rows
+    of unit-modulus values (sum_g r_a(g) conj(r_b(g)) / n = delta_ab).
+
+    Then overlap[a, b, c] = sum_g r_a r_b conj(r_c) / n is 1 exactly at the
+    product row, by Cauchy-Schwarz; anything else raises ``message``.  One
+    matmul per row a keeps the memory at O(n^2).
+    """
+    n = len(rows)
+    table = np.empty((n, n), dtype=int)
+    for a in range(n):
+        overlap = (rows[a] * rows) @ dagger(rows) / rows.shape[1]  # [b, c]
+        table[a] = np.argmax(overlap.real, axis=1)
+        if max_abs(overlap[np.arange(n), table[a]] - 1.0) > 1e-6:
+            raise ValidationError(message)
+    return table
 
 
 # -- categorified Fourier transform -------------------------------------------
@@ -199,69 +145,54 @@ def dual_group(cat: RepCategory) -> tuple[FiniteGroup, np.ndarray]:
 class FourierMap:
     """Isotypic-grading functor from representations of an abelian group.
 
-    Provides the graded image of objects and morphisms, the unitary
-    monoidal structure maps, the inverse functor, and the round-trip
-    natural isomorphism; all of them are concrete matrices.
+    Lands on the skeleton of Rep(G): the dual group's element names are the
+    irreducible labels, so its graded space is ``cat.skeleton()``.  Provides
+    the graded image of objects and morphisms, the unitary monoidal
+    structure maps, the inverse functor, and the round-trip natural
+    isomorphism; all of them are concrete matrices.
     """
 
     def __init__(self, cat: RepCategory):
         self.cat = cat
         self.dual, self.chars = dual_group(cat)
-        self._labels = [irr.label for irr in cat.irreps()]
+        self.conv = convolution(self.dual)
+        self.space = self.conv.dst
         # a dual element is odd when its character is -1 at the central
         # involution z; the bosonic symmetry ignores the grading
         self._parity = None if cat.bosonic else [irr.parity for irr in cat.irreps()]
 
-    def object_fibers(self, x: RepObject) -> GradedObject:
-        mults = self.cat.multiplicities(x)
-        fibers = [mults.get(lab, 0) for lab in self._labels]
-        return GradedObject.make(self.dual, fibers)
+    def object_fibers(self, x: RepObject) -> ObjectExpr:
+        return _skeletal(self.space, self.cat.decompose(x))
 
     def coisometries(self, x: RepObject) -> list[np.ndarray]:
         """Per dual element: the co-isometry onto the isotypic component."""
         pieces = {p.irrep.label: p for p in self.cat.decompose(x)}
-        out = []
-        for lab in self._labels:
-            if lab in pieces:
-                out.append(pieces[lab].coisometry)
-            else:
-                out.append(np.zeros((0, x.dim), dtype=np.complex128))
-        return out
+        return [pieces[lab].coisometry if lab in pieces
+                else np.zeros((0, x.dim), dtype=np.complex128)
+                for lab in self.space.simples]
 
-    def transform(self, x: RepObject) -> GradedObject:
+    def transform(self, x: RepObject) -> ObjectExpr:
         return self.object_fibers(x)
 
-    def morphism(self, f: Intertwiner) -> GradedMorphism:
-        us = self.coisometries(f.src)
-        vs = self.coisometries(f.dst)
-        src = self.object_fibers(f.src)
-        dst = self.object_fibers(f.dst)
-        blocks = {}
-        for g in range(self.dual.order):
-            mat = vs[g] @ f.matrix @ dagger(us[g])
-            if mat.size:
-                blocks[g] = mat
-        return GradedMorphism(src, dst, blocks)
+    def morphism(self, f: Intertwiner) -> BlockMorphism:
+        return self.cat.to_blocks(f)
 
-    def structure_map(self, x: RepObject, y: RepObject) -> GradedMorphism:
+    def structure_map(self, x: RepObject, y: RepObject) -> BlockMorphism:
         """Unitary from the convolution of the images onto the image of the tensor."""
         xy = self.cat.tensor(x, y)
         ux = self.coisometries(x)
         uy = self.coisometries(y)
         uxy = self.coisometries(xy)
-        src = convolution_tensor(self.object_fibers(x), self.object_fibers(y))
-        dst = self.object_fibers(xy)
+        fx, fy = self.object_fibers(x), self.object_fibers(y)
         blocks = {}
-        for g in range(self.dual.order):
-            layout = conv_layout(self.object_fibers(x), self.object_fibers(y), g)
-            if src.fiber(g) == 0:
-                continue
-            include = np.zeros((x.dim * y.dim, src.fiber(g)), dtype=np.complex128)
-            for g1, g2, off, nx, ny in layout:
-                piece = np.kron(dagger(ux[g1]), dagger(uy[g2]))
-                include[:, off:off + nx * ny] = piece
-            blocks[g] = uxy[g] @ include
-        return GradedMorphism(src, dst, blocks)
+        for g, label in enumerate(self.space.simples):
+            layout = conv_layout(self.dual, fx, fy, g)
+            if layout:
+                include = np.hstack([np.kron(dagger(ux[g1]), dagger(uy[g2]))
+                                     for g1, g2, *_ in layout])
+                blocks[label] = uxy[g] @ include
+        return BlockMorphism(convolution_tensor(self.conv, fx, fy),
+                             self.object_fibers(xy), blocks)
 
     def monoidal_defect(self, x: RepObject, y: RepObject,
                         f: Intertwiner | None = None,
@@ -273,36 +204,32 @@ class FourierMap:
         naturality.
         """
         phi = self.structure_map(x, y)
-        worst = 0.0
-        for g in range(self.dual.order):
-            b = phi.block(g)
-            n = b.shape[0]
-            m = b.shape[1]
-            if n != m:
-                raise ValidationError("structure map fiber is not square")
-            if n:
-                worst = max(worst, max_dev(b @ dagger(b), np.eye(n)))
-                worst = max(worst, max_dev(dagger(b) @ b, np.eye(n)))
+        if phi.src.mults != phi.dst.mults:
+            raise ValidationError("structure map fiber is not square")
+        phi_star = star(phi)
+        worst = max(morphism_dev(compose(phi, phi_star), identity(phi.src)),
+                    morphism_dev(compose(phi_star, phi), identity(phi.dst)))
         # braiding square
         phi_yx = self.structure_map(y, x)
-        b_rep = self.cat.braiding(x, y)
-        lhs = phi.then(self.morphism(b_rep))
-        rhs = graded_braiding(self.object_fibers(x), self.object_fibers(y),
-                              self._parity).then(phi_yx)
-        worst = max(worst, lhs.dev_from(rhs))
+        lhs = compose(phi, self.morphism(self.cat.braiding(x, y)))
+        rhs = compose(graded_braiding(self.dual, self.object_fibers(x),
+                                      self.object_fibers(y), self._parity), phi_yx)
+        worst = max(worst, morphism_dev(lhs, rhs))
         if f is not None and fp is not None:
-            lhs = convolution_morphism(self.morphism(f), self.morphism(fp)).then(
-                self.structure_map(f.dst, fp.dst))
-            rhs = phi.then(self.morphism(self.cat.tensor_map(f, fp)))
-            worst = max(worst, lhs.dev_from(rhs))
-            worst = max(worst, self.morphism(f.star()).dev_from(self.morphism(f).star()))
+            ff = self.morphism(f)
+            # endomorphisms of x and y close the naturality square with phi itself
+            phi_dst = phi if f.dst is x and fp.dst is y else self.structure_map(f.dst, fp.dst)
+            lhs = compose(convolution_tensor(self.conv, ff, self.morphism(fp)), phi_dst)
+            rhs = compose(phi, self.morphism(self.cat.tensor_map(f, fp)))
+            worst = max(worst, morphism_dev(lhs, rhs))
+            worst = max(worst, morphism_dev(self.morphism(f.star()), star(ff)))
         return worst
 
-    def inverse(self, graded: GradedObject) -> RepObject:
+    def inverse(self, graded: ObjectExpr) -> RepObject:
         """Block-diagonal representation with each fiber transforming by its character."""
-        if graded.group.table != self.dual.table:
+        if graded.space != self.space:
             raise CompositionError("graded object lives over a different dual group")
-        diag = np.repeat(self.chars, graded.fibers, axis=0).T  # (|G|, total)
+        diag = np.repeat(self.chars, graded.mults, axis=0).T  # (|G|, total)
         mats = diag[:, :, None] * np.eye(graded.total_dim)
         return RepObject(self.cat, mats, name="inverse-transform")
 
@@ -323,9 +250,9 @@ class FourierMap:
             worst = max(worst, max_dev(lhs, rhs))
         return worst
 
-    def inverse_morphism(self, f: GradedMorphism) -> np.ndarray:
+    def inverse_morphism(self, f: BlockMorphism) -> np.ndarray:
         """Matrix of the inverse-transformed morphism in the block-diagonal carriers."""
-        return block_diag([f.block(k) for k in range(self.dual.order)])
+        return block_diag([f.block(lab) for lab in self.space.simples])
 
 
 # -- spectrum points and the evaluation transform ------------------------------
@@ -362,7 +289,7 @@ class SpectrumPoint:
             if twist.shape != (self.values[irr.label][0],) * 2:
                 raise ValidationError("twist has the wrong shape")
             self.twists[irr.label] = twist
-        self._layouts = {}
+        self._tensors = {}
 
     def value_dim(self, label: str) -> int:
         return self.values[label][0]
@@ -370,15 +297,18 @@ class SpectrumPoint:
     def value_grading(self, label: str) -> np.ndarray:
         return self.values[label][1]
 
-    def fused_layout(self, lam: str, mu: str) -> list:
-        """The isotypic pieces of the tensor of two simples, in irreducible order.
-
-        Each ordered pair is decomposed once and kept on the point:
-        ``cat.irrep`` returns a fresh object, whose own cache would miss."""
-        if (lam, mu) not in self._layouts:
+    def _tensor(self, lam: str, mu: str) -> RepObject:
+        """The tensor of two simples, built once per ordered pair and kept on
+        the point: ``cat.irrep`` returns a fresh object each time, so a fresh
+        tensor would miss its own decomposition cache."""
+        if (lam, mu) not in self._tensors:
             cat = self.cat
-            self._layouts[lam, mu] = cat.decompose(cat.tensor(cat.irrep(lam), cat.irrep(mu)))
-        return self._layouts[lam, mu]
+            self._tensors[lam, mu] = cat.tensor(cat.irrep(lam), cat.irrep(mu))
+        return self._tensors[lam, mu]
+
+    def fused_layout(self, lam: str, mu: str) -> list:
+        """The isotypic pieces of the tensor of two simples, in irreducible order."""
+        return self.cat.decompose(self._tensor(lam, mu))
 
     def structure_map(self, lam: str, mu: str) -> np.ndarray:
         """Unitary from value(lam) (x) value(mu) onto the fused value layout."""
@@ -419,29 +349,22 @@ class SpectrumPoint:
                 f"point does not preserve the balancing (defect {worst:.3e})",
                 violation=worst)
         labels = [i.label for i in cat.irreps()]
-        for lam in labels:
-            for mu in labels:
-                phi = self.structure_map(lam, mu)
-                n = phi.shape[0]
-                worst = max(worst, max_dev(phi @ dagger(phi), np.eye(n)))
-                worst = max(worst, max_dev(dagger(phi) @ phi, np.eye(n)))
-                # braiding square with the sign rule on the value side
-                layout = self.fused_layout(lam, mu)
-                layout_back = self.fused_layout(mu, lam)
-                b_rep = cat.braiding(cat.irrep(lam), cat.irrep(mu)).matrix
-                fused_b = _stacked(layout_back) @ b_rep @ dagger(_stacked(layout))
-                # transported braiding must match the graded swap of the values
-                g_lam = self.value_grading(lam)
-                g_mu = self.value_grading(mu)
-                n_lam, n_mu = self.value_dim(lam), self.value_dim(mu)
-                swap = _swap_matrix(n_lam, n_mu)
-                # -1 exactly where both value gradings are odd
-                koszul = np.where(np.outer(g_lam < 0, g_mu < 0), -1.0, 1.0).ravel()
-                value_b = swap * koszul if not cat.bosonic else swap
-                phi_back = self.structure_map(mu, lam)
-                # square: phi then transported braiding vs value braiding then phi
-                transported = _value_transport(self, layout_back, layout, fused_b, tol)
-                worst = max(worst, max_dev(transported @ phi, phi_back @ value_b))
+        phis = {(lam, mu): self.structure_map(lam, mu) for lam in labels for mu in labels}
+        for (lam, mu), phi in phis.items():
+            n = phi.shape[0]
+            worst = max(worst, max_dev(phi @ dagger(phi), np.eye(n)))
+            worst = max(worst, max_dev(dagger(phi) @ phi, np.eye(n)))
+            # braiding square: phi then the transported braiding against the
+            # graded swap of the values then phi, with the Koszul sign -1
+            # exactly where both value gradings are odd
+            b_rep = Intertwiner(self._tensor(lam, mu), self._tensor(mu, lam),
+                                cat.braiding(cat.irrep(lam), cat.irrep(mu)).matrix)
+            transported = self._inflate(cat.to_blocks(b_rep, tol))
+            value_b = _swap_matrix(self.value_dim(lam), self.value_dim(mu))
+            if not cat.bosonic:
+                g_lam, g_mu = self.value_grading(lam), self.value_grading(mu)
+                value_b = value_b * np.where(np.outer(g_lam < 0, g_mu < 0), -1.0, 1.0).ravel()
+            worst = max(worst, max_dev(transported @ phi, phis[mu, lam] @ value_b))
         if worst > tol:
             raise ValidationError(f"point coherence fails ({worst:.3e})", violation=worst)
         return worst
@@ -462,9 +385,14 @@ class SpectrumPoint:
 
         Raises unless f is block-shaped in isotypic coordinates: in particular
         a map that mixes distinct simples has no value."""
-        src, dst = self.cat.decompose(f.src), self.cat.decompose(f.dst)
-        mat = _stacked(dst) @ f.matrix @ dagger(_stacked(src))
-        return _value_transport(self, dst, src, mat, tol)
+        return self._inflate(self.cat.to_blocks(f, tol))
+
+    def _inflate(self, a: BlockMorphism) -> np.ndarray:
+        """Value coordinates of a skeletal morphism: kron(I_n, a_lam) for the
+        value dimension n of each simple, block-diagonally."""
+        return block_diag([np.kron(np.eye(self.value_dim(lab)), a.block(lab))
+                           for lab, m, k in zip(a.space.simples, a.dst.mults, a.src.mults)
+                           if m or k])
 
     def twisted(self, rng: np.random.Generator) -> "SpectrumPoint":
         """An isomorphic point: the same values on randomly rotated carriers."""
@@ -478,47 +406,6 @@ class SpectrumPoint:
             twists[lab] = q
         return SpectrumPoint(self.cat, {k: v for k, v in self.values.items()},
                              twists, name=self.name + "-twisted")
-
-
-def _stacked(pieces) -> np.ndarray:
-    """The co-isometry onto the isotypic coordinates of an object, from its pieces."""
-    return np.vstack([p.coisometry for p in pieces])
-
-
-def _value_transport(point: SpectrumPoint, rows, cols, mat: np.ndarray,
-                     tol: float) -> np.ndarray:
-    """Carry a map between isotypic coordinates to the point's value coordinates.
-
-    ``rows`` and ``cols`` are the isotypic pieces of the target and the
-    source.  Each block between pieces of one simple of degree d must be
-    kron(I_d, a); it becomes kron(I_n, a) for the value dimension n of that
-    simple.  Blocks between distinct simples must vanish.
-    """
-    def iso(p):
-        return p.irrep.degree * p.multiplicity
-
-    def val(p):
-        return point.value_dim(p.irrep.label) * p.multiplicity
-
-    out = np.zeros((sum(map(val, rows)), sum(map(val, cols))), dtype=np.complex128)
-    r_iso = r_val = 0
-    for rp in rows:
-        c_iso = c_val = 0
-        for cp in cols:
-            block = mat[r_iso:r_iso + iso(rp), c_iso:c_iso + iso(cp)]
-            if rp.irrep.label == cp.irrep.label:
-                d = rp.irrep.degree
-                a = np.einsum("iaib->ab",
-                              block.reshape(d, rp.multiplicity, d, cp.multiplicity)) / d
-                if max_dev(block, np.kron(np.eye(d), a)) > tol:
-                    raise ValidationError("block is not multiplicity-shaped")
-                n = point.value_dim(rp.irrep.label)
-                out[r_val:r_val + val(rp), c_val:c_val + val(cp)] = np.kron(np.eye(n), a)
-            elif max_abs(block) > tol:
-                raise ValidationError("map mixes distinct simples")
-            c_iso, c_val = c_iso + iso(cp), c_val + val(cp)
-        r_iso, r_val = r_iso + iso(rp), r_val + val(rp)
-    return out
 
 
 def tautological_point(cat: RepCategory) -> SpectrumPoint:
@@ -634,23 +521,12 @@ def tannaka_reconstruct(cat: RepCategory) -> TannakaResult:
             values = irr.character  # one scalar per dual element
             if np.max(np.abs(np.abs(values) - 1.0)) > 1e-8:
                 raise ValidationError("transformation is not unitary")
-            for a in range(dual.order):
-                for b in range(dual.order):
-                    want = values[dual.mult(a, b)]
-                    if abs(values[a] * values[b] - want) > 1e-6:
-                        raise ValidationError("transformation is not monoidal")
+            if max_dev(np.outer(values, values), values[dual.matrix]) > 1e-6:
+                raise ValidationError("transformation is not monoidal")
             transformations.append(np.round(values, 8))
         # group law: pointwise multiplication of scalar tuples
-        n = len(transformations)
-        table = np.zeros((n, n), dtype=int)
-        for a in range(n):
-            for b in range(n):
-                prod = transformations[a] * transformations[b]
-                hits = [c for c in range(n)
-                        if np.max(np.abs(prod - transformations[c])) < 1e-6]
-                if len(hits) != 1:
-                    raise ValidationError("transformations do not close under product")
-                table[a, b] = hits[0]
+        table = _product_table(np.array(transformations),
+                               "transformations do not close under product")
         rec = FiniteGroup.make(f"tannaka({group.name})", table)
         orders = tuple(sorted(rec.element_order(a) for a in range(rec.order)))
         want = tuple(sorted(group.element_order(a) for a in range(group.order)))

@@ -65,6 +65,10 @@ def test_apply_on_simple_row_vector():
     f = FusionFunctor.make(h, k, [[1, 2]])
     img = apply_object(f, h.simple("e"))
     assert img.mults == (1, 2)
+    # the matrix is built once and shared by every caller, so it is read-only
+    assert f.matrix is f.matrix
+    with pytest.raises(ValueError):
+        f.matrix[0, 0] = 3
 
 
 def test_apply_preserves_composition_and_star(rng):

@@ -16,11 +16,17 @@ import numpy as np
 import pytest
 
 from twohilb.groups import FiniteSuperGroup, catalog, quaternion_group, symmetric_group
-from twohilb.linalg import dagger, max_abs, max_dev, random_complex, random_hermitian
+from twohilb.linalg import (
+    cluster_indices,
+    dagger,
+    max_abs,
+    max_dev,
+    random_complex,
+    random_hermitian,
+)
 from twohilb.reps import (
     RepCategory,
     _average,
-    _cluster_indices,
     _label_irreps,
     _random_intertwiner,
 )
@@ -82,7 +88,7 @@ def ref_irreps(group, z_index, attempts=60):
         h0 = random_hermitian(rng, n)
         avg = sum(reg[g] @ h0 @ dagger(reg[g]) for g in range(n)) / n
         vals, vecs = np.linalg.eigh((avg + dagger(avg)) / 2.0)
-        clusters = _cluster_indices(vals, 1e-7 * max(vals[-1] - vals[0], 1.0))
+        clusters = cluster_indices(vals, 1e-7 * max(vals[-1] - vals[0], 1.0))
         raw = []
         for cluster in clusters:
             basis = vecs[:, cluster]

@@ -1,4 +1,5 @@
-"""Every command of the README's CLI tour, run in process.
+"""Every command of the README's CLI tour, run in process, and its library
+example.
 
 A line exits with 0 unless its comment says ``exits N``; a comment
 ``prints X`` must match the first line of the output.
@@ -38,3 +39,12 @@ def test_tour_line(line, capsys):
     assert code == want_code, err
     if m := re.search(r"prints (\S+)", comment):
         assert out.splitlines()[0] == m.group(1)
+
+
+def test_library_example_runs(capsys):
+    text = README.read_text()
+    section = text.split("## Library example", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-2:] == ["(0, 1, 0, 0)", "4"]

@@ -1,11 +1,14 @@
 """Property tests for Rep(G) over random catalog groups and random objects."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twohilb.groups import catalog
-from twohilb.linalg import dagger, max_dev
-from twohilb.reps import RepCategory
+from twohilb.errors import ValidationError
+from twohilb.groups import FiniteSuperGroup, catalog, quaternion_group
+from twohilb.hstar import compose, inner_product, morphism_dev, star
+from twohilb.linalg import dagger, max_dev, random_complex
+from twohilb.reps import Intertwiner, RepCategory, _random_intertwiner
 
 TOL = 1e-9
 _CATEGORIES = {}
@@ -66,3 +69,58 @@ def test_decompose_coisometries_are_equivariant_and_resolve_identity(name, seed)
         assert max_dev(u @ x.matrices @ dagger(u), standard) < TOL
     total = sum(dagger(p.coisometry) @ p.coisometry for p in pieces)
     assert max_dev(total, np.eye(x.dim)) < TOL
+
+
+# -- the skeleton: intertwiners as block morphisms ------------------------------
+
+_BRIDGE = {"S3": lambda: RepCategory(catalog()["S3"]()),
+           "D4": lambda: RepCategory(catalog()["D4"]()),
+           "SuperQ8": lambda: RepCategory(FiniteSuperGroup.make(quaternion_group(), 1))}
+bridged = st.sampled_from(sorted(_BRIDGE))
+
+
+def bridge_category(name):
+    """Rep(S3), Rep(D4) or SuperRep(Q8, z=-1), built once."""
+    if name not in _CATEGORIES:
+        _CATEGORIES[name] = _BRIDGE[name]()
+    return _CATEGORIES[name]
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=bridged, seed=seeds)
+def test_to_blocks_carries_the_trace_pairing(name, seed):
+    cat = bridge_category(name)
+    rng = np.random.default_rng(seed)
+    x = cat.random_object(rng, max_dim=6)
+    y = cat.random_object(rng, max_dim=6)
+    f = _random_intertwiner(cat, rng, x, y)
+    g = _random_intertwiner(cat, rng, x, y)
+    carrier = np.trace(dagger(f.matrix) @ g.matrix)
+    assert abs(inner_product(cat.to_blocks(f), cat.to_blocks(g)) - carrier) < TOL
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=bridged, seed=seeds)
+def test_to_blocks_commutes_with_composition_and_star(name, seed):
+    cat = bridge_category(name)
+    rng = np.random.default_rng(seed)
+    x, y, z = (cat.random_object(rng, max_dim=6) for _ in range(3))
+    f = _random_intertwiner(cat, rng, x, y)
+    g = _random_intertwiner(cat, rng, y, z)
+    blocks_f = cat.to_blocks(f)
+    assert blocks_f.space == cat.skeleton()
+    assert morphism_dev(cat.to_blocks(f.then(g)),
+                        compose(blocks_f, cat.to_blocks(g))) < TOL
+    assert morphism_dev(cat.to_blocks(f.star()), star(blocks_f)) < TOL
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=bridged, seed=seeds)
+def test_to_blocks_rejects_non_intertwiners(name, seed):
+    cat = bridge_category(name)
+    rng = np.random.default_rng(seed)
+    # a degree-2 summand leaves room for maps that are not equivariant
+    x = cat.direct_sum(cat.random_object(rng, max_dim=4), cat.irrep("2a"))
+    f = Intertwiner(x, x, random_complex(rng, (x.dim, x.dim)))
+    with pytest.raises(ValidationError, match="multiplicity-shaped|mixes distinct simples"):
+        cat.to_blocks(f)

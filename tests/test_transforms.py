@@ -9,61 +9,70 @@ from twohilb.groups import (
     quaternion_group,
     symmetric_group,
 )
+from twohilb.hstar import BlockMorphism, ObjectExpr, compose, identity, morphism_dev
 from twohilb.linalg import dagger, max_dev
 from twohilb.reps import Intertwiner, RepCategory
 from twohilb.transforms import (
     FourierMap,
-    GradedMorphism,
-    GradedObject,
-    convolution_morphism,
+    SpectrumPoint,
+    _product_table,
     conv_layout,
+    convolution,
     convolution_tensor,
     dual_group,
     gelfand_hat,
     gelfand_hom_dim,
     graded_braiding,
+    graded_space,
     hat_homomorphism_defect,
     tannaka_reconstruct,
     tautological_point,
-    unit_graded,
 )
+
+
+def graded(group, fibers):
+    return ObjectExpr.make(graded_space(group), fibers)
 
 
 def delta(group, g, n=1):
     fibers = [0] * group.order
     fibers[g] = n
-    return GradedObject.make(group, fibers)
+    return graded(group, fibers)
 
 
 def test_convolution_of_deltas():
     g = cyclic_group(5)
+    conv = convolution(g)
     for a in range(5):
         for b in range(5):
-            prod = convolution_tensor(delta(g, a), delta(g, b))
-            assert prod.fibers == delta(g, g.mult(a, b)).fibers
+            prod = convolution_tensor(conv, delta(g, a), delta(g, b))
+            assert prod == delta(g, g.mult(a, b))
 
 
 def test_convolution_unit_law(rng):
     g = cyclic_group(6)
-    x = GradedObject.make(g, [int(rng.integers(0, 4)) for _ in range(6)])
-    assert convolution_tensor(unit_graded(g), x).fibers == x.fibers
-    assert convolution_tensor(x, unit_graded(g)).fibers == x.fibers
+    conv = convolution(g)
+    x = graded(g, [int(rng.integers(0, 4)) for _ in range(6)])
+    unit = delta(g, g.identity)
+    assert convolution_tensor(conv, unit, x) == x
+    assert convolution_tensor(conv, x, unit) == x
 
 
 def test_convolution_z2_count():
     g = cyclic_group(2)
-    x = GradedObject.make(g, [1, 1])
-    assert convolution_tensor(x, x).fibers == (2, 2)
+    x = graded(g, [1, 1])
+    assert convolution_tensor(convolution(g), x, x).mults == (2, 2)
 
 
 def test_convolution_monoid_exact(rng):
     g = product_group(cyclic_group(2), cyclic_group(2))
+    conv = convolution(g)
     for _ in range(10):
-        x, y, z = (GradedObject.make(g, [int(rng.integers(0, 3)) for _ in range(4)])
+        x, y, z = (graded(g, [int(rng.integers(0, 3)) for _ in range(4)])
                    for _ in range(3))
-        left = convolution_tensor(convolution_tensor(x, y), z)
-        right = convolution_tensor(x, convolution_tensor(y, z))
-        assert left.fibers == right.fibers
+        left = convolution_tensor(conv, convolution_tensor(conv, x, y), z)
+        right = convolution_tensor(conv, x, convolution_tensor(conv, y, z))
+        assert left == right
 
 
 def test_dual_group_structure():
@@ -77,15 +86,24 @@ def test_dual_group_structure():
         dual_group(RepCategory(symmetric_group(3)))
 
 
+def test_product_table_rejects_rows_that_do_not_close():
+    # orthonormal unit-modulus rows: (i, -i)^2 = (-1, -1) is no row
+    with pytest.raises(ValidationError, match="failed to close"):
+        _product_table(np.array([[1, 1], [1j, -1j]]), "failed to close")
+    z3 = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3)
+    assert _product_table(z3, "failed to close").tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
 def test_fourier_of_sign_character():
     cat = RepCategory(cyclic_group(2))
     fm = FourierMap(cat)
+    assert fm.space == cat.skeleton()
     sgn = cat.irrep("1b")
     graded = fm.transform(sgn)
     idx_triv = fm.dual.element_names.index("1a")
     idx_sgn = fm.dual.element_names.index("1b")
-    assert graded.fiber(idx_sgn) == 1
-    assert graded.fiber(idx_triv) == 0
+    assert graded.mults[idx_sgn] == 1
+    assert graded.mults[idx_triv] == 0
 
 
 def test_fourier_of_regular_representation():
@@ -97,7 +115,7 @@ def test_fourier_of_regular_representation():
             x = cat.irrep(lab)
             reg = x if reg is None else cat.direct_sum(reg, x)
         graded = fm.transform(reg)
-        assert graded.fibers == (1,) * n
+        assert graded.mults == (1,) * n
 
 
 def test_fourier_monoidal_defect_small(rng):
@@ -129,32 +147,30 @@ def test_fourier_rejects_nonabelian():
 
 def test_graded_braiding_is_symmetry(rng):
     g = cyclic_group(3)
-    x = GradedObject.make(g, [1, 2, 0])
-    y = GradedObject.make(g, [2, 0, 1])
-    b = graded_braiding(x, y)
-    back = graded_braiding(y, x)
-    round_trip = b.then(back)
-    ident = GradedMorphism(round_trip.src, round_trip.src,
-                           {g_: np.eye(round_trip.src.fiber(g_))
-                            for g_ in range(3) if round_trip.src.fiber(g_)})
-    assert round_trip.dev_from(ident) < 1e-12
+    x = graded(g, [1, 2, 0])
+    y = graded(g, [2, 0, 1])
+    b = graded_braiding(g, x, y)
+    back = graded_braiding(g, y, x)
+    assert b.src == convolution_tensor(convolution(g), x, y)
+    round_trip = compose(b, back)
+    assert morphism_dev(round_trip, identity(round_trip.src)) < 1e-12
 
 
 def test_signed_graded_braiding_is_symmetry():
     g = cyclic_group(4)
     parity = [0, 1, 0, 1]
-    x = GradedObject.make(g, [1, 2, 0, 1])
-    y = GradedObject.make(g, [1, 1, 1, 0])
-    b = graded_braiding(x, y, parity)
-    plain = graded_braiding(x, y)
-    round_trip = b.then(graded_braiding(y, x, parity))
-    for h in range(4):
-        n = round_trip.src.fiber(h)
-        assert max_dev(round_trip.block(h), np.eye(n)) < 1e-12
+    x = graded(g, [1, 2, 0, 1])
+    y = graded(g, [1, 1, 1, 0])
+    b = graded_braiding(g, x, y, parity)
+    plain = graded_braiding(g, x, y)
+    round_trip = compose(b, graded_braiding(g, y, x, parity))
+    assert morphism_dev(round_trip, identity(round_trip.src)) < 1e-12
     # odd (x) odd fibers sit at grades 1 + 1 = 1 + 3 = 2: their swap changes sign
-    layout = {(g1, g2): (off, nx * ny) for g1, g2, off, nx, ny in conv_layout(x, y, 2)}
+    layout = {(g1, g2): (off, nx * ny) for g1, g2, off, nx, ny in conv_layout(g, x, y, 2)}
     off, size = layout[(1, 1)]
-    block, unsigned = b.block(2)[:, off:off + size], plain.block(2)[:, off:off + size]
+    label = g.element_name(2)
+    block = b.block(label)[:, off:off + size]
+    unsigned = plain.block(label)[:, off:off + size]
     assert max_dev(block, -unsigned) < 1e-12 and np.abs(unsigned).max() == 1.0
 
 
@@ -176,18 +192,19 @@ def test_fourier_monoidal_defect_graded():
 
 def test_convolution_morphism_functorial(rng):
     g = cyclic_group(3)
-    x = GradedObject.make(g, [1, 2, 1])
-    y = GradedObject.make(g, [2, 1, 0])
+    conv = convolution(g)
+    x = graded(g, [1, 2, 1])
+    y = graded(g, [2, 1, 0])
+
     def rand_endo(obj):
-        return GradedMorphism(obj, obj, {k: np.asarray(
-            rng.standard_normal((obj.fiber(k), obj.fiber(k)))
-            + 1j * rng.standard_normal((obj.fiber(k), obj.fiber(k))))
-            for k in range(3) if obj.fiber(k)})
+        return BlockMorphism(obj, obj, {lab: rng.standard_normal((n, n))
+                                        + 1j * rng.standard_normal((n, n))
+                                        for lab, n in zip(obj.space.simples, obj.mults)})
     f1, f2 = rand_endo(x), rand_endo(x)
     h1, h2 = rand_endo(y), rand_endo(y)
-    lhs = convolution_morphism(f1.then(f2), h1.then(h2))
-    rhs = convolution_morphism(f1, h1).then(convolution_morphism(f2, h2))
-    assert lhs.dev_from(rhs) < 1e-9
+    lhs = convolution_tensor(conv, compose(f1, f2), compose(h1, h2))
+    rhs = compose(convolution_tensor(conv, f1, h1), convolution_tensor(conv, f2, h2))
+    assert morphism_dev(lhs, rhs) < 1e-9
 
 
 def test_tautological_point_validates():
@@ -200,20 +217,28 @@ def test_tautological_point_validates():
 
 def test_point_validation_decomposes_each_pair_once(monkeypatch):
     """validate reaches every ordered pair of simples through two structure
-    maps and two fused layouts; each tensor is decomposed only once."""
+    maps and two fused layouts; each tensor is decomposed only once, and
+    each structure map is built once per validation."""
     cat = RepCategory(symmetric_group(3))
     point = tautological_point(cat)
-    computed = []
+    computed, maps = [], []
     original = RepCategory.decompose
+    original_map = SpectrumPoint.structure_map
 
     def counted(self, x):
         if x._isotypic is None:
             computed.append(x.name)
         return original(self, x)
 
+    def counted_map(self, lam, mu):
+        maps.append((lam, mu))
+        return original_map(self, lam, mu)
+
     monkeypatch.setattr(RepCategory, "decompose", counted)
+    monkeypatch.setattr(SpectrumPoint, "structure_map", counted_map)
     assert point.validate() < 1e-8
     assert len(computed) <= len(cat.irreps()) ** 2 == 9
+    assert len(maps) <= 9
     assert point.validate() < 1e-8
     assert len(computed) <= 9
 
@@ -224,7 +249,6 @@ def test_wrongly_graded_point_rejected():
     for irr in cat.irreps():
         sign = -1.0 if irr.label == "2a" else 1.0
         values[irr.label] = (irr.degree, np.full(irr.degree, sign))
-    from twohilb.transforms import SpectrumPoint
     point = SpectrumPoint(cat, values, name="wrong")
     with pytest.raises(ValidationError, match="balancing"):
         point.validate()
@@ -330,12 +354,12 @@ def test_bosonization_compatible_with_transform(rng):
     fm_flat = FourierMap(flat)
     for _ in range(3):
         x = cat.random_object(rng, max_dim=4)
-        assert fm.transform(x).fibers == fm_flat.transform(x).fibers
+        assert fm.transform(x).mults == fm_flat.transform(x).mults
 
 
 def test_graded_object_json_round_trip():
     g = cyclic_group(3)
-    x = GradedObject.make(g, [1, 0, 2])
-    back = GradedObject.from_json(x.to_json())
-    assert back.fibers == x.fibers
-    assert back.group.table == g.table
+    x = graded(g, [1, 0, 2])
+    back = ObjectExpr.from_json(x.to_json())
+    assert back == x
+    assert back.space == graded_space(g)
