@@ -76,6 +76,13 @@ class FusionFunctor:
         arr.flags.writeable = False
         return arr
 
+    @cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero multiplicities as (source index, target index, count)
+        arrays, ordered by target and then by source."""
+        cols, rows = np.nonzero(self.matrix.T)
+        return rows, cols, self.matrix[rows, cols]
+
     @property
     def is_zero(self) -> bool:
         return not np.any(self.matrix)
@@ -110,7 +117,9 @@ def funcomp(f: FusionFunctor, g: FusionFunctor) -> FusionFunctor:
 def apply_object(f: FusionFunctor, x: ObjectExpr) -> ObjectExpr:
     if x.space != f.src:
         raise CompositionError("object lives over the wrong space")
-    return ObjectExpr.make(f.dst, tuple(int(v) for v in np.asarray(x.mults) @ f.matrix))
+    rows, cols, counts = f.entries
+    mults = np.bincount(cols, np.asarray(x.mults)[rows] * counts, minlength=f.dst.dim)
+    return ObjectExpr.make(f.dst, mults.astype(int).tolist())
 
 
 def apply_morphism(f: FusionFunctor, m: BlockMorphism) -> BlockMorphism:
@@ -119,19 +128,18 @@ def apply_morphism(f: FusionFunctor, m: BlockMorphism) -> BlockMorphism:
         raise CompositionError("morphism lives over the wrong space")
     src = apply_object(f, m.src)
     dst = apply_object(f, m.dst)
-    mat = f.matrix
+    rows, cols, counts = f.entries
     # a simple where m has no source and no target coordinate adds nothing
-    support = np.asarray(m.src.mults) + np.asarray(m.dst.mults) > 0
+    keep = (np.asarray(m.src.mults) + np.asarray(m.dst.mults) > 0)[rows]
+    pieces = {}
+    for row, col, n in zip(rows[keep].tolist(), cols[keep].tolist(), counts[keep].tolist()):
+        b = m.block(f.src.simples[row])
+        pieces.setdefault(col, []).append(b if n == 1 else np.kron(b, np.eye(n)))
     blocks = {}
-    for col, mu in enumerate(f.dst.simples):
-        pieces = []
-        for row in np.flatnonzero((mat[:, col] > 0) & support):
-            b, n = m.block(f.src.simples[row]), mat[row, col]
-            pieces.append(b if n == 1 else np.kron(b, np.eye(n)))
-        if pieces:
-            total = block_diag(pieces)
-            if total.size:
-                blocks[mu] = total
+    for col, parts in pieces.items():
+        total = block_diag(parts)
+        if total.size:
+            blocks[f.dst.simples[col]] = total
     return BlockMorphism(src, dst, blocks)
 
 

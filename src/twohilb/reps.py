@@ -129,7 +129,8 @@ class _TensorObject(RepObject):
     def matrices(self) -> np.ndarray:
         x, y = self._factors
         d = x.dim * y.dim
-        return np.einsum("gij,gkl->gikjl", x.matrices, y.matrices).reshape(-1, d, d)
+        return np.einsum("gij,gkl->gikjl", x.matrices, y.matrices).reshape(
+            len(x.matrices), d, d)
 
     @property
     def dim(self) -> int:
@@ -448,7 +449,7 @@ class RepCategory:
         """
         space = self.skeleton()
         rows, cols = self.decompose(f.dst), self.decompose(f.src)
-        mat = _stacked(rows) @ f.matrix @ dagger(_stacked(cols))
+        mat = _stacked(rows, f.dst.dim) @ f.matrix @ dagger(_stacked(cols, f.src.dim))
         col_at, c = {}, 0
         for p in cols:
             col_at[p.irrep.label] = (c, p.multiplicity)
@@ -686,8 +687,11 @@ class IsotypicPiece:
     coisometry: np.ndarray  # (degree * multiplicity, carrier_dim)
 
 
-def _stacked(pieces) -> np.ndarray:
-    """The co-isometry onto the isotypic coordinates of an object, from its pieces."""
+def _stacked(pieces, dim: int) -> np.ndarray:
+    """The co-isometry onto the isotypic coordinates of an object of dimension
+    ``dim``, from its pieces; a zero object has none and gets a 0 x dim one."""
+    if not pieces:
+        return np.zeros((0, dim), dtype=np.complex128)
     return np.concatenate([p.coisometry for p in pieces])
 
 

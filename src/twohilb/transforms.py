@@ -12,6 +12,7 @@ per group element, and the convolution product is a ``FusionFunctor``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .hstar import (
     morphism_dev,
     star,
 )
-from .linalg import block_diag, dagger, max_abs, max_dev, random_unitary
+from .linalg import block_diag, dagger, max_dev, random_unitary
 from .reps import Intertwiner, RepCategory, RepObject, _skeletal, _stacked, _swap_matrix
 
 __all__ = ["graded_space", "convolution", "convolution_tensor", "conv_layout",
@@ -47,10 +48,11 @@ def convolution(group: FiniteGroup) -> FusionFunctor:
     """The convolution product of Hilb^G as a functor from S (x) S to S: the
     simple (g1, g2) goes to the simple g1 g2."""
     space = graded_space(group)
-    n = group.order
-    mult = np.zeros((n * n, n), dtype=int)
-    mult[np.arange(n * n), group.matrix.ravel()] = 1
-    return FusionFunctor.make(tensor_space(space, space).table, space, mult)
+    # each row is a unit row; sharing the n distinct row tuples keeps the
+    # n^2 x n multiplicity matrix at O(n^2) to build and to hold
+    units = [tuple(row) for row in np.eye(group.order, dtype=int).tolist()]
+    mult = tuple(units[c] for c in group.matrix.ravel().tolist())
+    return FusionFunctor(tensor_space(space, space).table, space, mult)
 
 
 def convolution_tensor(conv: FusionFunctor, x, y):
@@ -123,20 +125,24 @@ def dual_group(cat: RepCategory) -> tuple[FiniteGroup, np.ndarray]:
 
 
 def _product_table(rows: np.ndarray, message: str) -> np.ndarray:
-    """table[a, b] = c where rows[a] * rows[b] = rows[c], for orthonormal rows
-    of unit-modulus values (sum_g r_a(g) conj(r_b(g)) / n = delta_ab).
+    """table[a, b] = c where rows[a] * rows[b] equals rows[c] entrywise within
+    1e-6 for exactly one c; otherwise raises ``message``.
 
-    Then overlap[a, b, c] = sum_g r_a r_b conj(r_c) / n is 1 exactly at the
-    product row, by Cauchy-Schwarz; anything else raises ``message``.  One
-    matmul per row a keeps the memory at O(n^2).
+    The rows are orthonormal with unit-modulus values, so over the k columns
+    the overlap sum_g r_a r_b conj(r_c) is near k at a hit and near 0
+    elsewhere: one matmul per row a finds the candidates (overlap above
+    k / 2), and only those are compared entrywise.
     """
-    n = len(rows)
+    n, k = rows.shape
     table = np.empty((n, n), dtype=int)
     for a in range(n):
-        overlap = (rows[a] * rows) @ dagger(rows) / rows.shape[1]  # [b, c]
-        table[a] = np.argmax(overlap.real, axis=1)
-        if max_abs(overlap[np.arange(n), table[a]] - 1.0) > 1e-6:
+        prod = rows[a] * rows
+        b, c = np.nonzero((prod @ dagger(rows)).real > k / 2)
+        hit = np.max(np.abs(prod[b] - rows[c]), axis=1) < 1e-6
+        b, c = b[hit], c[hit]
+        if np.any(np.bincount(b, minlength=n) != 1):
             raise ValidationError(message)
+        table[a, b] = c
     return table
 
 
@@ -155,11 +161,16 @@ class FourierMap:
     def __init__(self, cat: RepCategory):
         self.cat = cat
         self.dual, self.chars = dual_group(cat)
-        self.conv = convolution(self.dual)
-        self.space = self.conv.dst
+        self.space = cat.skeleton()
         # a dual element is odd when its character is -1 at the central
         # involution z; the bosonic symmetry ignores the grading
         self._parity = None if cat.bosonic else [irr.parity for irr in cat.irreps()]
+
+    @cached_property
+    def conv(self) -> FusionFunctor:
+        """The convolution of the graded space, built on first use: it has
+        n^2 source simples, and only the structure maps need it."""
+        return convolution(self.dual)
 
     def object_fibers(self, x: RepObject) -> ObjectExpr:
         return _skeletal(self.space, self.cat.decompose(x))
@@ -217,9 +228,8 @@ class FourierMap:
         worst = max(worst, morphism_dev(lhs, rhs))
         if f is not None and fp is not None:
             ff = self.morphism(f)
-            # endomorphisms of x and y close the naturality square with phi itself
-            phi_dst = phi if f.dst is x and fp.dst is y else self.structure_map(f.dst, fp.dst)
-            lhs = compose(convolution_tensor(self.conv, ff, self.morphism(fp)), phi_dst)
+            lhs = compose(convolution_tensor(self.conv, ff, self.morphism(fp)),
+                          self.structure_map(f.dst, fp.dst))
             rhs = compose(phi, self.morphism(self.cat.tensor_map(f, fp)))
             worst = max(worst, morphism_dev(lhs, rhs))
             worst = max(worst, morphism_dev(self.morphism(f.star()), star(ff)))
@@ -236,7 +246,7 @@ class FourierMap:
     def round_trip_iso(self, x: RepObject) -> Intertwiner:
         """Unitary natural isomorphism x -> inverse(transform(x))."""
         target = self.inverse(self.object_fibers(x))
-        return Intertwiner(x, target, _stacked(self.cat.decompose(x)))
+        return Intertwiner(x, target, _stacked(self.cat.decompose(x), x.dim))
 
     def round_trip_defect(self, x: RepObject, f: Intertwiner | None = None) -> float:
         eta = self.round_trip_iso(x)
@@ -326,8 +336,8 @@ class SpectrumPoint:
                                   "presentation; no structure map available")
         twist_out = block_diag([np.kron(self.twists[p.irrep.label], np.eye(p.multiplicity))
                                 for p in layout])
-        return twist_out @ _stacked(layout) @ np.kron(dagger(self.twists[lam]),
-                                                      dagger(self.twists[mu]))
+        return (twist_out @ _stacked(layout, self._tensor(lam, mu).dim)
+                @ np.kron(dagger(self.twists[lam]), dagger(self.twists[mu])))
 
     def balancing_defect(self) -> float:
         """Deviation from F(beta_x) = b_F(x): gradings must match the parities."""

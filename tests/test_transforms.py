@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from twohilb.errors import ValidationError
+from twohilb.functors import FusionFunctor
 from twohilb.groups import (
     FiniteSuperGroup,
     cyclic_group,
@@ -94,6 +95,27 @@ def test_product_table_rejects_rows_that_do_not_close():
     assert _product_table(z3, "failed to close").tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
 
+def test_product_table_compares_products_entrywise():
+    z3 = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3)
+    # row 2 turned by opposite phases 5e-4 in two entries: every product
+    # misses its row entrywise by up to 1e-3, but the overlaps are real and
+    # within 4e-7 of 1
+    z3[2, 1:] *= np.exp([5e-4j, -5e-4j])
+    with pytest.raises(ValidationError, match="failed to close"):
+        _product_table(z3, "failed to close")
+    # a repeated row is hit twice by every product
+    with pytest.raises(ValidationError, match="failed to close"):
+        _product_table(np.ones((2, 2)), "failed to close")
+
+
+def test_convolution_matches_the_dense_multiplicity_matrix():
+    for g in (cyclic_group(4), symmetric_group(3)):
+        conv = convolution(g)
+        dense = np.zeros((g.order ** 2, g.order), dtype=int)
+        dense[np.arange(g.order ** 2), g.matrix.ravel()] = 1
+        assert conv == FusionFunctor.make(conv.src, conv.dst, dense)
+
+
 def test_fourier_of_sign_character():
     cat = RepCategory(cyclic_group(2))
     fm = FourierMap(cat)
@@ -129,6 +151,29 @@ def test_fourier_monoidal_defect_small(rng):
         f = cat.hom_basis(x, x, rng)[0]
         fp = cat.hom_basis(y, y, rng)[0]
         assert fm.monoidal_defect(x, y, f, fp) < 1e-9
+
+
+def test_fourier_naturality_between_distinct_objects(rng):
+    cat = RepCategory(cyclic_group(3))
+    fm = FourierMap(cat)
+    x = cat.random_object(rng, max_dim=3)
+    y = cat.random_object(rng, max_dim=3)
+    f = cat.hom_basis(x, cat.direct_sum(x, cat.irrep("1b")), rng)[0]
+    fp = cat.hom_basis(y, cat.direct_sum(cat.irrep("1c"), y), rng)[0]
+    assert fm.monoidal_defect(x, y, f, fp) < 1e-9
+
+
+def test_fourier_of_the_zero_object():
+    cat = RepCategory(cyclic_group(4))
+    fm = FourierMap(cat)
+    zero = fm.inverse(ObjectExpr.make(fm.space, [0] * 4))
+    x = cat.irrep("1b")
+    f = Intertwiner(zero, x, np.zeros((x.dim, 0)))
+    blocks = fm.morphism(f)
+    assert blocks.src.is_zero and blocks.dst == fm.transform(x) and not blocks.blocks
+    assert fm.round_trip_defect(zero) == 0.0
+    none = Intertwiner(zero, zero, np.zeros((0, 0)))
+    assert fm.monoidal_defect(zero, x, none, Intertwiner(x, x, np.eye(1))) < 1e-12
 
 
 def test_fourier_round_trip(rng):
