@@ -527,11 +527,11 @@ class TensorSpace:
 def tensor_space(left: SpaceTable, right: SpaceTable) -> TensorSpace:
     labels = []
     weights = {}
-    for lam in left.simples:
-        for mu in right.simples:
+    for lam, wl in zip(left.simples, left.weights):
+        for mu, wr in zip(right.simples, right.weights):
             lab = f"({lam},{mu})"
             labels.append(lab)
-            weights[lab] = left.weight(lam) * right.weight(mu)
+            weights[lab] = wl * wr
     return TensorSpace(left, right, SpaceTable.make(labels, weights))
 
 

@@ -93,13 +93,9 @@ def test_product_table_rejects_rows_that_do_not_close():
         _product_table(np.array([[1, 1], [1j, -1j]]), "failed to close")
     z3 = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3)
     assert _product_table(z3, "failed to close").tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
-
-
-def test_product_table_compares_products_entrywise():
-    z3 = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3)
-    # row 2 turned by opposite phases 5e-4 in two entries: every product
-    # misses its row entrywise by up to 1e-3, but the overlaps are real and
-    # within 4e-7 of 1
+    # row 2 turned by opposite phases 5e-4 in two entries: products miss
+    # their rows entrywise by up to 1e-3, while every overlap stays real
+    # and within 4e-7 of 1
     z3[2, 1:] *= np.exp([5e-4j, -5e-4j])
     with pytest.raises(ValidationError, match="failed to close"):
         _product_table(z3, "failed to close")
