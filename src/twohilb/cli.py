@@ -121,16 +121,9 @@ def _cmd_fusion(args) -> int:
     cat = _category(args)
     labels = cat.irrep_labels()
     rows = []
-    for a in labels:
-        for b in labels:
-            mults = cat.multiplicities(cat.tensor(cat.irrep(a), cat.irrep(b)))
-            pieces = []
-            for lab in labels:
-                n = mults.get(lab, 0)
-                if n == 1:
-                    pieces.append(lab)
-                elif n > 1:
-                    pieces.append(f"{n}*{lab}")
+    for a, row in zip(labels, cat.fusion_rules().tolist()):
+        for b, mults in zip(labels, row):
+            pieces = [lab if n == 1 else f"{n}*{lab}" for lab, n in zip(labels, mults) if n]
             rows.append({"left": a, "right": b, "decomposition": " + ".join(pieces)})
     _emit_rows(rows, args.format, args.out, title=f"fusion table of {cat.name}")
     return 0
@@ -304,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=_cmd_irreps)
 
-    p = sub.add_parser("fusion", help="tensor-decomposition table")
+    p = sub.add_parser("fusion", help="tensor-decomposition table, from the characters")
     common(p)
     p.set_defaults(fn=_cmd_fusion)
 

@@ -37,6 +37,11 @@ __all__ = ["UnitaryIrrep", "RepObject", "Intertwiner", "Adjunction",
            "frobenius_schur_indicator"]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class UnitaryIrrep:
     """One irreducible unitary representation with a deterministic label."""
@@ -88,9 +93,10 @@ class RepObject:
             return np.eye(self.dim, dtype=np.complex128)
         return self.matrices[self.cat.z_index]
 
-    @property
+    @cached_property
     def character(self) -> np.ndarray:
-        return np.einsum("gii->g", self.matrices)
+        """The traces of the matrices, computed once (like the isotypic pieces)."""
+        return _read_only(np.einsum("gii->g", self.matrices))
 
     def validate(self, tol: float = 1e-8) -> None:
         g = self.cat.group
@@ -117,7 +123,8 @@ class RepObject:
 class _TensorObject(RepObject):
     """x (x) y.  Its |G| d^4 carrier matrices are built on first read;
     duality and braiding data label their endpoints with it but only read
-    the dimension and the grading, which come from the factors."""
+    the dimension, the grading and the character, which come from the
+    factors."""
 
     def __init__(self, cat: "RepCategory", x: RepObject, y: RepObject):
         self.cat = cat
@@ -142,6 +149,12 @@ class _TensorObject(RepObject):
         x, y = self._factors
         gx, gy = x.grading, y.grading
         return (gx[:, None, :, None] * gy[None, :, None, :]).reshape(self.dim, self.dim)
+
+    @cached_property
+    def character(self) -> np.ndarray:
+        """chi_x chi_y: the carrier is not built."""
+        x, y = self._factors
+        return _read_only(x.character * y.character)
 
 
 class Intertwiner:
@@ -269,6 +282,7 @@ class RepCategory:
             raise ValidationError("need a FiniteGroup or FiniteSuperGroup")
         self.bosonic = bosonic or self.z_index is None
         self._irreps = _irreps
+        self._characters = None
         self._skeleton = None
 
     # -- basics ---------------------------------------------------------
@@ -292,6 +306,7 @@ class RepCategory:
         cat.z_index = self.z_index
         cat.bosonic = True
         cat._irreps = self._irreps
+        cat._characters = self._characters
         cat._skeleton = self._skeleton
         return cat
 
@@ -352,6 +367,19 @@ class RepCategory:
     def irrep_labels(self) -> list[str]:
         return [i.label for i in self.irreps()]
 
+    def character_table(self) -> np.ndarray:
+        """The k x |G| read-only table of the irreducibles' characters, row a
+        for ``irreps()[a]``, built once per category."""
+        if self._characters is None:
+            self._characters = _read_only(np.array([i.character for i in self.irreps()]))
+        return self._characters
+
+    def fusion_rules(self) -> np.ndarray:
+        """N[a, b, c], the multiplicity of irreducible c in a (x) b (indices
+        in ``irreps()`` order), from the character table: no tensor product
+        is built or decomposed."""
+        return _fusion_rules(self.character_table(), [i.degree for i in self.irreps()])
+
     def hom_dim(self, x: RepObject, y: RepObject) -> int:
         """Dimension of the intertwiner space, via character averaging."""
         chi = np.sum(np.conj(x.character) * y.character) / self.group.order
@@ -397,17 +425,14 @@ class RepCategory:
         over the group per irreducible: E_00 is the Hermitian projector onto
         a multiplicity space, an orthonormal basis v_b of its range comes
         from one eigh, and column (j, b) of u^H is E_j0 v_b.  No random draw
-        is made, so equal matrices give identical co-isometries.
+        is made, so equal matrices give identical co-isometries.  The
+        multiplicities come from the character table.
         """
         if x._isotypic is not None:
             return x._isotypic
         pieces = []
         order = self.group.order
-        for irr in self.irreps():
-            val = float(np.real(np.sum(np.conj(irr.character) * x.character))) / order
-            if abs(val - round(val)) > 1e-6:
-                raise ValidationError(f"non-integral multiplicity {val} of {irr.label}")
-            mult = int(round(val))
+        for irr, mult in zip(self.irreps(), self._multiplicity_vector(x)):
             if mult == 0:
                 continue
             d = irr.degree
@@ -425,7 +450,21 @@ class RepCategory:
         return pieces
 
     def multiplicities(self, x: RepObject) -> dict[str, int]:
-        return {p.irrep.label: p.multiplicity for p in self.decompose(x)}
+        """The nonzero multiplicities of the irreducibles in x, by label."""
+        return {label: m for label, m in zip(self.irrep_labels(),
+                                             self._multiplicity_vector(x)) if m}
+
+    def _multiplicity_vector(self, x: RepObject) -> list[int]:
+        """<chi_a, chi_x> for every irreducible a, as one matvec against the
+        character table; raises unless every one is an integer."""
+        vals = np.real(self.character_table() @ np.conj(x.character)) / self.group.order
+        rounded = np.round(vals)
+        bad = np.flatnonzero(np.abs(vals - rounded) > 1e-6)
+        if bad.size:
+            i = bad[0]
+            raise ValidationError(f"non-integral multiplicity {float(vals[i])} "
+                                  f"of {self.irreps()[i].label}")
+        return rounded.astype(int).tolist()
 
     # -- the skeleton -----------------------------------------------------
 
@@ -783,6 +822,10 @@ def _average(left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (left @ m @ np.conj(right.transpose(0, 2, 1))).mean(axis=0)
 
 
+# entries of one gathered block of permuted copies in _compute_irreps
+_GATHER_ENTRIES = 2 ** 17
+
+
 def _compute_irreps(group: FiniteGroup, z_index, attempts: int = 60):
     """Split the regular representation reg (reg[g] e_h = e_{gh}) by the
     eigenspaces of a group-averaged random Hermitian operator.
@@ -796,38 +839,18 @@ def _compute_irreps(group: FiniteGroup, z_index, attempts: int = 60):
     rng = np.random.default_rng(1234)
     for _ in range(attempts):
         h0 = random_hermitian(rng, n)
-        avg = np.zeros_like(h0)
-        for p in perms:
-            avg += h0[np.ix_(p, p)]
-        avg /= n
+        avg = _conjugation_sum(h0, perms) / n
         vals, vecs = np.linalg.eigh((avg + dagger(avg)) / 2.0)
         spread = max(vals[-1] - vals[0], 1.0)
-        clusters = cluster_indices(vals, 1e-7 * spread)
-        raw = []
-        ok = True
-        for cluster in clusters:
-            basis = vecs[:, cluster]
-            moved = basis[perms]  # moved[g] = reg[g] @ basis
-            mats = dagger(basis) @ moved
-            char = np.einsum("gii->g", mats)
-            norm2 = float(np.real(np.sum(np.abs(char) ** 2))) / n
-            if abs(norm2 - 1.0) > 1e-6:
-                ok = False  # eigenvalue collision merged non-isotypic spaces
-                break
-            # invariance check of the eigenspace
-            dev = max_dev(moved, basis @ mats)
-            if dev > 1e-7:
-                ok = False
-                break
-            raw.append((char, mats))
-        if not ok:
+        raw = _split_clusters(vecs, cluster_indices(vals, 1e-7 * spread), perms)
+        if raw is None:
             continue
-        # dedupe by character
-        kept = []
-        for char, mats in raw:
-            if any(max_abs(char - c2) < 1e-6 for c2, _ in kept):
-                continue
-            kept.append((char, mats))
+        chars = np.array([char for char, _ in raw])
+        alive, kept = np.ones(len(raw), dtype=bool), []
+        while alive.any():  # keep the first cluster of each character
+            i = int(np.argmax(alive))
+            kept.append(raw[i])
+            alive &= np.max(np.abs(chars - chars[i]), axis=1) >= 1e-6
         if sum(m.shape[1] ** 2 for _, m in kept) != n:
             continue
         return _label_irreps(group, z_index, kept)
@@ -835,18 +858,72 @@ def _compute_irreps(group: FiniteGroup, z_index, attempts: int = 60):
                           "regular representation")
 
 
+def _conjugation_sum(h0: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """sum over the rows p of perms of h0[p][:, p], added in the order of the
+    rows: blocks of them are gathered at once, each block summed with the
+    running total in its first slot, so the result is bit for bit the sum
+    of one loop over the rows."""
+    n = len(h0)
+    step = max(1, _GATHER_ENTRIES // (n * n))
+    total = np.zeros_like(h0)
+    for start in range(0, len(perms), step):
+        p = perms[start:start + step]
+        block = np.empty((len(p) + 1, n, n), dtype=h0.dtype)
+        block[0] = total
+        block[1:] = h0[p[:, :, None], p[:, None, :]]
+        total = block.sum(axis=0)
+    return total
+
+
+def _split_clusters(vecs: np.ndarray, clusters, perms: np.ndarray):
+    """(character, matrices) of reg restricted to the span of each cluster of
+    eigenvectors, in cluster order, or None when a span is not an
+    irreducible invariant subspace (an eigenvalue collision merged
+    non-isotypic spaces).  Clusters of one size are handled together, in
+    blocks of at most _GATHER_ENTRIES gathered entries."""
+    n = len(vecs)
+    raw = [None] * len(clusters)
+    by_size = {}
+    for pos, cluster in enumerate(clusters):
+        by_size.setdefault(len(cluster), []).append(pos)
+    for d, positions in by_size.items():
+        step = max(1, _GATHER_ENTRIES // (n * n * d))
+        for start in range(0, len(positions), step):
+            chunk = positions[start:start + step]
+            idx = np.array([clusters[pos] for pos in chunk])
+            bases = vecs[:, idx].transpose(1, 0, 2).copy()  # (clusters, n, d)
+            # moved[c, g] = reg[g] @ bases[c]; take keeps each (n, d) block
+            # C-contiguous, as one cluster alone would have it, so the matmul
+            # below takes the same BLAS path and gives the same bits
+            moved = np.take(bases, perms, axis=1)
+            mats = np.conj(bases.transpose(0, 2, 1))[:, None] @ moved
+            chars = np.einsum("cgii->cg", mats)
+            norm2 = np.sum(np.abs(chars) ** 2, axis=1) / n
+            if np.any(np.abs(norm2 - 1.0) > 1e-6):
+                return None
+            # invariance of each span
+            if max_dev(moved, bases[:, None] @ mats) > 1e-7:
+                return None
+            for c, pos in enumerate(chunk):
+                raw[pos] = (chars[c], mats[c].copy())
+    return raw
+
+
 def _label_irreps(group: FiniteGroup, z_index, kept) -> list[UnitaryIrrep]:
-    entries = []
-    for char, mats in kept:
-        degree = mats.shape[1]
-        trivial = bool(np.allclose(char, np.ones(group.order)))
-        fingerprint = tuple((round(float(c.real), 6), round(float(c.imag), 6))
-                            for c in char)
-        entries.append((degree, not trivial, fingerprint, mats))
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
+    """Label the irreducibles of ``kept`` (a list of (character, matrices)):
+    sorted by degree, the trivial one first, then by the characters
+    rounded to 6 decimals, compared element by element (real part first)."""
+    chars = np.array([char for char, _ in kept])
+    degrees = [mats.shape[1] for _, mats in kept]
+    nontrivial = ~np.all(np.isclose(chars, 1.0), axis=1)
+    fingerprints = np.round(np.stack([chars.real, chars.imag], axis=2), 6)
+    fingerprints = fingerprints.reshape(len(kept), -1).tolist()
+    order = sorted(range(len(kept)),
+                   key=lambda i: (degrees[i], bool(nontrivial[i]), fingerprints[i]))
     out = []
     counts = {}
-    for degree, _, _, mats in entries:
+    for i in order:
+        degree, mats = degrees[i], kept[i][1]
         k = counts.get(degree, 0)
         counts[degree] = k + 1
         label = f"{degree}{_letter_suffix(k)}"
@@ -858,6 +935,26 @@ def _label_irreps(group: FiniteGroup, z_index, kept) -> list[UnitaryIrrep]:
                 raise ValidationError("grading does not act by a sign on an irreducible")
         out.append(UnitaryIrrep(label, degree, mats, parity))
     return out
+
+
+def _fusion_rules(chars: np.ndarray, degrees) -> np.ndarray:
+    """N[a, b, c] = (1/|G|) sum_g chi_a(g) chi_b(g) conj(chi_c(g)) for a k x |G|
+    character table, as one contraction: O(k^3 |G|).  Raises unless every
+    entry is an integer and sum_c N[a, b, c] d_c = d_a d_b."""
+    k, order = chars.shape
+    pairs = (chars[:, None, :] * chars[None, :, :]).reshape(k * k, order)
+    vals = (pairs @ np.conj(chars).T).reshape(k, k, k) / order
+    rounded = np.round(vals.real)
+    worst = max_abs(vals - rounded)
+    if worst > 1e-6:
+        raise ValidationError(f"non-integral fusion multiplicity (off by {worst:.3e})",
+                              violation=worst)
+    table = rounded.astype(int)
+    degrees = np.asarray(degrees)
+    if not np.array_equal(table @ degrees, np.outer(degrees, degrees)):
+        raise ValidationError("fusion multiplicities do not add up to the "
+                              "dimensions of the tensor products")
+    return table
 
 
 def _letter_suffix(k: int) -> str:

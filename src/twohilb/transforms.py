@@ -116,10 +116,9 @@ def dual_group(cat: RepCategory) -> tuple[FiniteGroup, np.ndarray]:
     group = cat.group
     if not group.is_abelian:
         raise ValidationError("the dual group is only formed for abelian groups")
-    irreps = cat.irreps()
-    chars = np.array([irr.character for irr in irreps])
+    chars = cat.character_table()
     table = _product_table(chars, "character products failed to close")
-    names = [irr.label for irr in irreps]
+    names = cat.irrep_labels()
     dual = FiniteGroup.make(f"dual({group.name})", table, names)
     return dual, chars
 
@@ -190,7 +189,11 @@ class FourierMap:
 
     def structure_map(self, x: RepObject, y: RepObject) -> BlockMorphism:
         """Unitary from the convolution of the images onto the image of the tensor."""
-        xy = self.cat.tensor(x, y)
+        return self._structure_map(x, y, self.cat.tensor(x, y))
+
+    def _structure_map(self, x: RepObject, y: RepObject, xy: RepObject) -> BlockMorphism:
+        """``structure_map`` onto the image of the given tensor object xy of x
+        and y, whose decomposition is computed once and kept on it."""
         ux = self.coisometries(x)
         uy = self.coisometries(y)
         uxy = self.coisometries(xy)
@@ -211,26 +214,36 @@ class FourierMap:
         """Worst coherence residual of the structure maps at (x, y).
 
         Checks unitarity, the braiding square against the convolution
-        symmetry, star compatibility and (when morphisms are supplied)
-        naturality.
+        symmetry, star compatibility and (when morphisms f: x -> x' and
+        fp: y -> y' are supplied) naturality.  The tensor objects x (x) y,
+        y (x) x and x' (x) y' are built once and shared by the structure
+        maps, the braiding and the tensor of f and fp, so each of them is
+        decomposed once.
         """
-        phi = self.structure_map(x, y)
+        cat = self.cat
+        xy, yx = cat.tensor(x, y), cat.tensor(y, x)
+        phi = self._structure_map(x, y, xy)
         if phi.src.mults != phi.dst.mults:
             raise ValidationError("structure map fiber is not square")
         phi_star = star(phi)
         worst = max(morphism_dev(compose(phi, phi_star), identity(phi.src)),
                     morphism_dev(compose(phi_star, phi), identity(phi.dst)))
         # braiding square
-        phi_yx = self.structure_map(y, x)
-        lhs = compose(phi, self.morphism(self.cat.braiding(x, y)))
+        phi_yx = self._structure_map(y, x, yx)
+        braiding = Intertwiner(xy, yx, cat.braiding(x, y).matrix)
+        lhs = compose(phi, self.morphism(braiding))
         rhs = compose(graded_braiding(self.dual, self.object_fibers(x),
                                       self.object_fibers(y), self._parity), phi_yx)
         worst = max(worst, morphism_dev(lhs, rhs))
         if f is not None and fp is not None:
+            if f.src is not x or fp.src is not y:
+                raise CompositionError("naturality needs f to start at x and fp at y")
+            dst = cat.tensor(f.dst, fp.dst)
             ff = self.morphism(f)
             lhs = compose(convolution_tensor(self.conv, ff, self.morphism(fp)),
-                          self.structure_map(f.dst, fp.dst))
-            rhs = compose(phi, self.morphism(self.cat.tensor_map(f, fp)))
+                          self._structure_map(f.dst, fp.dst, dst))
+            tensor_map = Intertwiner(xy, dst, cat.tensor_map(f, fp).matrix)
+            rhs = compose(phi, self.morphism(tensor_map))
             worst = max(worst, morphism_dev(lhs, rhs))
             worst = max(worst, morphism_dev(self.morphism(f.star()), star(ff)))
         return worst
@@ -527,8 +540,7 @@ def tannaka_reconstruct(cat: RepCategory) -> TannakaResult:
         dual, dual_chars = dual_group(cat)
         dual_cat = RepCategory(dual)
         transformations = []
-        for irr in dual_cat.irreps():
-            values = irr.character  # one scalar per dual element
+        for values in dual_cat.character_table():  # one scalar per dual element
             if np.max(np.abs(np.abs(values) - 1.0)) > 1e-8:
                 raise ValidationError("transformation is not unitary")
             if max_dev(np.outer(values, values), values[dual.matrix]) > 1e-6:

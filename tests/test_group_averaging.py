@@ -24,11 +24,14 @@ from twohilb.linalg import (
     random_complex,
     random_hermitian,
 )
+from twohilb.groups import cyclic_group
 from twohilb.reps import (
     RepCategory,
     _average,
+    _conjugation_sum,
     _label_irreps,
     _random_intertwiner,
+    _split_clusters,
 )
 
 TOL = 1e-12
@@ -109,6 +112,42 @@ def ref_irreps(group, z_index, attempts=60):
     raise AssertionError("reference failed to split the regular representation")
 
 
+def ref_conjugation_sum(h0, perms):
+    total = np.zeros_like(h0)
+    for p in perms:
+        total += h0[np.ix_(p, p)]
+    return total
+
+
+def ref_split_clusters(vecs, clusters, perms):
+    """One cluster at a time; None where a check fails."""
+    n = len(vecs)
+    raw = []
+    for cluster in clusters:
+        basis = vecs[:, cluster]
+        moved = basis[perms]
+        mats = dagger(basis) @ moved
+        char = np.einsum("gii->g", mats)
+        if abs(float(np.real(np.sum(np.abs(char) ** 2))) / n - 1.0) > 1e-6:
+            return None
+        if max_dev(moved, basis @ mats) > 1e-7:
+            return None
+        raw.append((char, mats))
+    return raw
+
+
+def ref_label_order(kept):
+    """The (degree, label rank) sort key of each entry of kept, with the
+    fingerprints rounded one Python float at a time."""
+    keys = []
+    for char, mats in kept:
+        trivial = bool(np.allclose(char, np.ones(len(char))))
+        fingerprint = tuple((round(float(c.real), 6), round(float(c.imag), 6))
+                            for c in char)
+        keys.append((mats.shape[1], not trivial, fingerprint))
+    return sorted(range(len(kept)), key=lambda i: keys[i])
+
+
 def _split(entry):
     return (entry.group, entry.z) if isinstance(entry, FiniteSuperGroup) else (entry, None)
 
@@ -180,3 +219,43 @@ def test_s5_irreps_memory():
         tracemalloc.stop()
     assert [i.degree for i in irreps] == [1, 1, 4, 4, 5, 5, 6]
     assert peak_mb < 15.0, f"S5 irreps peaked at {peak_mb:.1f} MB"
+
+
+BLOCKED = sorted(CATALOG) + ["S5", "Z27", "Z60"]
+
+
+def _group(name):
+    if name in CATALOG:
+        return CATALOG[name]
+    return (symmetric_group(5) if name == "S5" else cyclic_group(int(name[1:]))), None
+
+
+@pytest.mark.parametrize("name", BLOCKED)
+def test_blocked_split_is_bitwise_the_cluster_loop(name):
+    """The gathered blocks (several of them on S5) add the permuted copies in
+    the loop's order, and the batched matmul takes each cluster's BLAS path:
+    the averaged operator and the irreducible matrices are the same bits."""
+    group, _ = _group(name)
+    perms = group.matrix[group.inverses]
+    h0 = random_hermitian(np.random.default_rng(1234), group.order)
+    avg = _conjugation_sum(h0, perms)
+    assert np.array_equal(avg, ref_conjugation_sum(h0, perms))
+    vals, vecs = np.linalg.eigh((avg + dagger(avg)) / 2.0)
+    clusters = cluster_indices(vals, 1e-7 * max(vals[-1] - vals[0], 1.0))
+    got, want = _split_clusters(vecs, clusters, perms), ref_split_clusters(vecs, clusters, perms)
+    assert (got is None) == (want is None)
+    for (char, mats), (ref_char, ref_mats) in zip(got or [], want or [], strict=True):
+        assert np.array_equal(mats, ref_mats)
+        assert max_dev(char, ref_char) < TOL
+
+
+@pytest.mark.parametrize("name", BLOCKED)
+def test_labels_sort_like_rounded_python_floats(name):
+    group, z = _group(name)
+    irreps = RepCategory(FiniteSuperGroup(group, z) if z is not None else group).irreps()
+    kept = [(irr.character, irr.matrices) for irr in irreps[::-1]]
+    relabelled = _label_irreps(group, z, kept)
+    assert [i.label for i in relabelled] == [i.label for i in irreps]
+    order = ref_label_order(kept)
+    assert all(np.shares_memory(relabelled[pos].matrices, kept[i][1])
+               for pos, i in enumerate(order))

@@ -406,6 +406,26 @@ def test_labels_past_26_irreducibles_of_one_degree():
     assert z60[51:] == ["1az", "1ba", "1bb", "1bc", "1bd", "1be", "1bf", "1bg", "1bh"]
 
 
+# k for each label in order: the irreducible labelled there has the character
+# g -> exp(2 pi i k g / n); ties of the rounded real part at the generator
+# are broken by the imaginary part
+Z27_EXPONENTS = [0, 14, 13, 15, 12, 16, 11, 17, 10, 18, 9, 19, 8, 20, 7, 21, 6, 22, 5,
+                 23, 4, 24, 3, 25, 2, 26, 1]
+Z60_EXPONENTS = [0, 30, 31, 29, 32, 28, 33, 27, 34, 26, 35, 25, 36, 24, 37, 23, 38, 22,
+                 39, 21, 40, 20, 41, 19, 42, 18, 43, 17, 44, 16, 45, 15, 46, 14, 47, 13,
+                 48, 12, 49, 11, 50, 10, 51, 9, 52, 8, 53, 7, 54, 6, 55, 5, 56, 4, 57, 3,
+                 58, 2, 59, 1]
+
+
+@pytest.mark.parametrize("n, exponents", [(27, Z27_EXPONENTS), (60, Z60_EXPONENTS)])
+def test_cyclic_labels_follow_their_characters(n, exponents):
+    cat = RepCategory(cyclic_group(n))
+    powers = np.arange(n)
+    assert cat.irrep_labels()[:3] == ["1a", "1b", "1c"]
+    for irr, k in zip(cat.irreps(), exponents, strict=True):
+        assert max_dev(irr.character, np.exp(2j * np.pi * k * powers / n)) < 1e-9
+
+
 def test_groupoid_category():
     gpd = FiniteGroupoid.from_components([
         (("a",), symmetric_group(3), None),
@@ -485,3 +505,15 @@ def test_shared_arrays_are_read_only(s3):
     for arr in shared:
         with pytest.raises(ValueError):
             arr[0] = arr[1]
+
+
+def test_character_table_is_read_only(s3):
+    """The category's character table is built once and shared by every
+    multiplicity, fusion rule and dual group computed from it."""
+    table = s3.character_table()
+    assert table is s3.character_table() and table.shape == (3, 6)
+    assert max_dev(table, [irr.character for irr in s3.irreps()]) == 0.0
+    with pytest.raises(ValueError):
+        table[0] = table[1]
+    with pytest.raises(ValueError):
+        table[1, 1] += 1.0

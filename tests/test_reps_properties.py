@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from twohilb.errors import ValidationError
 from twohilb.groups import FiniteSuperGroup, catalog, quaternion_group
 from twohilb.hstar import compose, inner_product, morphism_dev, star
-from twohilb.linalg import dagger, max_dev, random_complex
+from twohilb.linalg import dagger, distance_to_unitary, max_dev, random_complex
 from twohilb.reps import Intertwiner, RepCategory, _random_intertwiner
 
 TOL = 1e-9
@@ -124,3 +124,66 @@ def test_to_blocks_rejects_non_intertwiners(name, seed):
     f = Intertwiner(x, x, random_complex(rng, (x.dim, x.dim)))
     with pytest.raises(ValidationError, match="multiplicity-shaped|mixes distinct simples"):
         cat.to_blocks(f)
+
+
+# -- balancing laws and duality triangles ------------------------------------------
+
+def dual_morphism(adj, f):
+    """f*: x* -> x* for f: x -> x, (e (x) 1)(1 (x) f (x) 1)(1 (x) i) = (E f I)^T."""
+    return (adj.counit_matrix @ f @ adj.unit_matrix).T
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=bridged, seed=seeds)
+def test_balancing_is_natural(name, seed):
+    cat = bridge_category(name)
+    rng = np.random.default_rng(seed)
+    x = cat.random_object(rng, max_dim=6)
+    y = cat.random_object(rng, max_dim=6)
+    f = _random_intertwiner(cat, rng, x, y).matrix
+    assert max_dev(cat.balancing(y).matrix @ f, f @ cat.balancing(x).matrix) < TOL
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=bridged, seed=seeds)
+def test_balancing_of_a_tensor_product(name, seed):
+    """beta_{x (x) y} = (beta_x (x) beta_y) B^2, with B^2 the braiding of x
+    with y followed by the braiding of y with x."""
+    cat = bridge_category(name)
+    rng = np.random.default_rng(seed)
+    x = cat.random_object(rng, max_dim=4)
+    y = cat.random_object(rng, max_dim=4)
+    double = cat.braiding(x, y).then(cat.braiding(y, x)).matrix
+    want = np.kron(cat.balancing(x).matrix, cat.balancing(y).matrix) @ double
+    assert max_dev(cat.balancing(cat.tensor(x, y)).matrix, want) < TOL
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=bridged, seed=seeds)
+def test_balancing_of_the_dual_is_the_dual_balancing(name, seed):
+    cat = bridge_category(name)
+    x = cat.random_object(np.random.default_rng(seed), max_dim=6)
+    adj = cat.well_balanced_adjunction(x)
+    want = dual_morphism(adj, cat.balancing(x).matrix)
+    assert max_dev(cat.balancing(adj.xstar).matrix, want) < TOL
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=bridged, seed=seeds, scale=st.floats(0.25, 4.0))
+def test_triangle_identities(name, seed, scale):
+    """(1 (x) e)(i (x) 1) = 1_x and (e (x) 1)(1 (x) i) = 1_{x*} as composites of
+    Kronecker products, for the canonical duality and for one rebuilt from
+    a rescaled counit."""
+    cat = bridge_category(name)
+    x = cat.random_object(np.random.default_rng(seed), max_dim=4)
+    canonical = cat.well_balanced_adjunction(x)
+    rebuilt = cat.well_balanced_adjunction(x, base=canonical.scaled(scale))
+    for adj in (canonical, rebuilt):
+        d, ds = x.dim, adj.xstar.dim
+        i_m, e_m = adj.i.matrix, adj.e.matrix
+        on_x = np.kron(np.eye(d), e_m) @ np.kron(i_m, np.eye(d))
+        on_dual = np.kron(e_m, np.eye(ds)) @ np.kron(np.eye(ds), i_m)
+        assert max_dev(on_x, np.eye(d)) < TOL
+        assert max_dev(on_dual, np.eye(ds)) < TOL
+        assert adj.triangle_dev() < TOL
+        assert distance_to_unitary(cat.balancing_of(adj).matrix) < 1e-8

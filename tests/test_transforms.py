@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twohilb.errors import ValidationError
+from twohilb.errors import CompositionError, ValidationError
 from twohilb.functors import FusionFunctor
 from twohilb.groups import (
     FiniteSuperGroup,
@@ -157,6 +157,43 @@ def test_fourier_naturality_between_distinct_objects(rng):
     f = cat.hom_basis(x, cat.direct_sum(x, cat.irrep("1b")), rng)[0]
     fp = cat.hom_basis(y, cat.direct_sum(cat.irrep("1c"), y), rng)[0]
     assert fm.monoidal_defect(x, y, f, fp) < 1e-9
+
+
+def test_monoidal_defect_decomposes_each_tensor_once(monkeypatch):
+    """x (x) y, y (x) x and f.dst (x) fp.dst are each decomposed once per
+    call (seven tensor decompositions before they were shared)."""
+    cat = RepCategory(cyclic_group(4))
+    fm = FourierMap(cat)
+    rng = np.random.default_rng(1)
+    x = cat.random_object(rng, max_dim=4)
+    y = cat.random_object(rng, max_dim=4)
+    f = cat.hom_basis(x, x, rng)[0]
+    fp = cat.hom_basis(y, y, rng)[0]
+    cat.decompose(x)
+    cat.decompose(y)
+    computed = []
+    original = RepCategory.decompose
+
+    def counted(self, obj):
+        if obj._isotypic is None:
+            computed.append(obj.name)
+        return original(self, obj)
+
+    monkeypatch.setattr(RepCategory, "decompose", counted)
+    for _ in range(2):
+        computed.clear()
+        assert fm.monoidal_defect(x, y, f, fp) < 1e-9
+        assert sorted(computed) == ["random*random"] * 3
+
+
+def test_monoidal_defect_needs_morphisms_from_x_and_y(rng):
+    cat = RepCategory(cyclic_group(3))
+    fm = FourierMap(cat)
+    x = cat.random_object(rng, max_dim=3)
+    y = cat.random_object(rng, max_dim=3)
+    f = cat.hom_basis(x, x, rng)[0]
+    with pytest.raises(CompositionError):
+        fm.monoidal_defect(x, y, cat.identity_map(y), f)
 
 
 def test_fourier_of_the_zero_object():
