@@ -822,8 +822,10 @@ def _average(left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (left @ m @ np.conj(right.transpose(0, 2, 1))).mean(axis=0)
 
 
-# entries of one gathered block of permuted copies in _compute_irreps
-_GATHER_ENTRIES = 2 ** 17
+# entries (64 KB of complex numbers) in one gathered block of permuted
+# copies in _compute_irreps: larger blocks were no faster on groups up to S5
+# and raised the peak memory of a run of small commands
+_GATHER_ENTRIES = 2 ** 12
 
 
 def _compute_irreps(group: FiniteGroup, z_index, attempts: int = 60):
@@ -859,19 +861,16 @@ def _compute_irreps(group: FiniteGroup, z_index, attempts: int = 60):
 
 
 def _conjugation_sum(h0: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """sum over the rows p of perms of h0[p][:, p], added in the order of the
-    rows: blocks of them are gathered at once, each block summed with the
-    running total in its first slot, so the result is bit for bit the sum
-    of one loop over the rows."""
+    """sum over the rows p of perms of h0[p][:, p]: blocks of the copies are
+    gathered at once and added in the order of the rows, so the result is
+    bit for bit the sum of one loop over the rows."""
     n = len(h0)
     step = max(1, _GATHER_ENTRIES // (n * n))
     total = np.zeros_like(h0)
     for start in range(0, len(perms), step):
         p = perms[start:start + step]
-        block = np.empty((len(p) + 1, n, n), dtype=h0.dtype)
-        block[0] = total
-        block[1:] = h0[p[:, :, None], p[:, None, :]]
-        total = block.sum(axis=0)
+        for copy in h0[p[:, :, None], p[:, None, :]]:
+            total += copy
     return total
 
 
@@ -901,8 +900,10 @@ def _split_clusters(vecs: np.ndarray, clusters, perms: np.ndarray):
             norm2 = np.sum(np.abs(chars) ** 2, axis=1) / n
             if np.any(np.abs(norm2 - 1.0) > 1e-6):
                 return None
-            # invariance of each span
-            if max_dev(moved, bases[:, None] @ mats) > 1e-7:
+            # invariance of each span: moved - bases mats, in place
+            residual = bases[:, None] @ mats
+            residual -= moved
+            if max_abs(residual) > 1e-7:
                 return None
             for c, pos in enumerate(chunk):
                 raw[pos] = (chars[c], mats[c].copy())
