@@ -85,6 +85,14 @@ def test_fusion_builds_no_tensor_product(monkeypatch, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert {(r["left"], r["right"]): r["decomposition"] for r in rows}[("2a", "2a")] \
         == "1a + 1b + 2a"
+    # the character of a tensor product is the product of its factors'
+    cat = RepCategory(catalog()["S4"]())
+    labels = cat.irrep_labels()
+    table = cat.fusion_rules()
+    for a, la in enumerate(labels):
+        for b, lb in enumerate(labels):
+            mults = cat.multiplicities(cat.tensor(cat.irrep(la), cat.irrep(lb)))
+            assert mults == {lab: n for lab, n in zip(labels, table[a, b].tolist()) if n}
 
 
 def test_fusion_rejects_a_non_integral_character_table():
