@@ -51,6 +51,11 @@ class HStarAlgebraData:
         n = self.dim
         return b @ (a @ self.table.reshape(n, n * n)).reshape(n, n)
 
+    def products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Every product xs[a] ys[b] of two stacks of elements, indexed [a, b, :]."""
+        n = self.dim
+        return ys @ (xs @ self.table.reshape(n, n * n)).reshape(len(xs), n, n)
+
     def star(self, a: np.ndarray) -> np.ndarray:
         return self.star_matrix @ np.conj(a)
 
@@ -72,17 +77,18 @@ class HStarAlgebraData:
     def validate(self, tol: float = 1e-7) -> None:
         """Check associativity, the unit, the star axioms and the two product identities.
 
-        Each identity is one contraction of the whole table: the worst check,
-        associativity, is an n^2 x n by n x n^2 product (O(n^5) time, two
-        n^4 arrays).
+        Each identity is a contraction of the whole table, O(n^5) time and
+        O(n^3) memory: associativity is checked one slice e_i at a time, two
+        n x n^2 products per slice; the other checks are n^3 arrays.
         """
         n = self.dim
         t = self.table
-        # (e_i e_j) e_k minus e_i (e_j e_k), both indexed [i, j, k, l];
-        # subtracted in place so that only two n^4 arrays are alive
-        assoc = t.reshape(n * n, n) @ t.reshape(n, n * n)
-        assoc -= np.matmul(t.reshape(n * n, n), t).reshape(n * n, n * n)
-        worst = max_abs(assoc)
+        # slice i: (e_i e_j) e_k minus e_i (e_j e_k), both indexed [j, k, l]
+        worst = 0.0
+        for i in range(n):
+            assoc = t[i] @ t.reshape(n, n * n)
+            assoc -= (t.reshape(n * n, n) @ t[i]).reshape(n, n * n)
+            worst = max(worst, max_abs(assoc))
         if worst > tol:
             raise ValidationError(f"associativity fails (max violation {worst:.3e})",
                                   violation=worst)
@@ -330,12 +336,10 @@ def ambrose_decompose(alg: HStarAlgebraData, tol: float = 1e-7,
     ideals = []
     for p, d in projections:
         weight = float(np.real(alg.inner(p, p)) / d)
-        qs = _minimal_projections(alg, p, d, rng, tol)
-        units = np.zeros((d, d, alg.dim), dtype=np.complex128)
-        units[0, 0] = qs[0]
+        qs = _minimal_projections(alg, p, d, rng, tol, attempts)
         row = [qs[0]]
         for a in range(1, d):
-            for _ in range(40):
+            for _ in range(attempts):
                 w = alg.mult(qs[0], alg.mult(random_complex(rng, alg.dim), qs[a]))
                 gamma = alg.inner(qs[0], alg.mult(w, alg.star(w))) / alg.inner(qs[0], qs[0])
                 if abs(gamma) > 1e-8:
@@ -343,18 +347,17 @@ def ambrose_decompose(alg: HStarAlgebraData, tol: float = 1e-7,
                     break
             else:
                 raise ValidationError("failed to link minimal projections inside an ideal")
-        for a in range(d):
-            e_a1 = alg.star(row[a]) if a else qs[0]
-            for b in range(d):
-                units[a, b] = alg.mult(e_a1, row[b]) if (a or b) else qs[0]
+        # e_ab = e_a1 e_1b, with e_a1 = (e_1a)* and e_11 the first minimal projection
+        col = np.array([qs[0]] + [alg.star(w) for w in row[1:]])
+        units = alg.products(col, np.array(row))
+        units[0, 0] = qs[0]
         ideal = AmbroseIdeal(size=d, weight=weight, projection=p, matrix_units=units)
         # matrix-unit sanity: e_ab e_cd = delta_bc e_ad within tolerance
-        dev = 0.0
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    prod = alg.mult(units[a, b], units[b, c])
-                    dev = max(dev, max_dev(prod, units[a, c]))
+        flat = units.reshape(d * d, alg.dim)
+        relations = alg.products(flat, flat).reshape(d, d, d, d, alg.dim)
+        diag = np.arange(d)
+        relations[:, diag, diag] -= units[:, None]
+        dev = max_abs(relations)
         if dev > 1e4 * tol:
             raise ValidationError(f"matrix unit relations violated ({dev:.3e})", violation=dev)
         ideals.append(ideal)

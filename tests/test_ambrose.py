@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import twohilb.ambrose as ambrose_module
 from twohilb.ambrose import (
     HStarAlgebraData,
     ambrose_decompose,
@@ -9,21 +12,25 @@ from twohilb.ambrose import (
     endomorphism_algebra,
 )
 from twohilb.errors import ValidationError
+from twohilb.groups import cyclic_group, dihedral_group, quaternion_group, symmetric_group
 from twohilb.hstar import ObjectExpr, SpaceTable
 from twohilb.linalg import dagger, max_dev, random_complex, random_unitary
+from twohilb.reps import RepCategory
 
 
-def cyclic_group_algebra(n):
-    """Convolution algebra of Z/n on the delta basis (an H*-algebra)."""
+def group_algebra(group):
+    """Convolution algebra of a finite group on the delta basis (an H*-algebra).
+
+    The product is delta_g delta_h = delta_gh and the star delta_g* = delta_(g^-1).
+    """
+    n = group.order
     table = np.zeros((n, n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            table[i, j, (i + j) % n] = 1.0
+    rows, cols = np.indices((n, n))
+    table[rows, cols, group.matrix] = 1.0
     unit = np.zeros(n, dtype=np.complex128)
-    unit[0] = 1.0
+    unit[group.identity] = 1.0
     star = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        star[(-i) % n, i] = 1.0
+    star[group.inverses, np.arange(n)] = 1.0
     return HStarAlgebraData(n, table, unit, star)
 
 
@@ -57,7 +64,7 @@ def test_round_trip_after_unitary_change_of_basis(rng):
 
 def test_commutative_algebra_splits_into_lines(rng):
     n = 5
-    alg = cyclic_group_algebra(n)
+    alg = group_algebra(cyclic_group(n))
     alg.validate()
     dec = ambrose_decompose(alg, rng=rng)
     assert dec.sizes == (1,) * n
@@ -217,9 +224,10 @@ def rotated_block_models(seed, count=8):
 
 def broken_variants(alg):
     """The algebra with its table, unit or star disturbed, one at a time."""
-    table = alg.table.copy()
-    table[0, 0, -1] += 0.3
-    yield HStarAlgebraData(alg.dim, table, alg.unit, alg.star_matrix)
+    for index in [(0, 0, -1), (-1, -1, 0)]:
+        table = alg.table.copy()
+        table[index] += 0.3
+        yield HStarAlgebraData(alg.dim, table, alg.unit, alg.star_matrix)
     yield HStarAlgebraData(alg.dim, alg.table, 1.5 * alg.unit, alg.star_matrix)
     yield HStarAlgebraData(alg.dim, alg.table, alg.unit, 1.1 * alg.star_matrix)
     yield HStarAlgebraData(alg.dim, alg.table, alg.unit, np.eye(alg.dim))
@@ -232,8 +240,11 @@ def broken_variants(alg):
 def test_table_forms_match_loop_definitions():
     rng = np.random.default_rng(41)
     algebras = [(change_basis(base, u), base, u) for base, u in rotated_block_models(17)]
-    z5 = cyclic_group_algebra(5)
+    z5 = group_algebra(cyclic_group(5))
     algebras.append((z5, z5, np.eye(5)))
+    base = block_model([3, 3, 3], [0.7, 1.2, 1.9])
+    u = random_unitary(np.random.default_rng(27), base.dim)
+    algebras.append((change_basis(base, u), base, u))
     for alg, base, u in algebras:
         n = alg.dim
         assert max_dev(alg.table, loop_change_basis_table(base, u)) < 1e-12
@@ -253,7 +264,7 @@ def test_table_forms_match_loop_definitions():
 def test_recomposition_matches_loop_definition():
     rng = np.random.default_rng(43)
     algebras = [change_basis(base, u) for base, u in rotated_block_models(19, count=5)]
-    algebras.append(cyclic_group_algebra(5))
+    algebras.append(group_algebra(cyclic_group(5)))
     for alg in algebras:
         dec = ambrose_decompose(alg, rng=rng)
         v = random_complex(rng, alg.dim)
@@ -294,7 +305,71 @@ def test_validation_catches_star_that_is_no_antihomomorphism():
 def test_validation_catches_broken_product_identities():
     # on the commutative Z/5 algebra, delta_g* = delta_g is an involutive
     # antihomomorphism but not the adjoint of multiplication
-    alg = cyclic_group_algebra(5)
+    alg = group_algebra(cyclic_group(5))
     broken = HStarAlgebraData(alg.dim, alg.table, alg.unit, np.eye(alg.dim))
     with pytest.raises(ValidationError, match="product identities fail"):
         broken.validate()
+
+
+def test_matrix_unit_check_tests_every_relation(monkeypatch, rng):
+    # with one minimal projection repeated, every e_ab is a multiple of it: each
+    # relation e_ab e_bc = e_ac holds, but e_11 e_21 is not zero
+    split = ambrose_module._minimal_projections
+
+    def repeated(*args):
+        return [split(*args)[0]] * args[2]
+    monkeypatch.setattr(ambrose_module, "_minimal_projections", repeated)
+    with pytest.raises(ValidationError, match="^matrix unit relations violated"):
+        ambrose_decompose(block_model([2], [1.0]), rng=rng)
+
+
+@pytest.mark.parametrize("stage, message", [("split", "failed to split"),
+                                            ("link", "failed to link")])
+def test_attempts_reach_every_retry_loop(monkeypatch, rng, stage, message):
+    # zero draws of algebra elements make every attempt of the stage fail
+    alg = block_model([2], [1.0])
+    split = ambrose_module._minimal_projections
+    draw = ambrose_module.random_complex
+    state = {"zero": stage == "split", "zero_draws": 0}
+
+    def split_then_zero(*args):
+        projections = split(*args)
+        state["zero"] = True
+        return projections
+
+    def maybe_zero(gen, shape):
+        if state["zero"] and shape == alg.dim:
+            state["zero_draws"] += 1
+            return np.zeros(shape, dtype=np.complex128)
+        return draw(gen, shape)
+    monkeypatch.setattr(ambrose_module, "_minimal_projections", split_then_zero)
+    monkeypatch.setattr(ambrose_module, "random_complex", maybe_zero)
+    with pytest.raises(ValidationError, match=message):
+        ambrose_decompose(alg, rng=rng, attempts=3)
+    assert state["zero_draws"] == 3
+
+
+def test_decomposition_memory_is_cubic():
+    # n = 48: one n^4 array would be 85 MB, the n^3 table is 1.8 MB
+    base = block_model([4, 4, 4], [0.5, 1.0, 1.5])
+    alg = change_basis(base, random_unitary(np.random.default_rng(48), base.dim))
+    tracemalloc.start()
+    try:
+        dec = ambrose_decompose(alg, rng=np.random.default_rng(5))
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert dec.sizes == (4, 4, 4)
+    assert peak_mb < 16.0
+
+
+@pytest.mark.parametrize("group", [symmetric_group(4), quaternion_group(), dihedral_group(4)],
+                         ids=lambda g: g.name)
+def test_group_algebra_splits_into_the_irreducibles(group, rng):
+    # the ideal of an irreducible of degree d is End(V) with weight d / |G|
+    # (Peter-Weyl); the irreducibles come from Rep(G), an independent path
+    degrees = [irr.degree for irr in RepCategory(group).irreps()]
+    dec = ambrose_decompose(group_algebra(group), rng=rng)
+    assert sorted(dec.sizes) == sorted(degrees)
+    for size, weight in zip(dec.sizes, dec.weights):
+        assert abs(weight - size / group.order) < 1e-8
