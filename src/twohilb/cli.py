@@ -107,11 +107,14 @@ def _cmd_irreps(args) -> int:
         row = {"label": irr.label, "degree": irr.degree}
         if cat.z_index is not None:
             row["parity"] = "odd" if irr.parity else "even"
+        # rounded, and -0.0 written as 0.0, so that the printed characters do
+        # not show rounding noise, whose digits depend on the BLAS threads
+        character = np.round(irr.character, 12) + 0.0
         if args.format == "json":
-            row["character"] = [_complex_pair(c) for c in irr.character]
+            row["character"] = [_complex_pair(c) for c in character]
         elif args.format == "csv":
             row["character"] = ";".join(
-                f"{_fmt(c.real)},{_fmt(c.imag)}" for c in irr.character)
+                f"{_fmt(c.real)},{_fmt(c.imag)}" for c in character)
         rows.append(row)
     _emit_rows(rows, args.format, args.out, title=f"irreducibles of {cat.name}")
     return 0

@@ -1,9 +1,10 @@
 import json
+import math
 
 import pytest
 
 from twohilb.cli import build_parser, main
-from twohilb.groups import cyclic_group
+from twohilb.groups import cyclic_group, symmetric_group
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +160,19 @@ def test_irreps_past_26_labels(tmp_path, capsys):
     labels = [r["label"] for r in json.loads(out)]
     assert len(set(labels)) == 27
     assert labels[25:] == ["1z", "1aa"]
+
+
+def test_irreps_json_prints_no_rounding_noise(tmp_path, capsys):
+    # S5's zero characters come out of eigh as noise near 1e-16, whose digits
+    # depend on the BLAS threads; the printed table is rounded
+    path = tmp_path / "S5.json"
+    path.write_text(json.dumps(symmetric_group(5).to_json()))
+    code, out, _ = run_cli(capsys, "irreps", "--group", str(path), "--format", "json")
+    assert code == 0
+    parts = [x for row in json.loads(out) for pair in row["character"] for x in pair]
+    assert len(parts) == 2 * 7 * 120
+    assert not [x for x in parts if 0 < abs(x) < 1e-12]
+    assert all(math.copysign(1.0, x) > 0 for x in parts if x == 0)
 
 
 def test_fourier_z27(tmp_path, capsys):
