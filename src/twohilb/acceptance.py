@@ -25,7 +25,7 @@ from .groups import (
 )
 from .hstar import compose, inner_product, star
 from .linalg import max_dev, random_unitary
-from .reps import RepCategory
+from .reps import RepCategory, _random_intertwiner
 from .sampling import (
     random_fusion_functor,
     random_morphism,
@@ -275,8 +275,8 @@ def check_fourier(seed=DEFAULT_SEED) -> CheckResult:
         for _ in range(3):
             x = cat.random_object(rng, max_dim=4)
             y = cat.random_object(rng, max_dim=4)
-            f = cat.hom_basis(x, x, rng)[0]
-            fp = cat.hom_basis(y, y, rng)[0]
+            f = _random_intertwiner(cat, rng, x, x, unit=True)
+            fp = _random_intertwiner(cat, rng, y, y, unit=True)
             worst = max(worst, fm.monoidal_defect(x, y, f, fp))
             worst = max(worst, fm.round_trip_defect(x, f))
     passed = worst < tol and fibers_exact

@@ -11,6 +11,7 @@ representation with a randomly averaged equivariant Hermitian operator.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -106,11 +107,9 @@ class RepObject:
         for a in range(g.order):
             if max_dev(self.matrices[a] @ dagger(self.matrices[a]), eye) > tol:
                 raise ValidationError(f"element {a} does not act unitarily")
-        for a in range(g.order):
-            for b in range(g.order):
-                prod = self.matrices[a] @ self.matrices[b]
-                if max_dev(prod, self.matrices[g.mult(a, b)]) > tol:
-                    raise ValidationError("matrices do not respect the group product")
+        for a in range(g.order):  # row a of the table: a b for every b
+            if max_dev(self.matrices[a] @ self.matrices, self.matrices[g.matrix[a]]) > tol:
+                raise ValidationError("matrices do not respect the group product")
         if self.cat.z_index is not None:
             z = self.grading
             if max_dev(z @ z, eye) > tol:
@@ -186,12 +185,7 @@ class Intertwiner:
         return Intertwiner(self.src, self.dst, c * self.matrix)
 
     def equivariance_dev(self) -> float:
-        worst = 0.0
-        for g in range(self.src.cat.group.order):
-            lhs = self.matrix @ self.src.matrix(g)
-            rhs = self.dst.matrix(g) @ self.matrix
-            worst = max(worst, max_dev(lhs, rhs))
-        return worst
+        return max_dev(self.matrix @ self.src.matrices, self.dst.matrices @ self.matrix)
 
     def __repr__(self):
         return f"Intertwiner({self.src.dim} -> {self.dst.dim})"
@@ -301,13 +295,8 @@ class RepCategory:
         return True
 
     def bosonized(self) -> "RepCategory":
-        cat = RepCategory.__new__(RepCategory)
-        cat.group = self.group
-        cat.z_index = self.z_index
+        cat = copy.copy(self)  # shares the irreducibles, table and skeleton
         cat.bosonic = True
-        cat._irreps = self._irreps
-        cat._characters = self._characters
-        cat._skeleton = self._skeleton
         return cat
 
     def unit(self) -> RepObject:
@@ -389,24 +378,18 @@ class RepCategory:
         return int(round(val))
 
     def hom_basis(self, x: RepObject, y: RepObject,
-                  rng: np.random.Generator | None = None,
-                  tol: float = 1e-8) -> list[Intertwiner]:
-        """Orthonormal basis of hom(x, y) via the group-averaging projector."""
-        rng = rng if rng is not None else np.random.default_rng(7)
-        want = self.hom_dim(x, y)
-        found: list[np.ndarray] = []
-        guard = 0
-        while len(found) < want:
-            guard += 1
-            if guard > 20 * want + 20:
-                raise ValidationError("failed to span the intertwiner space")
-            avg = _average(y.matrices, random_complex(rng, (y.dim, x.dim)), x.matrices)
-            for prev in found:
-                avg = avg - np.vdot(prev, avg) * prev
-            nrm = np.linalg.norm(avg)
-            if nrm > tol:
-                found.append(avg / nrm)
-        return [Intertwiner(x, y, m) for m in found]
+                  rng: np.random.Generator | None = None) -> list[Intertwiner]:
+        """Orthonormal basis of hom(x, y) from the isotypic decompositions: per
+        irreducible of degree d in both, u_y^H kron(I_d, E_ij) u_x / sqrt(d) for
+        every matrix unit E_ij, in one batched matmul.  Nothing is drawn, so
+        equal inputs give identical bits; ``rng`` is accepted and unused."""
+        basis = []
+        for p, q in _shared(self.decompose(x), self.decompose(y)):
+            d, m, n = p.irrep.degree, q.multiplicity, p.multiplicity
+            rows = dagger(q.coisometry).reshape(y.dim, d, m).transpose(2, 0, 1)[:, None]
+            maps = rows @ p.coisometry.reshape(d, n, x.dim).transpose(1, 0, 2) / np.sqrt(d)
+            basis += [Intertwiner(x, y, f) for f in maps.reshape(m * n, y.dim, x.dim)]
+        return basis
 
     def is_simple(self, x: RepObject, tol: float = 1e-7) -> bool:
         norm2 = float(np.real(np.sum(np.abs(x.character) ** 2))) / self.group.order
@@ -510,6 +493,20 @@ class RepCategory:
                 raise ValidationError("block is not multiplicity-shaped")
             raise ValidationError("map mixes distinct simples")
         return BlockMorphism(_skeletal(space, cols), _skeletal(space, rows), blocks)
+
+    def from_blocks(self, b: BlockMorphism, x: RepObject, y: RepObject) -> Intertwiner:
+        """The intertwiner x -> y with skeletal image b, the inverse of
+        ``to_blocks``: the sum over the irreducibles of u_y^H kron(I_d, a_lam) u_x.
+        Raises unless b runs between the skeletal images of x and y."""
+        space, cols, rows = self.skeleton(), self.decompose(x), self.decompose(y)
+        if b.src != _skeletal(space, cols) or b.dst != _skeletal(space, rows):
+            raise CompositionError("block morphism endpoints are not the images of x and y")
+        mat = np.zeros((y.dim, x.dim), dtype=np.complex128)
+        for p, q in _shared(cols, rows):
+            lifted = b.block(p.irrep.label) @ p.coisometry.reshape(
+                p.irrep.degree, p.multiplicity, x.dim)
+            mat += dagger(q.coisometry) @ lifted.reshape(-1, x.dim)
+        return Intertwiner(x, y, mat)
 
     # -- braiding and balancing -------------------------------------------
 
@@ -692,7 +689,7 @@ class RepCategory:
         xstar = self.conjugate(x)
         if self.hom_dim(x, xstar) == 0:
             return SelfDuality("not-self-dual", None, None, 0.0)
-        f = self.hom_basis(x, xstar, rng)[0]
+        f = _random_intertwiner(self, rng or np.random.default_rng(7), x, xstar, unit=True)
         fd = self.dagger_transform(f)
         overlap = np.trace(dagger(f.matrix) @ fd.matrix) / \
             np.trace(dagger(f.matrix) @ f.matrix)
@@ -732,6 +729,12 @@ def _stacked(pieces, dim: int) -> np.ndarray:
     if not pieces:
         return np.zeros((0, dim), dtype=np.complex128)
     return np.concatenate([p.coisometry for p in pieces])
+
+
+def _shared(cols, rows) -> list[tuple[IsotypicPiece, IsotypicPiece]]:
+    """(source piece, target piece) for each irreducible in both decompositions."""
+    at = {p.irrep.label: p for p in cols}
+    return [(at[q.irrep.label], q) for q in rows if q.irrep.label in at]
 
 
 def _skeletal(space: SpaceTable, pieces) -> ObjectExpr:
@@ -1002,10 +1005,8 @@ class GroupoidRepCategory:
 
     def hom_inner(self, alpha: dict, beta: dict) -> complex:
         """Inner product summing over one object per isomorphism class."""
-        total = 0.0 + 0.0j
-        for label, _ in self.components:
-            total += np.trace(dagger(alpha[label].matrix) @ beta[label].matrix)
-        return complex(total)
+        return complex(sum(np.trace(dagger(alpha[label].matrix) @ beta[label].matrix)
+                           for label, _ in self.components))
 
 
 # -- homomorphisms -------------------------------------------------------------
@@ -1025,10 +1026,9 @@ class RestrictionFunctor:
         g = dst_cat.group
         if len(self.phi) != g.order:
             raise ValidationError("need one image per group element")
-        for a in range(g.order):
-            for b in range(g.order):
-                if gp.mult(self.phi[a], self.phi[b]) != self.phi[g.mult(a, b)]:
-                    raise ValidationError("the map is not a homomorphism")
+        phi = np.array(self.phi)
+        if not np.array_equal(gp.matrix[phi[:, None], phi[None, :]], phi[g.matrix]):
+            raise ValidationError("the map is not a homomorphism")
         if src_cat.z_index is not None or dst_cat.z_index is not None:
             if dst_cat.z_index is None or src_cat.z_index is None or \
                self.phi[dst_cat.z_index] != src_cat.z_index:
@@ -1072,6 +1072,8 @@ class RestrictionFunctor:
         return worst
 
 
-def _random_intertwiner(cat: RepCategory, rng, x: RepObject, y: RepObject) -> Intertwiner:
-    return Intertwiner(x, y, _average(y.matrices, random_complex(rng, (y.dim, x.dim)),
-                                      x.matrices))
+def _random_intertwiner(cat: RepCategory, rng, x: RepObject, y: RepObject,
+                        unit: bool = False) -> Intertwiner:
+    """The group average of one random matrix, scaled to norm 1 when ``unit``."""
+    avg = _average(y.matrices, random_complex(rng, (y.dim, x.dim)), x.matrices)
+    return Intertwiner(x, y, avg / np.linalg.norm(avg) if unit else avg)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TangleSyntaxError, TangleTypeError, ValidationError
-from .linalg import distance_to_unitary, max_dev
+from .linalg import DEFAULT_TOL, distance_to_unitary, max_dev
 from .reps import Adjunction, Intertwiner, RepCategory, RepObject
 
 __all__ = ["parse", "TangleExpr", "Gen", "Seq", "Par", "EvalContext",
@@ -203,14 +203,11 @@ class EvalContext:
             raise ValidationError("ambient dimension must be 2, 3 or 4")
         if tol <= 0:
             raise ValidationError("tolerance must be positive")
-        adj = cat.well_balanced_adjunction(x)
-        if scale is not None and scale != 1:
-            adj = adj.scaled(scale)
-        elif ambient >= 3:
-            b = cat.balancing_of(adj)
-            if distance_to_unitary(b.matrix) > 1e3 * tol:
-                raise ValidationError("the context duality is not well balanced")
-        return EvalContext(cat, x, adj, ambient, tol)
+        scaled = scale is not None and scale != 1
+        # an unscaled duality in ambient 3 or 4 must also be balanced within tol
+        adj = cat.well_balanced_adjunction(
+            x, tol=DEFAULT_TOL if scaled or ambient < 3 else min(tol, DEFAULT_TOL))
+        return EvalContext(cat, x, adj.scaled(scale) if scaled else adj, ambient, tol)
 
     @property
     def xstar(self) -> RepObject:

@@ -29,7 +29,8 @@ from .hstar import (
     star,
 )
 from .linalg import block_diag, dagger, max_dev, random_unitary
-from .reps import Intertwiner, RepCategory, RepObject, _skeletal, _stacked, _swap_matrix
+from .reps import (Intertwiner, RepCategory, RepObject, _random_intertwiner, _skeletal,
+                   _stacked, _swap_matrix)
 
 __all__ = ["graded_space", "convolution", "convolution_tensor", "conv_layout",
            "graded_braiding", "dual_group", "FourierMap", "SpectrumPoint",
@@ -478,10 +479,10 @@ def hat_homomorphism_defect(point: SpectrumPoint, x: RepObject, y: RepObject,
     worst = max(worst, abs(nxy - nx * ny))
     nsum, _ = point.value_of(cat.direct_sum(x, y))
     worst = max(worst, abs(nsum - nx - ny))
-    f = cat.hom_basis(x, x, rng)[0]
+    f = _random_intertwiner(cat, rng, x, x, unit=True)
     worst = max(worst, max_dev(point.morphism_value(f.star()),
                                dagger(point.morphism_value(f))))
-    g = cat.hom_basis(x, x, rng)[0]
+    g = _random_intertwiner(cat, rng, x, x, unit=True)
     worst = max(worst, max_dev(point.morphism_value(f.then(g)),
                                point.morphism_value(g) @ point.morphism_value(f)))
     return float(worst)

@@ -112,6 +112,25 @@ def test_decompose_draws_nothing_and_is_deterministic(s3, monkeypatch):
             assert max_dev(got, np.kron(p.irrep.matrices[g], np.eye(p.multiplicity))) < 1e-9
 
 
+def test_hom_basis_draws_nothing_and_is_deterministic(s3, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("hom_basis drew a random matrix")
+
+    two, one_a = s3.irrep("2a"), s3.irrep("1a")
+    x = reduce(s3.direct_sum, [two, one_a, two])
+    u = random_unitary(np.random.default_rng(3), x.dim)
+    mats = u @ x.matrices @ dagger(u)
+    y = reduce(s3.direct_sum, [two, two, two, s3.irrep("1b")])
+    monkeypatch.setattr("twohilb.reps.random_complex", no_draws)
+    first = s3.hom_basis(RepObject(s3, mats), y)
+    # a positional generator is still accepted, and changes nothing
+    second = s3.hom_basis(RepObject(s3, mats), y, np.random.default_rng(9))
+    assert len(first) == len(second) == s3.hom_dim(x, y) == 6
+    for f, g in zip(first, second):
+        assert np.array_equal(f.matrix, g.matrix)
+        assert f.equivariance_dev() < 1e-9
+
+
 def test_unit_law_tensor(s3, rng):
     x = s3.random_object(rng, max_dim=5)
     one = s3.unit()

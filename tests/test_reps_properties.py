@@ -1,14 +1,17 @@
 """Property tests for Rep(G) over random catalog groups and random objects."""
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twohilb.errors import ValidationError
+from twohilb.errors import CompositionError, ValidationError
 from twohilb.groups import FiniteSuperGroup, catalog, quaternion_group
 from twohilb.hstar import compose, inner_product, morphism_dev, star
-from twohilb.linalg import dagger, distance_to_unitary, max_dev, random_complex
-from twohilb.reps import Intertwiner, RepCategory, _random_intertwiner
+from twohilb.linalg import dagger, distance_to_unitary, max_abs, max_dev, random_complex
+from twohilb.reps import Intertwiner, RepCategory, RepObject, _random_intertwiner
+from twohilb.sampling import random_morphism, random_object, random_space
 
 TOL = 1e-9
 _CATEGORIES = {}
@@ -124,6 +127,93 @@ def test_to_blocks_rejects_non_intertwiners(name, seed):
     f = Intertwiner(x, x, random_complex(rng, (x.dim, x.dim)))
     with pytest.raises(ValidationError, match="multiplicity-shaped|mixes distinct simples"):
         cat.to_blocks(f)
+
+
+# -- the equivalence: from_blocks inverts to_blocks ----------------------------------
+
+every = st.sampled_from(sorted(catalog()) + ["SuperQ8"])
+
+
+def any_category(name):
+    """Rep of a catalog (super)group, or SuperRep(Q8, z=-1)."""
+    return bridge_category(name) if name in _BRIDGE else category(name)
+
+
+def skeletal_image(cat, x):
+    return cat.skeleton().object(cat.multiplicities(x))
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=every, seed=seeds)
+def test_from_blocks_inverts_to_blocks(name, seed):
+    cat = any_category(name)
+    rng = np.random.default_rng(seed)
+    x = cat.random_object(rng, max_dim=6)
+    y = cat.random_object(rng, max_dim=6)
+    f = _random_intertwiner(cat, rng, x, y)
+    back = cat.from_blocks(cat.to_blocks(f), x, y)
+    assert back.src is x and back.dst is y
+    assert max_dev(back.matrix, f.matrix) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=every, seed=seeds)
+def test_to_blocks_inverts_from_blocks(name, seed):
+    cat = any_category(name)
+    rng = np.random.default_rng(seed)
+    x = cat.random_object(rng, max_dim=6)
+    y = cat.random_object(rng, max_dim=6)
+    b = random_morphism(rng, skeletal_image(cat, x), skeletal_image(cat, y))
+    f = cat.from_blocks(b, x, y)
+    assert f.equivariance_dev() < TOL
+    assert morphism_dev(cat.to_blocks(f), b) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=every, seed=seeds)
+def test_from_blocks_rejects_endpoints_that_do_not_match(name, seed):
+    cat = any_category(name)
+    rng = np.random.default_rng(seed)
+    x = cat.random_object(rng, max_dim=6)
+    y = cat.random_object(rng, max_dim=6)
+    b = random_morphism(rng, skeletal_image(cat, x), skeletal_image(cat, y))
+    for src, dst in [(cat.direct_sum(x, cat.unit()), y), (x, cat.direct_sum(y, cat.unit()))]:
+        with pytest.raises(CompositionError):
+            cat.from_blocks(b, src, dst)
+    space = random_space(rng)
+    elsewhere = random_morphism(rng, random_object(rng, space), random_object(rng, space))
+    with pytest.raises(CompositionError):
+        cat.from_blocks(elsewhere, x, y)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=every, seed=seeds)
+def test_hom_basis_without_a_common_irreducible_is_empty(name, seed):
+    cat = any_category(name)
+    rng = np.random.default_rng(seed)
+    labels = list(rng.permutation(cat.irrep_labels()))
+    cut = int(rng.integers(1, len(labels) + 1))
+    x = reduce(cat.direct_sum, [cat.irrep(lab) for lab in labels[:cut]])
+    y = reduce(cat.direct_sum, [cat.irrep(lab) for lab in labels[cut:]],
+               RepObject(cat, np.zeros((cat.group.order, 0, 0))))
+    assert cat.hom_basis(x, y) == [] and cat.hom_basis(y, x) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=every, seed=seeds)
+def test_hom_basis_is_the_lift_of_the_weighted_matrix_units(name, seed):
+    """Each basis map's skeletal image is one matrix unit over sqrt(degree)."""
+    cat = any_category(name)
+    rng = np.random.default_rng(seed)
+    x = cat.random_object(rng, max_dim=6)
+    y = cat.random_object(rng, max_dim=6)
+    degree = {irr.label: irr.degree for irr in cat.irreps()}
+    for f in cat.hom_basis(x, y):
+        blocks = {lab: a for lab, a in cat.to_blocks(f).blocks.items() if max_abs(a) > TOL}
+        [(lab, a)] = blocks.items()
+        unit = np.zeros(a.shape)
+        unit[np.unravel_index(np.argmax(np.abs(a)), a.shape)] = degree[lab] ** -0.5
+        assert max_dev(a, unit) < TOL
 
 
 # -- balancing laws and duality triangles ------------------------------------------

@@ -12,7 +12,7 @@ from twohilb.groups import (
 )
 from twohilb.hstar import BlockMorphism, ObjectExpr, compose, identity, morphism_dev
 from twohilb.linalg import dagger, max_dev
-from twohilb.reps import Intertwiner, RepCategory
+from twohilb.reps import Intertwiner, RepCategory, _random_intertwiner
 from twohilb.transforms import (
     FourierMap,
     SpectrumPoint,
@@ -144,8 +144,8 @@ def test_fourier_monoidal_defect_small(rng):
         fm = FourierMap(cat)
         x = cat.random_object(rng, max_dim=4)
         y = cat.random_object(rng, max_dim=4)
-        f = cat.hom_basis(x, x, rng)[0]
-        fp = cat.hom_basis(y, y, rng)[0]
+        f = _random_intertwiner(cat, rng, x, x, unit=True)
+        fp = _random_intertwiner(cat, rng, y, y, unit=True)
         assert fm.monoidal_defect(x, y, f, fp) < 1e-9
 
 
@@ -154,8 +154,8 @@ def test_fourier_naturality_between_distinct_objects(rng):
     fm = FourierMap(cat)
     x = cat.random_object(rng, max_dim=3)
     y = cat.random_object(rng, max_dim=3)
-    f = cat.hom_basis(x, cat.direct_sum(x, cat.irrep("1b")), rng)[0]
-    fp = cat.hom_basis(y, cat.direct_sum(cat.irrep("1c"), y), rng)[0]
+    f = _random_intertwiner(cat, rng, x, cat.direct_sum(x, cat.irrep("1b")), unit=True)
+    fp = _random_intertwiner(cat, rng, y, cat.direct_sum(cat.irrep("1c"), y), unit=True)
     assert fm.monoidal_defect(x, y, f, fp) < 1e-9
 
 
@@ -167,8 +167,8 @@ def test_monoidal_defect_decomposes_each_tensor_once(monkeypatch):
     rng = np.random.default_rng(1)
     x = cat.random_object(rng, max_dim=4)
     y = cat.random_object(rng, max_dim=4)
-    f = cat.hom_basis(x, x, rng)[0]
-    fp = cat.hom_basis(y, y, rng)[0]
+    f = _random_intertwiner(cat, rng, x, x, unit=True)
+    fp = _random_intertwiner(cat, rng, y, y, unit=True)
     cat.decompose(x)
     cat.decompose(y)
     computed = []
@@ -191,7 +191,7 @@ def test_monoidal_defect_needs_morphisms_from_x_and_y(rng):
     fm = FourierMap(cat)
     x = cat.random_object(rng, max_dim=3)
     y = cat.random_object(rng, max_dim=3)
-    f = cat.hom_basis(x, x, rng)[0]
+    f = _random_intertwiner(cat, rng, x, x, unit=True)
     with pytest.raises(CompositionError):
         fm.monoidal_defect(x, y, cat.identity_map(y), f)
 
@@ -214,7 +214,7 @@ def test_fourier_round_trip(rng):
     fm = FourierMap(cat)
     for _ in range(5):
         x = cat.random_object(rng, max_dim=5)
-        f = cat.hom_basis(x, x, rng)[0]
+        f = _random_intertwiner(cat, rng, x, x, unit=True)
         assert fm.round_trip_defect(x, f) < 1e-9
 
 
@@ -263,8 +263,8 @@ def test_fourier_monoidal_defect_graded():
             for _ in range(3):
                 x = category.random_object(rng, max_dim=4)
                 y = category.random_object(rng, max_dim=4)
-                f = category.hom_basis(x, x, rng)[0]
-                fp = category.hom_basis(y, y, rng)[0]
+                f = _random_intertwiner(category, rng, x, x, unit=True)
+                fp = _random_intertwiner(category, rng, y, y, unit=True)
                 assert fm.monoidal_defect(x, y, f, fp) < 1e-12
 
 
@@ -358,7 +358,7 @@ def test_hat_is_multiplicative_and_additive(rng):
     assert nxy == nx * ny
     nsum, _ = point.value_of(cat.direct_sum(x, y))
     assert nsum == nx + ny
-    f = cat.hom_basis(x, x, rng)[0]
+    f = _random_intertwiner(cat, rng, x, x, unit=True)
     assert max_dev(point.morphism_value(f.star()),
                    dagger(point.morphism_value(f))) < 1e-9
 
@@ -403,6 +403,23 @@ def test_hat_homomorphism_defect(rng):
     x = cat.random_object(rng, max_dim=4)
     y = cat.random_object(rng, max_dim=4)
     assert hat_homomorphism_defect(point, x, y, rng) < 1e-9
+
+
+def test_hat_homomorphism_defect_catches_a_transposed_morphism_value():
+    """Transposing every morphism value keeps the star law, so only f then g
+    with f and g that do not commute shows it: End(2 (2a)) is 2 x 2 matrices."""
+
+    class Transposed(SpectrumPoint):
+        def morphism_value(self, f, tol=1e-8):
+            return super().morphism_value(f, tol).T
+
+    cat = RepCategory(symmetric_group(3))
+    honest = tautological_point(cat)
+    transposed = Transposed(cat, honest.values, honest.twists)
+    x = cat.direct_sum(cat.irrep("2a"), cat.irrep("2a"))
+    y = cat.irrep("1b")
+    assert hat_homomorphism_defect(honest, x, y, np.random.default_rng(1)) < 1e-9
+    assert hat_homomorphism_defect(transposed, x, y, np.random.default_rng(1)) > 1e-3
 
 
 def test_tannaka_abelian():
