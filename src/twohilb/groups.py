@@ -2,13 +2,16 @@
 finite groupoids, and the built-in catalog.
 
 Groups are multiplication tables on element indices; ``table[a, b]`` is the
-index of "a times b".  All constructors validate the group axioms.
+index of "a times b".  All constructors validate the group axioms and
+build a fresh group; a catalog entry, and ``load_group`` of a catalog name,
+return one shared instance per process.
 """
 from __future__ import annotations
 
 import json
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -30,8 +33,10 @@ class FiniteGroup:
     """A finite group as a multiplication table on {0, .., order-1}.
 
     The table as an array, the identity, the inverses and the conjugacy
-    classes are derived once, on first use, and kept on the instance; the
-    arrays are read-only because every caller shares them.
+    classes are derived once, on first use, and kept on the instance, and
+    so are the irreducibles, character table, skeleton and dual group of
+    Rep(G) for each grading (see ``reps.RepCategory``); the values are
+    read-only because every caller shares them.
     """
 
     name: str
@@ -40,7 +45,7 @@ class FiniteGroup:
 
     @staticmethod
     def make(name: str, table, element_names=None) -> "FiniteGroup":
-        arr = np.asarray(table, dtype=int)
+        arr = np.array(table, dtype=int)
         n = arr.shape[0]
         if arr.shape != (n, n):
             raise ValidationError("multiplication table must be square")
@@ -48,6 +53,7 @@ class FiniteGroup:
             raise ValidationError("table entries out of range")
         g = FiniteGroup(name, tuple(map(tuple, arr.tolist())),
                         tuple(element_names) if element_names else None)
+        g._memo("_matrix", lambda: _frozen(arr))
         g.validate()
         return g
 
@@ -100,12 +106,11 @@ class FiniteGroup:
         if np.any(np.sort(t, axis=1) != np.arange(n)):
             raise ValidationError("rows must be permutations")
         self.inverses  # finds the identity and every inverse, or raises
-        # associativity, (ab)c = t[t][a, b, c] against a(bc) = t[:, t][a, b, c],
-        # over blocks of rows a so that no array exceeds about 2^20 entries
-        step = max(1, 2 ** 20 // (n * n))
-        for lo in range(0, n, step):
-            rows = t[lo:lo + step]
-            if not np.array_equal(t[rows], rows[:, t]):
+        # Light's test: the s with (xs)y = x(sy) for all x, y are closed under
+        # products and contain the identity, so checking s over a generating
+        # set is exact; each s costs two n x n gathers
+        for s in _generators(t, self.identity):
+            if not np.array_equal(t[t[:, s]], t[:, t[s]]):
                 raise ValidationError("multiplication table is not associative")
 
     def element_name(self, a: int) -> str:
@@ -203,6 +208,25 @@ def group_from_json(data: dict):
     if "central_involution" in data and data["central_involution"] is not None:
         return FiniteSuperGroup.make(g, int(data["central_involution"]))
     return g
+
+
+def _generators(t: np.ndarray, identity: int) -> list[int]:
+    """A generating set, found greedily: the first element not yet reached
+    joins, and the reached set is closed under right multiplication by the
+    generators so far.  Every element is then a product ((g1 g2) g3)...
+    of generators; a group of order n needs at most log2(n) of them."""
+    reached = np.zeros(len(t), dtype=bool)
+    reached[identity] = True
+    gens = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        frontier = np.flatnonzero(reached)  # each needs the new generator
+        while frontier.size:
+            hit = np.zeros(len(t), dtype=bool)
+            hit[t[frontier[:, None], gens]] = True
+            frontier = np.flatnonzero(hit & ~reached)
+            reached |= hit
+    return gens
 
 
 # -- constructions -----------------------------------------------------------
@@ -374,29 +398,44 @@ def _superhilb():
     return FiniteSuperGroup.make(FiniteGroup.make("SuperHilb", z2.table, ("e", "z")), 1)
 
 
+def _klein() -> FiniteGroup:
+    return product_group(cyclic_group(2), cyclic_group(2))
+
+
+_BUILDERS = {**{f"Z{n}": partial(cyclic_group, n) for n in range(1, 13)},
+             "Z2xZ2": _klein,
+             "S3": partial(symmetric_group, 3),
+             "S4": partial(symmetric_group, 4),
+             "D4": partial(dihedral_group, 4),
+             "Q8": quaternion_group,
+             "SuperHilb": _superhilb}
+_BUILT: dict = {}
+
+
+def _catalog_group(name: str):
+    """The one shared instance of a catalog group, built on first use.  The
+    data a group derives (its classes, irreducibles, character table, ...)
+    is kept on it, so every caller in the process reuses it."""
+    if name not in _BUILT:
+        _BUILT[name] = _BUILDERS[name]()
+    return _BUILT[name]
+
+
 def catalog() -> dict:
-    """The built-in group catalog, keyed by name."""
-    entries = {}
-    for n in range(1, 13):
-        entries[f"Z{n}"] = lambda n=n: cyclic_group(n)
-    entries["Z2xZ2"] = lambda: product_group(cyclic_group(2), cyclic_group(2))
-    entries["S3"] = lambda: symmetric_group(3)
-    entries["S4"] = lambda: symmetric_group(4)
-    entries["D4"] = lambda: dihedral_group(4)
-    entries["Q8"] = quaternion_group
-    entries["SuperHilb"] = _superhilb
-    return entries
+    """The built-in group catalog, keyed by name: each entry returns the
+    shared instance of its group (the constructors build fresh ones)."""
+    return {name: partial(_catalog_group, name) for name in _BUILDERS}
 
 
 def catalog_names() -> list[str]:
-    return list(catalog().keys())
+    return list(_BUILDERS)
 
 
 def load_group(name: str, catalog_dir: str | None = None):
-    """Resolve a group by catalog name, JSON file path, or file in the catalog dir."""
-    entries = catalog()
-    if name in entries:
-        return entries[name]()
+    """Resolve a group by catalog name (the shared instance), JSON file path,
+    or file in the catalog dir (read and built anew on every call)."""
+    if name in _BUILDERS:
+        return _catalog_group(name)
     candidates = [name]
     directory = catalog_dir or os.environ.get("TWOHILB_CATALOG")
     if directory:

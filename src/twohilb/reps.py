@@ -11,7 +11,6 @@ representation with a randomly averaged equivariant Hermitian operator.
 """
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -263,9 +262,13 @@ class RepCategory:
 
     ``bosonic=True`` replaces the graded braiding by the plain swap; this is
     the bosonization and makes every object even.
+
+    The irreducibles, the character table and the skeleton depend only on
+    the group and the grading, so they are kept on the group (keyed by the
+    grading element z) and every category of one group shares them.
     """
 
-    def __init__(self, group, bosonic: bool = False, _irreps=None):
+    def __init__(self, group, bosonic: bool = False):
         if isinstance(group, FiniteSuperGroup):
             self.group = group.group
             self.z_index = group.z
@@ -275,9 +278,8 @@ class RepCategory:
         else:
             raise ValidationError("need a FiniteGroup or FiniteSuperGroup")
         self.bosonic = bosonic or self.z_index is None
-        self._irreps = _irreps
-        self._characters = None
-        self._skeleton = None
+        # the data of Rep(G) with this grading, one dict kept on the group
+        self._shared = self.group._memo(f"_rep[z={self.z_index}]", dict)
 
     # -- basics ---------------------------------------------------------
 
@@ -295,9 +297,15 @@ class RepCategory:
         return True
 
     def bosonized(self) -> "RepCategory":
-        cat = copy.copy(self)  # shares the irreducibles, table and skeleton
-        cat.bosonic = True
-        return cat
+        return RepCategory(FiniteSuperGroup(self.group, self.z_index)
+                           if self.z_index is not None else self.group, bosonic=True)
+
+    def _memo(self, name: str, build):
+        """The value ``name`` of Rep(G) with this grading, built on first use
+        by any category of the group."""
+        if name not in self._shared:
+            self._shared[name] = build()
+        return self._shared[name]
 
     def unit(self) -> RepObject:
         mats = np.ones((self.group.order, 1, 1), dtype=np.complex128)
@@ -348,20 +356,18 @@ class RepCategory:
 
     # -- irreducibles -----------------------------------------------------
 
-    def irreps(self) -> list[UnitaryIrrep]:
-        if self._irreps is None:
-            self._irreps = _compute_irreps(self.group, self.z_index)
-        return self._irreps
+    def irreps(self) -> tuple[UnitaryIrrep, ...]:
+        """The irreducibles, computed once per group and grading."""
+        return self._memo("irreps", lambda: _compute_irreps(self.group, self.z_index))
 
     def irrep_labels(self) -> list[str]:
         return [i.label for i in self.irreps()]
 
     def character_table(self) -> np.ndarray:
         """The k x |G| read-only table of the irreducibles' characters, row a
-        for ``irreps()[a]``, built once per category."""
-        if self._characters is None:
-            self._characters = _read_only(np.array([i.character for i in self.irreps()]))
-        return self._characters
+        for ``irreps()[a]``, built once per group and grading."""
+        return self._memo("characters", lambda: _read_only(
+            np.array([i.character for i in self.irreps()])))
 
     def fusion_rules(self) -> np.ndarray:
         """N[a, b, c], the multiplicity of irreducible c in a (x) b (indices
@@ -455,11 +461,8 @@ class RepCategory:
         """The skeletal space of the category: one simple per irreducible,
         weighted by its degree, so that the weighted Hilbert-Schmidt pairing
         of block morphisms is the trace pairing of intertwiners."""
-        if self._skeleton is None:
-            irreps = self.irreps()
-            self._skeleton = SpaceTable.make([i.label for i in irreps],
-                                             {i.label: i.degree for i in irreps})
-        return self._skeleton
+        return self._memo("skeleton", lambda: SpaceTable.make(
+            self.irrep_labels(), {i.label: i.degree for i in self.irreps()}))
 
     def to_blocks(self, f: Intertwiner, tol: float = 1e-8) -> BlockMorphism:
         """The intertwiner in the skeleton.
@@ -847,16 +850,9 @@ def _compute_irreps(group: FiniteGroup, z_index, attempts: int = 60):
         avg = _conjugation_sum(h0, perms) / n
         vals, vecs = np.linalg.eigh((avg + dagger(avg)) / 2.0)
         spread = max(vals[-1] - vals[0], 1.0)
-        raw = _split_clusters(vecs, cluster_indices(vals, 1e-7 * spread), perms)
-        if raw is None:
-            continue
-        chars = np.array([char for char, _ in raw])
-        alive, kept = np.ones(len(raw), dtype=bool), []
-        while alive.any():  # keep the first cluster of each character
-            i = int(np.argmax(alive))
-            kept.append(raw[i])
-            alive &= np.max(np.abs(chars - chars[i]), axis=1) >= 1e-6
-        if sum(m.shape[1] ** 2 for _, m in kept) != n:
+        kept = _split_clusters(vecs, cluster_indices(vals, 1e-7 * spread), perms,
+                               distinct=True)
+        if kept is None or sum(m.shape[1] ** 2 for _, m in kept) != n:
             continue
         return _label_irreps(group, z_index, kept)
     raise ValidationError("failed to separate the isotypic blocks of the "
@@ -877,43 +873,85 @@ def _conjugation_sum(h0: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _split_clusters(vecs: np.ndarray, clusters, perms: np.ndarray):
+def _split_clusters(vecs: np.ndarray, clusters, perms: np.ndarray,
+                    distinct: bool = False):
     """(character, matrices) of reg restricted to the span of each cluster of
     eigenvectors, in cluster order, or None when a span is not an
     irreducible invariant subspace (an eigenvalue collision merged
-    non-isotypic spaces).  Clusters of one size are handled together, in
-    blocks of at most _GATHER_ENTRIES gathered entries."""
+    non-isotypic spaces).  Clusters of one size are handled together, as
+    many as fit in one block of _GATHER_ENTRIES gathered entries.
+
+    With ``distinct`` only the first cluster of each character (within
+    1e-6) is listed, and the matrices of the others are never kept: the
+    kept ones hold n sum_lam d_lam^2 = n^2 entries, where all d_lam
+    clusters of each irreducible would hold n sum_lam d_lam^3."""
     n = len(vecs)
     raw = [None] * len(clusters)
     by_size = {}
     for pos, cluster in enumerate(clusters):
         by_size.setdefault(len(cluster), []).append(pos)
     for d, positions in by_size.items():
+        seen = []  # the characters of this size listed so far
         step = max(1, _GATHER_ENTRIES // (n * n * d))
         for start in range(0, len(positions), step):
             chunk = positions[start:start + step]
             idx = np.array([clusters[pos] for pos in chunk])
             bases = vecs[:, idx].transpose(1, 0, 2).copy()  # (clusters, n, d)
-            # moved[c, g] = reg[g] @ bases[c]; take keeps each (n, d) block
-            # C-contiguous, as one cluster alone would have it, so the matmul
-            # below takes the same BLAS path and gives the same bits
-            moved = np.take(bases, perms, axis=1)
-            mats = np.conj(bases.transpose(0, 2, 1))[:, None] @ moved
+            mats = _restricted(bases, perms)
+            if mats is None:
+                return None
             chars = np.einsum("cgii->cg", mats)
             norm2 = np.sum(np.abs(chars) ** 2, axis=1) / n
             if np.any(np.abs(norm2 - 1.0) > 1e-6):
                 return None
-            # invariance of each span: moved - bases mats, in place
-            residual = bases[:, None] @ mats
+            for c, pos in enumerate(chunk):
+                if distinct and seen and np.min(np.max(
+                        np.abs(np.stack(seen) - chars[c]), axis=1)) < 1e-6:
+                    continue
+                seen.append(chars[c])
+                raw[pos] = (chars[c], mats[c].copy())
+    return [entry for entry in raw if entry is not None]
+
+
+def _restricted(bases: np.ndarray, perms: np.ndarray):
+    """mats[c, g] = bases[c]^H reg[g] bases[c] for the (k, n, d) orthonormal
+    bases, or None when some reg[g] bases[c] leaves the span of bases[c].
+
+    The moved bases reg[g] bases[c] = bases[c][p] are gathered in blocks of
+    at most _GATHER_ENTRIES entries: several group elements at a time, or,
+    when the n x d copy of one element is larger, a range of its rows (and
+    the rows are then gathered twice, once for mats and once for the
+    invariance check)."""
+    k, n, d = bases.shape
+    rows = min(n, max(1, _GATHER_ENTRIES // (k * d)))
+    spans = [slice(lo, lo + rows) for lo in range(0, n, rows)]
+    step = max(1, _GATHER_ENTRIES // (k * n * d))
+    adjoint = np.conj(bases.transpose(0, 2, 1))[:, None]
+    mats = np.empty((k, len(perms), d, d), dtype=np.complex128)
+    for lo in range(0, len(perms), step):
+        p = perms[lo:lo + step]
+        out = mats[:, lo:lo + step]
+        # np.take keeps each moved block C-contiguous, as one cluster and
+        # one element alone would have it, so every matmul takes the same
+        # BLAS path and gives the same bits for any block size
+        for i, span in enumerate(spans):
+            moved = np.take(bases, p[:, span], axis=1)
+            if i:
+                out += adjoint[..., span] @ moved
+            else:
+                out[...] = adjoint[..., span] @ moved
+        for span in spans:
+            if len(spans) > 1:
+                moved = np.take(bases, p[:, span], axis=1)
+            # invariance: moved - bases mats, in place
+            residual = bases[:, None, span] @ out
             residual -= moved
             if max_abs(residual) > 1e-7:
                 return None
-            for c, pos in enumerate(chunk):
-                raw[pos] = (chars[c], mats[c].copy())
-    return raw
+    return mats
 
 
-def _label_irreps(group: FiniteGroup, z_index, kept) -> list[UnitaryIrrep]:
+def _label_irreps(group: FiniteGroup, z_index, kept) -> tuple[UnitaryIrrep, ...]:
     """Label the irreducibles of ``kept`` (a list of (character, matrices)):
     sorted by degree, the trivial one first, then by the characters
     rounded to 6 decimals, compared element by element (real part first)."""
@@ -938,7 +976,7 @@ def _label_irreps(group: FiniteGroup, z_index, kept) -> list[UnitaryIrrep]:
             if abs(abs(zval) - 1.0) > 1e-6:
                 raise ValidationError("grading does not act by a sign on an irreducible")
         out.append(UnitaryIrrep(label, degree, mats, parity))
-    return out
+    return tuple(out)
 
 
 def _fusion_rules(chars: np.ndarray, degrees) -> np.ndarray:

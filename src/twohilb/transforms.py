@@ -113,15 +113,19 @@ def dual_group(cat: RepCategory) -> tuple[FiniteGroup, np.ndarray]:
 
     Returns the dual as an explicit group (elements ordered like the
     irreducible labels) and the matrix of character values chars[k, g].
+    Both are kept on the group, so the dual and the data derived from it
+    are built once per group and grading.
     """
     group = cat.group
     if not group.is_abelian:
         raise ValidationError("the dual group is only formed for abelian groups")
-    chars = cat.character_table()
-    table = _product_table(chars, "character products failed to close")
-    names = cat.irrep_labels()
-    dual = FiniteGroup.make(f"dual({group.name})", table, names)
-    return dual, chars
+
+    def build():
+        chars = cat.character_table()
+        table = _product_table(chars, "character products failed to close")
+        dual = FiniteGroup.make(f"dual({group.name})", table, cat.irrep_labels())
+        return dual, chars
+    return cat._memo("dual_group", build)
 
 
 def _product_table(rows: np.ndarray, message: str) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -256,3 +257,64 @@ def test_irreps_csv_characters(capsys):
     assert code == 0
     assert "character" in out.splitlines()[0]
     assert "-1,0" in out or "-1,-0" in out
+
+
+@pytest.fixture
+def fresh_catalog(monkeypatch):
+    """An empty store of catalog groups, and a count of the splits of the
+    regular representation by group name."""
+    from twohilb import groups, reps
+    monkeypatch.setattr(groups, "_BUILT", {})
+    splits, split = Counter(), reps._compute_irreps
+
+    def counted(group, z_index, *args, **kwargs):
+        splits[group.name] += 1
+        return split(group, z_index, *args, **kwargs)
+    monkeypatch.setattr(reps, "_compute_irreps", counted)
+    return splits
+
+
+def test_catalog_group_is_split_once_per_process(capsys, fresh_catalog):
+    assert run_cli(capsys, "irreps", "--group", "S4")[0] == 0
+    assert run_cli(capsys, "fusion", "--group", "S4")[0] == 0
+    assert fresh_catalog == {"S4": 1}
+
+
+def test_tannaka_splits_the_dual_once(capsys, fresh_catalog):
+    first = run_cli(capsys, "tannaka", "--group", "Z12")
+    assert first[0] == 0
+    assert run_cli(capsys, "tannaka", "--group", "Z12") == first
+    assert fresh_catalog == {"Z12": 1, "dual(Z12)": 1}
+
+
+def test_json_group_file_is_read_on_every_call(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(cyclic_group(2).to_json()))
+    code, before, _ = run_cli(capsys, "irreps", "--group", str(path))
+    path.write_text(json.dumps(cyclic_group(3).to_json()))
+    code, after, _ = run_cli(capsys, "irreps", "--group", str(path))
+    assert code == 0
+    assert "1c" in after and "1c" not in before
+
+
+def test_memo_of_shared_groups_stays_bounded(capsys, fresh_catalog):
+    """A second round of the same commands adds nothing to what the catalog
+    groups keep, and splits nothing again."""
+    from twohilb import groups
+
+    def round_of_commands():
+        for name in ("S3", "Z12", "SuperHilb"):
+            for command in (["irreps"], ["fusion"], ["tannaka"], ["report"],
+                            ["tangle", "eval", "coev ; coev*", "--object", "1a"]):
+                assert run_cli(capsys, *command, "--group", name)[0] == 0
+        kept = {}
+        for name, g in groups._BUILT.items():
+            memo = vars(getattr(g, "group", g))
+            kept[name] = {key: sorted(value) if isinstance(value, dict) else None
+                          for key, value in memo.items()}
+        return kept
+    kept = round_of_commands()
+    assert "irreps" in kept["S3"]["_rep[z=None]"]
+    splits = dict(fresh_catalog)
+    assert round_of_commands() == kept
+    assert fresh_catalog == splits

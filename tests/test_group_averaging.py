@@ -24,6 +24,7 @@ from twohilb.linalg import (
     random_complex,
     random_hermitian,
 )
+from twohilb import reps
 from twohilb.groups import cyclic_group
 from twohilb.reps import (
     RepCategory,
@@ -259,3 +260,40 @@ def test_labels_sort_like_rounded_python_floats(name):
     order = ref_label_order(kept)
     assert all(np.shares_memory(relabelled[pos].matrices, kept[i][1])
                for pos, i in enumerate(order))
+
+
+def _recorded_takes(monkeypatch):
+    """The sizes of the arrays that np.take returns, for the reps module."""
+    sizes, take = [], np.take
+
+    def recording(*args, **kwargs):
+        out = take(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+    monkeypatch.setattr(reps.np, "take", recording)
+    return sizes
+
+
+def test_split_gathers_stay_within_the_budget(monkeypatch):
+    """On S5 a degree-6 eigenspace moved by all 120 elements at once is
+    86,400 entries; the split gathers blocks of elements instead."""
+    sizes = _recorded_takes(monkeypatch)
+    irreps = RepCategory(symmetric_group(5)).irreps()
+    assert [i.degree for i in irreps] == [1, 1, 4, 4, 5, 5, 6]
+    assert sizes and max(sizes) <= reps._GATHER_ENTRIES
+
+
+@pytest.mark.parametrize("budget", [3, 7, 40])
+def test_split_within_small_budgets_gathers_rows(monkeypatch, budget):
+    """A budget below the n x d copy of one element makes the split gather a
+    range of rows at a time (S4 has d <= 3, one row of d entries is the
+    least); the irreducibles agree with the one-block split."""
+    group = symmetric_group(4)
+    want = RepCategory(group).irreps()
+    sizes = _recorded_takes(monkeypatch)
+    monkeypatch.setattr(reps, "_GATHER_ENTRIES", budget)
+    got = RepCategory(symmetric_group(4)).irreps()
+    assert max(sizes) <= budget
+    assert [i.label for i in got] == [i.label for i in want]
+    for a, b in zip(got, want):
+        assert max_dev(a.matrices, b.matrices) < TOL

@@ -1,3 +1,6 @@
+import json
+import time
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from twohilb.groups import (
     product_group,
     quaternion_group,
     symmetric_group,
+    _generators,
 )
 
 
@@ -128,3 +132,111 @@ def test_groupoid_from_hom_data():
 def test_validate_rejections_keep_their_messages(table, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         FiniteGroup.make("bad", table)
+
+
+# -- associativity -----------------------------------------------------------------
+
+def ref_is_associative(t: np.ndarray) -> bool:
+    """The O(n^3) reference: (ab)c = t[t][a, b, c] against a(bc) = t[:, t][a, b, c]
+    for every triple, over blocks of rows a."""
+    n = len(t)
+    step = max(1, 2 ** 20 // (n * n))
+    return all(np.array_equal(t[t[lo:lo + step]], t[lo:lo + step][:, t])
+               for lo in range(0, n, step))
+
+
+def random_loop(rng, n: int) -> np.ndarray:
+    """A random Latin square with two-sided identity 0: row and column 0 are
+    fixed, the other cells are filled by backtracking over shuffled values."""
+    t = np.full((n, n), -1)
+    t[0] = t[:, 0] = np.arange(n)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        for v in rng.permutation(n):
+            if v not in t[i] and v not in t[:, j]:
+                t[i, j] = v
+                if fill(k + 1):
+                    return True
+        t[i, j] = -1
+        return False
+    assert fill(0)
+    return t
+
+
+def relabelled(group: FiniteGroup, rng) -> np.ndarray:
+    """An isomorphic copy of the table with the elements renamed at random."""
+    sigma = rng.permutation(group.order)
+    t = np.empty_like(group.matrix)
+    t[np.ix_(sigma, sigma)] = sigma[group.matrix]
+    return t
+
+
+def test_light_test_agrees_with_the_triple_check():
+    """Light's test over a greedy generating set accepts exactly the tables
+    that the O(n^3) check accepts: random loops of orders 2-7 (mostly not
+    associative from order 5 on) and relabelled groups."""
+    rng = np.random.default_rng(11)
+    tables = [random_loop(rng, n) for n in range(2, 8) for _ in range(25)]
+    tables += [relabelled(g, rng) for g in (symmetric_group(3), dihedral_group(4),
+                                            quaternion_group(), cyclic_group(6),
+                                            symmetric_group(4)) for _ in range(4)]
+    outcomes = set()
+    for t in tables:
+        want = ref_is_associative(t)
+        outcomes.add(want)
+        if want:
+            FiniteGroup.make("loop", t)
+        else:
+            with pytest.raises(ValidationError,
+                               match="^multiplication table is not associative$"):
+                FiniteGroup.make("loop", t)
+    assert outcomes == {True, False}
+
+
+def test_generators_generate():
+    """Every element is a product of the greedy generators, and a group of
+    order n needs at most log2(n) of them."""
+    for g in (symmetric_group(5), dihedral_group(6),
+              product_group(cyclic_group(2), cyclic_group(4)), cyclic_group(1)):
+        gens = _generators(g.matrix, g.identity)
+        reached, frontier = {g.identity}, [g.identity]
+        while frontier:
+            frontier = [g.mult(x, s) for x in frontier for s in gens
+                        if g.mult(x, s) not in reached]
+            reached.update(frontier)
+        assert reached == set(range(g.order))
+        assert len(gens) <= np.log2(g.order)
+
+
+def test_s6_validates_in_well_under_a_second():
+    """The triple check took about 3.6 s on S6 (n = 720); Light's test makes
+    two n x n gathers per generator."""
+    g = symmetric_group(6)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        g.validate()
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.5
+
+
+# -- the shared catalog ------------------------------------------------------------
+
+def test_catalog_groups_are_shared_and_constructors_fresh():
+    assert load_group("S4") is catalog()["S4"]()
+    assert load_group("SuperHilb") is catalog()["SuperHilb"]()
+    assert symmetric_group(4) is not symmetric_group(4)
+    assert symmetric_group(4) == load_group("S4")
+
+
+def test_json_groups_are_read_on_every_call(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(cyclic_group(2).to_json()))
+    first = load_group(str(path))
+    assert load_group(str(path)) is not first
+    path.write_text(json.dumps(cyclic_group(3).to_json()))
+    assert load_group(str(path)).order == 3
