@@ -850,8 +850,7 @@ def _compute_irreps(group: FiniteGroup, z_index, attempts: int = 60):
         avg = _conjugation_sum(h0, perms) / n
         vals, vecs = np.linalg.eigh((avg + dagger(avg)) / 2.0)
         spread = max(vals[-1] - vals[0], 1.0)
-        kept = _split_clusters(vecs, cluster_indices(vals, 1e-7 * spread), perms,
-                               distinct=True)
+        kept = _split_clusters(vecs, cluster_indices(vals, 1e-7 * spread), perms)
         if kept is None or sum(m.shape[1] ** 2 for _, m in kept) != n:
             continue
         return _label_irreps(group, z_index, kept)
@@ -873,18 +872,18 @@ def _conjugation_sum(h0: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _split_clusters(vecs: np.ndarray, clusters, perms: np.ndarray,
-                    distinct: bool = False):
-    """(character, matrices) of reg restricted to the span of each cluster of
-    eigenvectors, in cluster order, or None when a span is not an
-    irreducible invariant subspace (an eigenvalue collision merged
-    non-isotypic spaces).  Clusters of one size are handled together, as
-    many as fit in one block of _GATHER_ENTRIES gathered entries.
+def _split_clusters(vecs: np.ndarray, clusters, perms: np.ndarray):
+    """(character, matrices) of reg restricted to the span of the first
+    cluster of eigenvectors of each character (within 1e-6), in cluster
+    order, or None when some span is not an irreducible invariant subspace
+    (an eigenvalue collision merged non-isotypic spaces).  Clusters of one
+    size are handled together, as many as fit in one block of
+    _GATHER_ENTRIES gathered entries.
 
-    With ``distinct`` only the first cluster of each character (within
-    1e-6) is listed, and the matrices of the others are never kept: the
-    kept ones hold n sum_lam d_lam^2 = n^2 entries, where all d_lam
-    clusters of each irreducible would hold n sum_lam d_lam^3."""
+    Every cluster is checked, but the matrices of the later clusters of a
+    character are never kept: the kept ones hold n sum_lam d_lam^2 = n^2
+    entries, where all d_lam clusters of each irreducible would hold
+    n sum_lam d_lam^3."""
     n = len(vecs)
     raw = [None] * len(clusters)
     by_size = {}
@@ -905,7 +904,7 @@ def _split_clusters(vecs: np.ndarray, clusters, perms: np.ndarray,
             if np.any(np.abs(norm2 - 1.0) > 1e-6):
                 return None
             for c, pos in enumerate(chunk):
-                if distinct and seen and np.min(np.max(
+                if seen and np.min(np.max(
                         np.abs(np.stack(seen) - chars[c]), axis=1)) < 1e-6:
                     continue
                 seen.append(chars[c])

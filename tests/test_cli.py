@@ -287,16 +287,6 @@ def test_tannaka_splits_the_dual_once(capsys, fresh_catalog):
     assert fresh_catalog == {"Z12": 1, "dual(Z12)": 1}
 
 
-def test_json_group_file_is_read_on_every_call(tmp_path, capsys):
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps(cyclic_group(2).to_json()))
-    code, before, _ = run_cli(capsys, "irreps", "--group", str(path))
-    path.write_text(json.dumps(cyclic_group(3).to_json()))
-    code, after, _ = run_cli(capsys, "irreps", "--group", str(path))
-    assert code == 0
-    assert "1c" in after and "1c" not in before
-
-
 def test_memo_of_shared_groups_stays_bounded(capsys, fresh_catalog):
     """A second round of the same commands adds nothing to what the catalog
     groups keep, and splits nothing again."""

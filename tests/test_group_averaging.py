@@ -121,9 +121,10 @@ def ref_conjugation_sum(h0, perms):
 
 
 def ref_split_clusters(vecs, clusters, perms):
-    """One cluster at a time; None where a check fails."""
+    """One cluster at a time, keeping the first cluster of each character
+    (within 1e-6); None where a check fails on any cluster."""
     n = len(vecs)
-    raw = []
+    kept = []
     for cluster in clusters:
         basis = vecs[:, cluster]
         moved = basis[perms]
@@ -133,8 +134,9 @@ def ref_split_clusters(vecs, clusters, perms):
             return None
         if max_dev(moved, basis @ mats) > 1e-7:
             return None
-        raw.append((char, mats))
-    return raw
+        if not any(max_abs(char - c2) < 1e-6 for c2, _ in kept):
+            kept.append((char, mats))
+    return kept
 
 
 def ref_label_order(kept):

@@ -19,6 +19,7 @@ from twohilb.groups import (
     symmetric_group,
     _generators,
 )
+from twohilb.reps import RepCategory
 
 
 def test_catalog_groups_validate():
@@ -240,3 +241,5 @@ def test_json_groups_are_read_on_every_call(tmp_path):
     assert load_group(str(path)) is not first
     path.write_text(json.dumps(cyclic_group(3).to_json()))
     assert load_group(str(path)).order == 3
+    labels = [irr.label for irr in RepCategory(load_group(str(path))).irreps()]
+    assert labels == ["1a", "1b", "1c"]
