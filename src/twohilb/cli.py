@@ -235,17 +235,14 @@ def _cmd_tannaka(args) -> int:
     res = tannaka_reconstruct(cat)
     payload = {"group": args.group, "order": res.order,
                "cyclic": res.is_cyclic,
-               "element_orders": list(res.element_orders),
-               "injection_verified": res.injection_verified}
+               "element_orders": list(res.element_orders)}
     if args.format == "json":
         _write(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        structure = ("cyclic" if res.is_cyclic
-                     else "non-cyclic" if res.is_cyclic is not None
-                     else "injection only")
+        structure = "cyclic" if res.is_cyclic else "non-cyclic"
         _write(f"reconstructed transformation group of {args.group}: "
                f"order {res.order} ({structure})\n", args.out)
-    return 0 if res.injection_verified else 1
+    return 0
 
 
 def _cmd_suite(args) -> int:

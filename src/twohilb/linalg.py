@@ -28,13 +28,6 @@ def max_dev(a, b) -> float:
     return max_abs(np.asarray(a) - np.asarray(b))
 
 
-def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    if a.shape[0] != a.shape[1]:
-        return False
-    eye = np.eye(a.shape[0])
-    return max_dev(a @ dagger(a), eye) <= tol and max_dev(dagger(a) @ a, eye) <= tol
-
-
 def sqrtm_psd(a: np.ndarray) -> np.ndarray:
     """Positive square root of a positive semidefinite Hermitian matrix."""
     w, v = np.linalg.eigh((a + dagger(a)) / 2.0)
@@ -93,14 +86,6 @@ def range_complement_basis(a: np.ndarray, tol: float = DEFAULT_TOL):
     cutoff = max(tol, tol * (s[0] if s.size else 0.0))
     rank = int(np.sum(s > cutoff))
     return u[:, :rank], u[:, rank:]
-
-
-def matrix_rank(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    cutoff = max(tol, tol * s[0])
-    return int(np.sum(s > cutoff))
 
 
 def nullspace_basis(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -155,6 +155,13 @@ class _TensorObject(RepObject):
         return _read_only(x.character * y.character)
 
 
+def _same_object(x: RepObject, y: RepObject) -> bool:
+    """The rule for matching endpoints: one object, or equal carrier matrices.
+    ``is`` comes first, since reading a tensor object's ``matrices`` builds
+    its |G| d^4 carrier."""
+    return x is y or np.array_equal(x.matrices, y.matrices)
+
+
 class Intertwiner:
     """An equivariant linear map between the carriers of two representations."""
 
@@ -169,8 +176,7 @@ class Intertwiner:
         self.matrix = mat
 
     def then(self, other: "Intertwiner") -> "Intertwiner":
-        if other.src is not self.dst and not np.array_equal(other.src.matrices,
-                                                            self.dst.matrices):
+        if not _same_object(self.dst, other.src):
             raise CompositionError("endpoints do not match")
         return Intertwiner(self.src, other.dst, other.matrix @ self.matrix)
 
@@ -178,6 +184,8 @@ class Intertwiner:
         return Intertwiner(self.dst, self.src, dagger(self.matrix))
 
     def __add__(self, other):
+        if not (_same_object(self.src, other.src) and _same_object(self.dst, other.dst)):
+            raise CompositionError("a sum needs maps with the same endpoints")
         return Intertwiner(self.src, self.dst, self.matrix + other.matrix)
 
     def __rmul__(self, c):
@@ -291,10 +299,6 @@ class RepCategory:
         if self.bosonic and self.z_index is not None:
             base += "~bosonized"
         return base
-
-    @property
-    def is_connected(self) -> bool:
-        return True
 
     def bosonized(self) -> "RepCategory":
         return RepCategory(FiniteSuperGroup(self.group, self.z_index)
@@ -620,7 +624,7 @@ class RepCategory:
         The loop closed with the counit, e (1 (x) f) e^H = tr(E f E^H), is
         compared with the loop closed with the unit, i^H (f (x) 1) i = tr(I^H f I).
         """
-        if f.src.dim != f.dst.dim:
+        if not _same_object(f.src, f.dst):
             raise CompositionError("trace needs an endomorphism")
         x = f.src
         if adj is None:

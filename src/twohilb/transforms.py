@@ -122,26 +122,33 @@ def dual_group(cat: RepCategory) -> tuple[FiniteGroup, np.ndarray]:
 
     def build():
         chars = cat.character_table()
-        table = _product_table(chars, "character products failed to close")
+        # each character is a tuple of 1 x 1 blocks, one per group element
+        table = _product_table([chars[:, :, None, None]],
+                               "character products failed to close")
         dual = FiniteGroup.make(f"dual({group.name})", table, cat.irrep_labels())
         return dual, chars
     return cat._memo("dual_group", build)
 
 
-def _product_table(rows: np.ndarray, message: str) -> np.ndarray:
-    """table[a, b] = c where rows[a] * rows[b] equals rows[c] entrywise within
-    1e-6 for exactly one c; otherwise raises ``message``.
+def _product_table(stacks, message: str) -> np.ndarray:
+    """table[a, b] = c where tuple a times tuple b, block by block, equals
+    tuple c within 1e-6 for exactly one c; otherwise raises ``message``.
 
-    The rows are orthonormal with unit-modulus values, so over the k columns
-    the overlap sum_g r_a r_b conj(r_c) is near k at a hit and near 0
-    elsewhere: one matmul per row a finds the candidates (overlap above
-    k / 2), and only those are compared entrywise.
+    Tuple a is (stack[a] for stack in stacks): each stack holds, per tuple,
+    k unitary d x d blocks as a (k, d, d) array (d = 1 for characters).
+    Weighting each block by its degree, the overlap sum_blocks d tr(x y^H)
+    of two tuples is, for the irreducibles of a group, sum_lam d_lam
+    chi_lam(x y^-1) = |G| delta_xy: it is the number of entries at a hit
+    and 0 elsewhere.  So one matmul per tuple a finds the candidates
+    (overlap above half the entries), and only those are compared entrywise.
     """
-    n, k = rows.shape
+    n = len(stacks[0])
+    rows = np.hstack([s.reshape(n, -1) for s in stacks])
+    weighted = dagger(rows * np.hstack([np.full(s[0].size, s.shape[-1]) for s in stacks]))
     table = np.empty((n, n), dtype=int)
     for a in range(n):
-        prod = rows[a] * rows
-        b, c = np.nonzero((prod @ dagger(rows)).real > k / 2)
+        prod = np.hstack([(s[a] @ s).reshape(n, -1) for s in stacks])
+        b, c = np.nonzero((prod @ weighted).real > rows.shape[1] / 2)
         hit = np.max(np.abs(prod[b] - rows[c]), axis=1) < 1e-6
         b, c = b[hit], c[hit]
         if np.any(np.bincount(b, minlength=n) != 1):
@@ -525,49 +532,52 @@ def gelfand_hom_dim(point: SpectrumPoint, x: RepObject, y: RepObject) -> int:
 
 @dataclass
 class TannakaResult:
-    group: FiniteGroup | None
+    group: FiniteGroup
     order: int
-    is_cyclic: bool | None
+    is_cyclic: bool
     element_orders: tuple[int, ...]
-    injection_verified: bool
 
 
 def tannaka_reconstruct(cat: RepCategory) -> TannakaResult:
     """Reconstruct the symmetry group from the fiber functor.
 
-    Abelian case: enumerate the monoidal unitary endotransformations of the
-    forgetful functor (one unit scalar per character, multiplicative) as
-    the characters of the materialized dual group.  General case: verify
-    that the group injects into the transformation tuples.
+    Each group element g gives the tuple (rho_lam(g))_lam of the
+    irreducibles' matrices, a monoidal unitary automorphism of the
+    forgetful functor.  Every tuple is checked to be unitary, rho rho^H = I,
+    and monoidal on characters, chi_lam chi_mu = sum_nu N_lam,mu^nu chi_nu
+    with the fusion rules N.  The tuples multiply block by block, and their
+    product table must be the group's own: the evaluation g -> tuple is an
+    isomorphism onto the reconstructed group.
+
+    The list is complete.  The monoidal unitary automorphisms are the
+    characters of the commutative algebra of matrix coefficients, whose
+    dimension is sum_lam d_lam^2 = |G|.  Distinct characters are linearly
+    independent, so there are at most |G| of them, and |G| distinct tuples
+    are all of them.
+
+    The result is kept on the group, like the dual group.
     """
     group = cat.group
-    if group.is_abelian:
-        dual, dual_chars = dual_group(cat)
-        dual_cat = RepCategory(dual)
-        transformations = []
-        for values in dual_cat.character_table():  # one scalar per dual element
-            if np.max(np.abs(np.abs(values) - 1.0)) > 1e-8:
+
+    def build():
+        irreps = cat.irreps()
+        degrees = sorted({irr.degree for irr in irreps})
+        # the tuples of all g: one (|G|, k, d, d) stack per degree d
+        stacks = [np.stack([irr.matrices for irr in irreps if irr.degree == d], axis=1)
+                  for d in degrees]
+        for s, d in zip(stacks, degrees):
+            if max_dev(s @ s.conj().swapaxes(-1, -2), np.eye(d)) > 1e-8:
                 raise ValidationError("transformation is not unitary")
-            if max_dev(np.outer(values, values), values[dual.matrix]) > 1e-6:
-                raise ValidationError("transformation is not monoidal")
-            transformations.append(np.round(values, 8))
-        # group law: pointwise multiplication of scalar tuples
-        table = _product_table(np.array(transformations),
-                               "transformations do not close under product")
-        rec = FiniteGroup.make(f"tannaka({group.name})", table)
+        chars = cat.character_table()
+        fused = np.tensordot(cat.fusion_rules(), chars, axes=(2, 0))
+        if max_dev(chars[:, None] * chars[None, :], fused) > 1e-6:
+            raise ValidationError("transformation is not monoidal")
+        table = _product_table(stacks, "transformations do not close under product")
+        if not np.array_equal(table, group.matrix):
+            raise ValidationError("evaluation at the group elements is not an "
+                                  "isomorphism onto the reconstructed group")
+        # the table is the group's own, which is validated already
+        rec = FiniteGroup(f"tannaka({group.name})", group.table)
         orders = tuple(sorted(rec.element_order(a) for a in range(rec.order)))
-        want = tuple(sorted(group.element_order(a) for a in range(group.order)))
-        if orders != want:
-            raise ValidationError("reconstructed group has wrong element orders")
-        return TannakaResult(rec, rec.order, rec.is_cyclic, orders, True)
-    # nonabelian: injection of the group into transformation tuples
-    irreps = cat.irreps()
-    seen = set()
-    for g in range(group.order):
-        fingerprint = tuple(np.round(irr.matrices[g], 6).tobytes() for irr in irreps)
-        seen.add(fingerprint)
-    injective = len(seen) == group.order
-    if not injective:
-        raise ValidationError("group does not inject into its transformations")
-    orders = tuple(sorted(group.element_order(a) for a in range(group.order)))
-    return TannakaResult(None, len(seen), None, orders, True)
+        return TannakaResult(rec, rec.order, rec.is_cyclic, orders)
+    return cat._memo("tannaka", build)

@@ -115,7 +115,11 @@ def test_tannaka_z2xz2(capsys):
 def test_tannaka_s3(capsys):
     code, out, _ = run_cli(capsys, "tannaka", "--group", "S3")
     assert code == 0
-    assert "order 6" in out
+    assert "order 6 (non-cyclic)" in out
+    code, out, _ = run_cli(capsys, "tannaka", "--group", "Q8", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"group": "Q8", "order": 8, "cyclic": False,
+                               "element_orders": [1, 2, 4, 4, 4, 4, 4, 4]}
 
 
 def assert_input_error(code, err):
@@ -284,7 +288,7 @@ def test_tannaka_splits_the_dual_once(capsys, fresh_catalog):
     first = run_cli(capsys, "tannaka", "--group", "Z12")
     assert first[0] == 0
     assert run_cli(capsys, "tannaka", "--group", "Z12") == first
-    assert fresh_catalog == {"Z12": 1, "dual(Z12)": 1}
+    assert fresh_catalog == {"Z12": 1}
 
 
 def test_memo_of_shared_groups_stays_bounded(capsys, fresh_catalog):

@@ -1,9 +1,12 @@
 """Every function or method defined in the package has a caller.
 
-A name counts as used when it appears, as a whole word, anywhere in the
-package, the tests, the benchmark harness or the README other than on a
-line that defines it.  Dunder methods are called by Python itself and are
-not counted.
+A method counts as used when its name appears, as a whole word, anywhere
+in the package, the tests, the benchmark harness or the README other than
+on a line that defines it.  A module-level function counts as used only
+as its bare name or as ``<module>.name``, in both cases not preceded by
+``.``: so neither a method of the same name (``x.name``) nor a function of
+another library (``np.linalg.name``) hides it.  Dunder methods are called
+by Python itself and are not counted.
 """
 import ast
 import re
@@ -21,22 +24,35 @@ def _searched_files() -> list[Path]:
     return files
 
 
-def _defined_names() -> set[str]:
-    names = set()
+def _defined_names() -> dict[str, set[str]]:
+    """Each defined name with the modules that define it at module level
+    (empty for a name defined only as a method or nested function)."""
+    names = {}
     for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                names.add(node.name)
-    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+                modules = names.setdefault(node.name, set())
+                if id(node) in top:
+                    modules.add(path.stem)
+    return {n: m for n, m in names.items() if not (n.startswith("__") and n.endswith("__"))}
+
+
+def _use(name: str, modules: set[str]) -> re.Pattern:
+    if not modules:
+        return re.compile(rf"\b{re.escape(name)}\b")
+    prefixes = "|".join(re.escape(m) + r"\." for m in sorted(modules))
+    return re.compile(rf"(?<![\w.])(?:{prefixes})?{re.escape(name)}\b")
 
 
 def test_every_defined_function_is_named_somewhere_else():
     lines = [line for path in _searched_files()
              for line in path.read_text(errors="replace").splitlines()]
     uncalled = []
-    for name in sorted(_defined_names()):
-        word = re.compile(rf"\b{re.escape(name)}\b")
+    for name, modules in sorted(_defined_names().items()):
+        use = _use(name, modules)
         definition = re.compile(rf"\s*(async\s+)?def\s+{re.escape(name)}\b")
-        if not any(word.search(line) and not definition.match(line) for line in lines):
+        if not any(use.search(line) and not definition.match(line) for line in lines):
             uncalled.append(name)
     assert uncalled == []

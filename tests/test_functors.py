@@ -259,6 +259,20 @@ def test_adjunction_swap(rng):
         assert adjunction_dev(g, f, counit.dual(), unit.dual()) < TOL
 
 
+def test_adjunction_dev_sees_a_scaled_unit(rng):
+    """Doubling the unit doubles both zig-zags, a deviation of 1; scaling
+    the unit by c and the counit by 1/c leaves them the identity."""
+    for _ in range(5):
+        h, k = two_spaces(rng)
+        f = random_fusion_functor(rng, h, k, max_entry=2)
+        g = adjoint_functor(f)
+        unit, counit = matrix_unit_adjunction(f)
+        assert adjunction_dev(f, g, 2 * unit, counit) == pytest.approx(1.0)
+        assert adjunction_dev(f, g, unit, 2 * counit) == pytest.approx(1.0)
+        c = 0.6 - 1.7j
+        assert adjunction_dev(f, g, c * unit, (1 / c) * counit) < TOL
+
+
 def test_equivalence_exists_iff_same_dimension(rng):
     h = SpaceTable.make(["a", "b"], {"a": 1.0, "b": 2.0})
     k = SpaceTable.make(["u", "v"], {"u": 3.0, "v": 0.5})

@@ -415,6 +415,27 @@ def test_then_refuses_mismatched_endpoints(s3):
     assert composite.src is first and composite.dst is second
 
 
+def test_sum_refuses_mismatched_endpoints(s3):
+    one_a, one_b = s3.irrep("1a"), s3.irrep("1b")
+    with pytest.raises(CompositionError):
+        s3.identity_map(one_a) + s3.identity_map(one_b)
+    # equal carriers on distinct objects add
+    first, second = s3.irrep("2a"), s3.irrep("2a")
+    total = s3.identity_map(first) + Intertwiner(first, second, np.eye(2))
+    assert max_dev(total.matrix, 2 * np.eye(2)) == 0.0
+    # one tensor object is matched by identity: its carrier is not built
+    xx = s3.tensor(first, first)
+    s3.identity_map(xx) + s3.identity_map(xx)
+    assert "matrices" not in vars(xx)
+
+
+def test_trace_refuses_a_map_between_distinct_objects(s3):
+    one_a, one_b = s3.irrep("1a"), s3.irrep("1b")
+    with pytest.raises(CompositionError, match="endomorphism"):
+        s3.trace(Intertwiner(one_a, one_b, np.eye(1)))
+    assert s3.trace(s3.identity_map(one_b)) == pytest.approx(1.0)
+
+
 def test_labels_past_26_irreducibles_of_one_degree():
     labels = RepCategory(cyclic_group(27)).irrep_labels()
     letters = "abcdefghijklmnopqrstuvwxyz"

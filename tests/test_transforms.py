@@ -5,14 +5,17 @@ from twohilb.errors import CompositionError, ValidationError
 from twohilb.functors import FusionFunctor
 from twohilb.groups import (
     FiniteSuperGroup,
+    catalog_names,
     cyclic_group,
+    dihedral_group,
+    load_group,
     product_group,
     quaternion_group,
     symmetric_group,
 )
 from twohilb.hstar import BlockMorphism, ObjectExpr, compose, identity, morphism_dev
 from twohilb.linalg import dagger, max_dev
-from twohilb.reps import Intertwiner, RepCategory, _random_intertwiner
+from twohilb.reps import Intertwiner, RepCategory, UnitaryIrrep, _random_intertwiner
 from twohilb.transforms import (
     FourierMap,
     SpectrumPoint,
@@ -88,20 +91,24 @@ def test_dual_group_structure():
 
 
 def test_product_table_rejects_rows_that_do_not_close():
+    def characters(rows):
+        """Each row as a tuple of 1 x 1 blocks."""
+        return [np.asarray(rows)[:, :, None, None]]
     # orthonormal unit-modulus rows: (i, -i)^2 = (-1, -1) is no row
     with pytest.raises(ValidationError, match="failed to close"):
-        _product_table(np.array([[1, 1], [1j, -1j]]), "failed to close")
+        _product_table(characters([[1, 1], [1j, -1j]]), "failed to close")
     z3 = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3)
-    assert _product_table(z3, "failed to close").tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    assert _product_table(characters(z3), "failed to close").tolist() == \
+        [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
     # row 2 turned by opposite phases 5e-4 in two entries: products miss
     # their rows entrywise by up to 1e-3, while every overlap stays real
     # and within 4e-7 of 1
     z3[2, 1:] *= np.exp([5e-4j, -5e-4j])
     with pytest.raises(ValidationError, match="failed to close"):
-        _product_table(z3, "failed to close")
+        _product_table(characters(z3), "failed to close")
     # a repeated row is hit twice by every product
     with pytest.raises(ValidationError, match="failed to close"):
-        _product_table(np.ones((2, 2)), "failed to close")
+        _product_table(characters(np.ones((2, 2))), "failed to close")
 
 
 def test_convolution_matches_the_dense_multiplicity_matrix():
@@ -432,13 +439,56 @@ def test_tannaka_abelian():
         res = tannaka_reconstruct(RepCategory(group))
         assert res.order == want_order
         assert res.is_cyclic == want_cyclic
-        assert res.injection_verified
+        assert np.array_equal(res.group.matrix, group.matrix)
 
 
 def test_tannaka_nonabelian_injection():
-    res = tannaka_reconstruct(RepCategory(symmetric_group(3)))
+    group = symmetric_group(3)
+    res = tannaka_reconstruct(RepCategory(group))
     assert res.order == 6
-    assert res.injection_verified
+    assert res.is_cyclic is False
+    assert np.array_equal(res.group.matrix, group.matrix)
+    assert res.element_orders == (1, 2, 2, 2, 3, 3)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_every_catalog_group_reconstructs_to_its_own_table(name):
+    group = load_group(name)
+    cat = RepCategory(group)
+    res = tannaka_reconstruct(cat)
+    assert np.array_equal(res.group.matrix, cat.group.matrix)
+    assert res.element_orders == tuple(sorted(
+        cat.group.element_order(a) for a in range(cat.group.order)))
+    # kept on the group: a second category gets the same result
+    assert tannaka_reconstruct(RepCategory(group)) is res
+
+
+def test_tannaka_tells_d4_from_q8():
+    d4, q8 = RepCategory(dihedral_group(4)), RepCategory(quaternion_group())
+    # the fusion rules agree, and the reconstructed groups do not
+    assert np.array_equal(d4.fusion_rules(), q8.fusion_rules())
+    assert tannaka_reconstruct(d4).element_orders.count(2) == 5
+    assert tannaka_reconstruct(q8).element_orders.count(2) == 1
+
+
+def test_tannaka_rejects_an_anti_homomorphism():
+    """Transposed 2a matrices stay unitary and keep every character, but
+    g -> rho(g)^T reverses products: the tuples multiply to the opposite
+    table, and the evaluation check refuses it."""
+    group = symmetric_group(3)
+    cat = RepCategory(group)
+    irreps = tuple(UnitaryIrrep(irr.label, irr.degree,
+                                irr.matrices.transpose(0, 2, 1) if irr.label == "2a"
+                                else irr.matrices, irr.parity)
+                   for irr in cat.irreps())
+    cat._shared["irreps"] = irreps
+    stacks = [np.stack([irr.matrices for irr in irreps if irr.degree == d], axis=1)
+              for d in (1, 2)]
+    opposite = _product_table(stacks, "failed to close")
+    assert np.array_equal(opposite, group.matrix.T)
+    assert not np.array_equal(opposite, group.matrix)
+    with pytest.raises(ValidationError, match="not an isomorphism"):
+        tannaka_reconstruct(cat)
 
 
 def test_bosonization_compatible_with_transform(rng):
