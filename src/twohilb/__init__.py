@@ -19,7 +19,6 @@ from .functors import (
 )
 from .groups import (
     FiniteGroup,
-    FiniteGroupoid,
     FiniteSuperGroup,
     catalog,
     load_group,
@@ -58,7 +57,7 @@ __all__ = [
     "HStarAlgebraData", "block_model", "ambrose_decompose",
     "FusionFunctor", "NatBlock", "apply", "adjoint_functor",
     "hom_space", "dual_space", "riesz_represent", "tensor_space",
-    "FiniteGroup", "FiniteSuperGroup", "FiniteGroupoid", "catalog", "load_group",
+    "FiniteGroup", "FiniteSuperGroup", "catalog", "load_group",
     "RepCategory", "RepObject", "Intertwiner", "Adjunction",
     "graded_space", "convolution_tensor", "FourierMap",
     "tautological_point", "gelfand_hat", "tannaka_reconstruct",

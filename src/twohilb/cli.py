@@ -18,7 +18,7 @@ import numpy as np
 
 from . import acceptance
 from .errors import TwoHilbError
-from .groups import FiniteGroup, FiniteSuperGroup, catalog_names, load_group
+from .groups import FiniteSuperGroup, catalog_names, load_group
 from .reps import RepCategory, _random_intertwiner
 from .tangles import EvalContext, evaluate, move_suite, parse as parse_tangle
 from .transforms import FourierMap, tannaka_reconstruct
@@ -63,18 +63,17 @@ def _emit_rows(rows: list[dict], fmt: str, out: str | None, title: str = "") -> 
 
 def _category(args) -> RepCategory:
     group = load_group(args.group)
-    if getattr(args, "super_grading", None) is not None:
+    z = getattr(args, "super_grading", None)
+    if z is not None:
         if isinstance(group, FiniteSuperGroup):
             raise TwoHilbError(f"{args.group} already carries a grading")
-        if args.super_grading == "auto":
+        if z == "auto":
             involutions = group.central_involutions()
             if len(involutions) != 1:
                 raise TwoHilbError(
                     f"{args.group} has central involutions {involutions}; "
                     "pass an explicit index")
             z = involutions[0]
-        else:
-            z = int(args.super_grading)
         group = FiniteSuperGroup.make(group, z)
     return RepCategory(group)
 
@@ -268,6 +267,18 @@ def _cmd_suite(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"{text} is not a positive finite tolerance")
+    return value
+
+
+def _grading(text: str):
+    """``auto`` or the index of a central involution."""
+    return text if text == "auto" else int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parse_args fills a fresh
@@ -284,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--group", required=True,
                            help=f"catalog name ({', '.join(catalog_names())}), "
                                 "JSON path, or file in $TWOHILB_CATALOG")
-            p.add_argument("--super", dest="super_grading", nargs="?",
+            p.add_argument("--super", dest="super_grading", nargs="?", type=_grading,
                            const="auto", default=None, metavar="Z",
                            help="grade by a central involution "
                                 "(index, or unique one when omitted)")
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=_tolerance, default=1e-9)
         p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
         p.add_argument("--out", default=None, help="write the report to a file")
@@ -337,7 +348,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (TwoHilbError, FileNotFoundError) as err:
+    except (TwoHilbError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

@@ -1,5 +1,7 @@
 """Finite groups, supergroups (a group with a chosen central involution),
-finite groupoids, and the built-in catalog.
+and the built-in catalog.  There is no groupoid type: a finite groupoid is
+equivalent to the disjoint union of its vertex groups, one per component, so
+its Rep is the product of the components' Rep(G_x), each a ``RepCategory``.
 
 Groups are multiplication tables on element indices; ``table[a, b]`` is the
 index of "a times b".  All constructors validate the group axioms and
@@ -10,17 +12,16 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["FiniteGroup", "FiniteSuperGroup", "FiniteGroupoid",
-           "cyclic_group", "product_group", "symmetric_group",
-           "dihedral_group", "quaternion_group", "catalog", "catalog_names",
-           "load_group", "group_from_json"]
+__all__ = ["FiniteGroup", "FiniteSuperGroup", "cyclic_group", "product_group",
+           "symmetric_group", "dihedral_group", "quaternion_group", "catalog",
+           "catalog_names", "load_group", "group_from_json"]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -51,8 +52,10 @@ class FiniteGroup:
             raise ValidationError("multiplication table must be square")
         if np.any(arr < 0) or np.any(arr >= n):
             raise ValidationError("table entries out of range")
-        g = FiniteGroup(name, tuple(map(tuple, arr.tolist())),
-                        tuple(element_names) if element_names else None)
+        names = tuple(element_names) if element_names else None
+        if names and not len(names) == len(set(names)) == n:
+            raise ValidationError("need one distinct name per element")
+        g = FiniteGroup(name, tuple(map(tuple, arr.tolist())), names)
         g._memo("_matrix", lambda: _frozen(arr))
         g.validate()
         return g
@@ -294,103 +297,6 @@ def quaternion_group() -> FiniteGroup:
     return FiniteGroup.make("Q8", table, names)
 
 
-# -- groupoids ---------------------------------------------------------------
-
-@dataclass
-class FiniteGroupoid:
-    """A finite groupoid normalized to components (object list, vertex group, grading).
-
-    ``components[i]`` is a triple (object labels, vertex group, central
-    involution index or None); the groupoid is the disjoint union of the
-    corresponding connected groupoids.
-    """
-
-    components: list[tuple[tuple[str, ...], FiniteGroup, int | None]] = field(
-        default_factory=list)
-
-    @staticmethod
-    def from_components(components) -> "FiniteGroupoid":
-        normalized = []
-        for objs, grp, z in components:
-            objs = tuple(str(o) for o in objs)
-            if not objs:
-                raise ValidationError("a component needs at least one object")
-            if z is not None:
-                FiniteSuperGroup.make(grp, z)
-            normalized.append((objs, grp, z))
-        all_objs = [o for objs, _, _ in normalized for o in objs]
-        if len(set(all_objs)) != len(all_objs):
-            raise ValidationError("object labels must be distinct")
-        return FiniteGroupoid(normalized)
-
-    @staticmethod
-    def from_hom_data(objects, morphisms, compose_map, balancing=None) -> "FiniteGroupoid":
-        """Build and validate a groupoid from explicit hom-set data.
-
-        ``morphisms`` maps a morphism id to a (src, dst) pair of object
-        labels; ``compose_map[(m1, m2)]`` is the composite "first m1 then
-        m2", defined exactly when dst(m1) == src(m2).  ``balancing``
-        optionally maps each object to an endomorphism id with square one.
-        """
-        objects = [str(o) for o in objects]
-        ends = {m: (str(s), str(d)) for m, (s, d) in morphisms.items()}
-        for (m1, m2), m3 in compose_map.items():
-            s1, d1 = ends[m1]
-            s2, d2 = ends[m2]
-            if d1 != s2:
-                raise ValidationError("composition defined on non-composable pair")
-            if ends[m3] != (s1, d2):
-                raise ValidationError("composite has wrong endpoints")
-        # connected components via morphisms
-        parent = {o: o for o in objects}
-
-        def find(o):
-            while parent[o] != o:
-                parent[o] = parent[parent[o]]
-                o = parent[o]
-            return o
-        for s, d in ends.values():
-            parent[find(s)] = find(d)
-        groups = {}
-        for o in objects:
-            groups.setdefault(find(o), []).append(o)
-        comps = []
-        for root, objs in groups.items():
-            base = objs[0]
-            loops = sorted(m for m, (s, d) in ends.items() if s == base and d == base)
-            index = {m: i for i, m in enumerate(loops)}
-            table = [[0] * len(loops) for _ in loops]
-            for i, m1 in enumerate(loops):
-                for j, m2 in enumerate(loops):
-                    m3 = compose_map.get((m1, m2))
-                    if m3 is None or m3 not in index:
-                        raise ValidationError("hom-set at the base object is not closed")
-                    table[i][j] = index[m3]
-            grp = FiniteGroup.make(f"aut({base})", table,
-                                   [str(m) for m in loops])
-            z = None
-            if balancing is not None:
-                beta = balancing.get(base)
-                if beta is not None:
-                    if beta not in index:
-                        raise ValidationError("balancing must be an endomorphism")
-                    z = index[beta]
-                    if grp.mult(z, z) != grp.identity or z not in grp.center():
-                        raise ValidationError("balancing must be a central involution")
-                    if z == grp.identity:
-                        z = None
-            comps.append((tuple(objs), grp, z))
-        return FiniteGroupoid.from_components(comps)
-
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
-    @property
-    def is_connected(self) -> bool:
-        return self.n_components == 1
-
-
 # -- catalog -----------------------------------------------------------------
 
 def _superhilb():
@@ -431,13 +337,13 @@ def catalog_names() -> list[str]:
     return list(_BUILDERS)
 
 
-def load_group(name: str, catalog_dir: str | None = None):
-    """Resolve a group by catalog name (the shared instance), JSON file path,
-    or file in the catalog dir (read and built anew on every call)."""
+def load_group(name: str):
+    """Resolve a group by catalog name (the shared instance), JSON file path, or
+    ``name[.json]`` in ``$TWOHILB_CATALOG`` (a file is built anew on every call)."""
     if name in _BUILDERS:
         return _catalog_group(name)
     candidates = [name]
-    directory = catalog_dir or os.environ.get("TWOHILB_CATALOG")
+    directory = os.environ.get("TWOHILB_CATALOG")
     if directory:
         candidates.append(os.path.join(directory, name))
         candidates.append(os.path.join(directory, name + ".json"))

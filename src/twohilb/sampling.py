@@ -14,19 +14,19 @@ from .linalg import random_complex, random_unitary
 _LABELS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def random_space(rng: np.random.Generator, max_simples: int = 3,
-                 max_weight: float = 3.0) -> SpaceTable:
-    n = int(rng.integers(1, max_simples + 1))
+def random_space(rng: np.random.Generator) -> SpaceTable:
+    """1 to 3 simples, with weights uniform in [0.25, 3)."""
+    n = int(rng.integers(1, 4))
     labels = [_LABELS[i] for i in range(n)]
-    weights = {s: float(rng.uniform(0.25, max_weight)) for s in labels}
+    weights = {s: float(rng.uniform(0.25, 3.0)) for s in labels}
     return SpaceTable.make(labels, weights)
 
 
-def random_object(rng: np.random.Generator, space: SpaceTable,
-                  max_mult: int = 3, allow_zero: bool = False) -> ObjectExpr:
+def random_object(rng: np.random.Generator, space: SpaceTable) -> ObjectExpr:
+    """A nonzero object with multiplicities 0 to 3, redrawn until one is nonzero."""
     while True:
-        mults = tuple(int(rng.integers(0, max_mult + 1)) for _ in space.simples)
-        if allow_zero or any(mults):
+        mults = tuple(int(rng.integers(0, 4)) for _ in space.simples)
+        if any(mults):
             return ObjectExpr.make(space, mults)
 
 
@@ -54,14 +54,14 @@ def random_unitary_morphism(rng: np.random.Generator, x: ObjectExpr) -> BlockMor
     return BlockMorphism(x, x, blocks)
 
 
-def random_monomorphism(rng: np.random.Generator, space: SpaceTable,
-                        max_mult: int = 3) -> BlockMorphism:
-    """A random injection x -> y (blocks of full column rank w.h.p.)."""
+def random_monomorphism(rng: np.random.Generator, space: SpaceTable) -> BlockMorphism:
+    """A random injection x -> y (blocks of full column rank w.h.p.), with
+    multiplicities 0 to 3 in x and 0 to 3 more in y."""
     src_m = []
     dst_m = []
     for _ in space.simples:
-        a = int(rng.integers(0, max_mult + 1))
-        b = a + int(rng.integers(0, max_mult + 1))
+        a = int(rng.integers(0, 4))
+        b = a + int(rng.integers(0, 4))
         src_m.append(a)
         dst_m.append(b)
     if not any(src_m):

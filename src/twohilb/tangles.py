@@ -201,8 +201,10 @@ class EvalContext:
         """
         if ambient not in (2, 3, 4):
             raise ValidationError("ambient dimension must be 2, 3 or 4")
-        if tol <= 0:
+        if not tol > 0:
             raise ValidationError("tolerance must be positive")
+        if scale is not None and (scale == 0 or not np.isfinite(scale)):
+            raise ValidationError("scale must be nonzero and finite")
         scaled = scale is not None and scale != 1
         # an unscaled duality in ambient 3 or 4 must also be balanced within tol
         adj = cat.well_balanced_adjunction(

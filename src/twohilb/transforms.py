@@ -464,13 +464,12 @@ class GelfandHat:
         return {name: v[0] for name, v in self.values.items()}
 
 
-def gelfand_hat(x: RepObject, points: list[SpectrumPoint],
-                validate_points: bool = True) -> GelfandHat:
-    """The evaluation transform: x goes to its tuple of point values."""
+def gelfand_hat(x: RepObject, points: list[SpectrumPoint]) -> GelfandHat:
+    """The evaluation transform: x goes to its tuple of point values.  Every
+    point is validated first."""
     values = {}
     for point in points:
-        if validate_points:
-            point.validate()
+        point.validate()
         values[point.name] = point.value_of(x)
     return GelfandHat(x, list(points), values)
 
@@ -497,35 +496,6 @@ def hat_homomorphism_defect(point: SpectrumPoint, x: RepObject, y: RepObject,
     worst = max(worst, max_dev(point.morphism_value(f.then(g)),
                                point.morphism_value(g) @ point.morphism_value(f)))
     return float(worst)
-
-
-def gelfand_hom_dim(point: SpectrumPoint, x: RepObject, y: RepObject) -> int:
-    """Intertwiner dimension between hat-values under the reconstructed symmetries.
-
-    The reconstructed transformations are the tuples of irreducible actions;
-    the commutant of their action on the value carriers is computed by
-    group averaging and must match the source hom dimension.
-    """
-    cat = point.cat
-    order = cat.group.order
-
-    def action(g, obj):
-        pieces = cat.decompose(obj)
-        blocks = []
-        for p in pieces:
-            u = point.twists[p.irrep.label]
-            mat = u @ p.irrep.matrices[g] @ dagger(u)
-            blocks.append(np.kron(mat, np.eye(p.multiplicity)))
-        return block_diag(blocks)
-
-    # the averaging projector onto the commutant has trace
-    # (1/|R|) sum over transformations of tr(a_y) conj(tr(a_x))
-    total = sum(np.trace(action(g, y)) * np.conj(np.trace(action(g, x)))
-                for g in range(order))
-    dim = float(np.real(total)) / order
-    if abs(dim - round(dim)) > 1e-6:
-        raise ValidationError("non-integral hom dimension between hat values")
-    return int(round(dim))
 
 
 # -- Tannaka reconstruction ------------------------------------------------------

@@ -149,6 +149,7 @@ def test_unknown_object_is_input_error(capsys):
     '{"table": [[0, 1], [1]]}',                # ragged table
     '{"table": [["e", "a"], ["a", "e"]]}',     # non-integer entries
     '{"table": [[0, 1], [1, 0]], "central_involution": "z"}',
+    '{"name": "Z2", "table": [[0, 1], [1, 0]], "element_names": ["e"]}',
 ])
 def test_malformed_group_json_is_input_error(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
@@ -202,13 +203,32 @@ SUBCOMMANDS = {
 
 
 @pytest.mark.parametrize("bad", [["--seed", "x"], ["--tol", "x"], ["--format", "xml"],
-                                 ["--no-such-option"]])
+                                 ["--no-such-option"], ["--tol", "nan"], ["--tol", "-1"]])
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 def test_invalid_argument_exits_2(capsys, command, bad):
     with pytest.raises(SystemExit) as exc:
         main(SUBCOMMANDS[command] + bad)
     err = capsys.readouterr().err
     assert exc.value.code == 2
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["irreps", "--group", "Z4", "--super", "x"],
+    ["tangle", "moves", "--group", "S3", "--object", "2a", "--scale", "nan"],
+    ["tangle", "moves", "--group", "S3", "--object", "2a", "--scale", "inf"],
+    ["tangle", "moves", "--group", "S3", "--object", "2a", "--scale", "0"],
+    ["irreps", "--group", "S3", "--out", "{dir}"],
+])
+def test_invalid_option_value_exits_2(tmp_path, capsys, argv):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # rejected by the parser
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert "Traceback" not in err
 

@@ -1,4 +1,5 @@
-"""Every function or method defined in the package has a caller.
+"""Every function or method defined in the package has a caller, and every
+exported name exists.
 
 A method counts as used when its name appears, as a whole word, anywhere
 in the package, the tests, the benchmark harness or the README other than
@@ -9,8 +10,11 @@ another library (``np.linalg.name``) hides it.  Dunder methods are called
 by Python itself and are not counted.
 """
 import ast
+import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "twohilb"
@@ -56,3 +60,11 @@ def test_every_defined_function_is_named_somewhere_else():
         if not any(use.search(line) and not definition.match(line) for line in lines):
             uncalled.append(name)
     assert uncalled == []
+
+
+@pytest.mark.parametrize("module", ["twohilb"] + sorted(
+    f"twohilb.{p.stem}" for p in PACKAGE.glob("*.py") if p.stem != "__init__"))
+def test_every_exported_name_exists(module):
+    """A stale ``__all__`` entry breaks ``from module import *``."""
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)] == []

@@ -8,7 +8,6 @@ from twohilb.functors import (
     adjoint_functor,
     adjunction_dev,
     apply,
-    apply_morphism,
     apply_object,
     braiding_functor,
     dual_space,
@@ -25,7 +24,6 @@ from twohilb.functors import (
     tensor_space,
 )
 from twohilb.hstar import (
-    ObjectExpr,
     SpaceTable,
     compose,
     direct_sum,

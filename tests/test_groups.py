@@ -7,7 +7,6 @@ import pytest
 from twohilb.errors import ValidationError
 from twohilb.groups import (
     FiniteGroup,
-    FiniteGroupoid,
     FiniteSuperGroup,
     catalog,
     cyclic_group,
@@ -98,28 +97,10 @@ def test_broken_table_rejected():
         FiniteGroup.make("bad", [[0, 1], [0, 1]])
 
 
-def test_groupoid_from_components():
-    gpd = FiniteGroupoid.from_components([
-        (("a",), symmetric_group(3), None),
-        (("b", "c"), cyclic_group(2), 1),
-    ])
-    assert gpd.n_components == 2
-    assert not gpd.is_connected
-    with pytest.raises(ValidationError):
-        FiniteGroupoid.from_components([(("a",), cyclic_group(2), None),
-                                        (("a",), cyclic_group(3), None)])
-
-
-def test_groupoid_from_hom_data():
-    # two isomorphic objects, trivial automorphisms
-    morphisms = {"ia": ("A", "A"), "ib": ("B", "B"), "f": ("A", "B"), "g": ("B", "A")}
-    comp = {("ia", "ia"): "ia", ("ib", "ib"): "ib",
-            ("ia", "f"): "f", ("f", "ib"): "f",
-            ("ib", "g"): "g", ("g", "ia"): "g",
-            ("f", "g"): "ia", ("g", "f"): "ib"}
-    gpd = FiniteGroupoid.from_hom_data(["A", "B"], morphisms, comp)
-    assert gpd.is_connected
-    assert gpd.components[0][1].order == 1
+@pytest.mark.parametrize("names", [["e"], ["e", "e"], ["e", "a", "a"]])
+def test_element_names_must_match_the_table(names):
+    with pytest.raises(ValidationError, match="one distinct name per element"):
+        FiniteGroup.make("Z2", [[0, 1], [1, 0]], names)
 
 
 @pytest.mark.parametrize("table, message", [

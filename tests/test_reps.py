@@ -8,7 +8,6 @@ import pytest
 
 from twohilb.errors import CompositionError, ValidationError
 from twohilb.groups import (
-    FiniteGroupoid,
     FiniteSuperGroup,
     cyclic_group,
     dihedral_group,
@@ -18,7 +17,6 @@ from twohilb.groups import (
 from twohilb.linalg import dagger, distance_to_unitary, max_dev, random_unitary
 from twohilb.reps import (
     Adjunction,
-    GroupoidRepCategory,
     Intertwiner,
     RepCategory,
     RepObject,
@@ -466,23 +464,6 @@ def test_cyclic_labels_follow_their_characters(n, exponents):
         assert max_dev(irr.character, np.exp(2j * np.pi * k * powers / n)) < 1e-9
 
 
-def test_groupoid_category():
-    gpd = FiniteGroupoid.from_components([
-        (("a",), symmetric_group(3), None),
-        (("b",), cyclic_group(2), 1),
-    ])
-    cat = GroupoidRepCategory(gpd)
-    assert not cat.is_connected
-    assert cat.end_unit_dim() == 2
-    rng = np.random.default_rng(5)
-    x = cat.random_object(rng)
-    dims = cat.dim(x)
-    assert set(dims) == {"a", "b"}
-    one_component = GroupoidRepCategory(FiniteGroupoid.from_components(
-        [(("a",), symmetric_group(3), None)]))
-    assert one_component.is_connected
-
-
 def test_rep_object_validation_catches_errors(s3):
     mats = np.stack([np.eye(2)] * 6)
     mats[2] = np.array([[1.0, 1.0], [0.0, 1.0]])  # not unitary
@@ -494,17 +475,6 @@ def test_rep_object_validation_catches_errors(s3):
     broken = RepObject(s3, mats)
     with pytest.raises(ValidationError):
         broken.validate()
-
-
-def test_groupoid_hom_inner():
-    gpd = FiniteGroupoid.from_components([
-        (("a",), symmetric_group(3), None),
-        (("b",), cyclic_group(2), None),
-    ])
-    cat = GroupoidRepCategory(gpd)
-    one = cat.unit()
-    alpha = {label: c.identity_map(one[label]) for label, c in cat.components}
-    assert cat.hom_inner(alpha, alpha) == pytest.approx(2.0)
 
 
 def test_decompose_rejects_non_integral_multiplicity(s3):

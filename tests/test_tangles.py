@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twohilb.errors import TangleSyntaxError, TangleTypeError
+from twohilb.errors import TangleSyntaxError, TangleTypeError, ValidationError
 from twohilb.groups import FiniteSuperGroup, cyclic_group, symmetric_group
 from twohilb.linalg import max_dev
 from twohilb.reps import RepCategory
@@ -123,6 +123,14 @@ def test_scaled_context_fails_framed_r1(s3_ctx):
     assert entries["r2"].passed
     assert not entries["framed-r1"].passed
     assert entries["framed-r1"].deviation == pytest.approx(3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("option", [{"tol": float("nan")}, {"tol": 0.0},
+                                    {"scale": 0.0}, {"scale": float("inf")},
+                                    {"scale": float("nan")}])
+def test_context_rejects_invalid_tolerance_and_scale(s3_ctx, option):
+    with pytest.raises(ValidationError):
+        EvalContext.make(s3_ctx.cat, s3_ctx.x, **option)
 
 
 def test_unknot_presentations_agree(s3_ctx, odd_ctx):
