@@ -46,10 +46,13 @@ class FiniteGroup:
 
     @staticmethod
     def make(name: str, table, element_names=None) -> "FiniteGroup":
-        arr = np.array(table, dtype=int)
+        arr = np.array(table)
         n = arr.shape[0]
         if arr.shape != (n, n):
             raise ValidationError("multiplication table must be square")
+        if arr.dtype.kind not in "iu":  # a float, bool or string entry
+            raise ValidationError("table entries must be integers")
+        arr = arr.astype(int, copy=False)
         if np.any(arr < 0) or np.any(arr >= n):
             raise ValidationError("table entries out of range")
         names = tuple(element_names) if element_names else None
@@ -208,9 +211,12 @@ class FiniteSuperGroup:
 def group_from_json(data: dict):
     """Group or supergroup from the JSON interchange format."""
     g = FiniteGroup.from_json(data)
-    if "central_involution" in data and data["central_involution"] is not None:
-        return FiniteSuperGroup.make(g, int(data["central_involution"]))
-    return g
+    z = data.get("central_involution")
+    if z is None:
+        return g
+    if not isinstance(z, int) or isinstance(z, bool):
+        raise ValidationError("central_involution must be an element index")
+    return FiniteSuperGroup.make(g, int(z))
 
 
 def _generators(t: np.ndarray, identity: int) -> list[int]:

@@ -13,9 +13,17 @@ Cups and caps evaluate to the counit/unit of a well-balanced duality;
 ``b st`` is the positive crossing (s, t) -> (t, s) and ``B st`` its inverse.
 Crossings need ambient dimension at least 3; in ambient 4 both crossings
 are required to agree (the braiding is a symmetry).
+
+One compiled regular expression tokenizes an expression, and every call
+parses anew.  An ``EvalContext`` builds each generator's matrix on first use
+and keeps it, read-only, for every later occurrence, so a move suite builds
+``b++`` and the inverse behind ``B++`` once.  Juxtaposition multiplies the
+factors' entries by broadcasting, the products ``np.kron`` makes, without
+its per-call set-up.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,25 +88,23 @@ class Par(TangleExpr):
                 "src": self.src, "dst": self.dst}
 
 
+# optional whitespace, then a token: a punctuation mark, a generator (the
+# longest that matches, as the alternation takes the first and the list is
+# longest first) or any other character, which is an error
+_TOKEN = re.compile(r"(\s*)([;|()]|%s|\S)" % "|".join(map(re.escape, _GENERATORS)))
+_TOKEN_KINDS = {**{ch: ch for ch in ";|()"}, **{gen: "gen" for gen in GEN_TYPES}}
+
+
 def _tokenize(text: str):
     tokens = []
     pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in ";|()":
-            tokens.append((ch, ch, pos))
-            pos += 1
-            continue
-        for gen in _GENERATORS:
-            if text.startswith(gen, pos):
-                tokens.append(("gen", gen, pos))
-                pos += len(gen)
-                break
-        else:
-            raise TangleSyntaxError(f"unexpected character {ch!r}", pos)
+    for space, tok in _TOKEN.findall(text):
+        pos += len(space)
+        kind = _TOKEN_KINDS.get(tok)
+        if kind is None:
+            raise TangleSyntaxError(f"unexpected character {tok!r}", pos)
+        tokens.append((kind, tok, pos))
+        pos += len(tok)
     return tokens
 
 
@@ -111,6 +117,9 @@ class _Parser:
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
+    def at(self, kind: str) -> bool:
+        return self.pos < len(self.tokens) and self.tokens[self.pos][0] == kind
+
     def take(self, kind=None):
         tok = self.peek()
         if tok is None:
@@ -122,8 +131,8 @@ class _Parser:
 
     def parse_expr(self) -> TangleExpr:
         parts = [self.parse_term()]
-        while self.peek() and self.peek()[0] == ";":
-            self.take(";")
+        while self.at(";"):
+            self.pos += 1
             parts.append(self.parse_term())
         if len(parts) == 1:
             return parts[0]
@@ -131,8 +140,8 @@ class _Parser:
 
     def parse_term(self) -> TangleExpr:
         parts = [self.parse_factor()]
-        while self.peek() and self.peek()[0] == "|":
-            self.take("|")
+        while self.at("|"):
+            self.pos += 1
             parts.append(self.parse_factor())
         if len(parts) == 1:
             return parts[0]
@@ -189,6 +198,9 @@ class EvalContext:
     adjunction: Adjunction
     ambient: int = 3
     tol: float = 1e-9
+    # each generator's matrix, built on first use; read-only because every
+    # evaluation in the context shares it
+    _gens: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def make(cat: RepCategory, x: RepObject, ambient: int = 3, tol: float = 1e-9,
@@ -226,6 +238,12 @@ class EvalContext:
         return obj if obj is not None else self.cat.unit()
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices: the same products, without its per-call set-up."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def _gen_matrix(name: str, ctx: EvalContext) -> np.ndarray:
     adj = ctx.adjunction
     if name == "id+":
@@ -260,7 +278,13 @@ def evaluate(expr, ctx: EvalContext) -> Intertwiner:
 
 def _eval_node(node: TangleExpr, ctx: EvalContext) -> np.ndarray:
     if isinstance(node, Gen):
-        return _gen_matrix(node.name, ctx)
+        mat = ctx._gens.get(node.name)
+        if mat is None:
+            # a copy, so the adjunction's own arrays stay writable
+            mat = ctx._gens[node.name] = np.array(_gen_matrix(node.name, ctx),
+                                                  dtype=np.complex128)
+            mat.flags.writeable = False
+        return mat
     if isinstance(node, Seq):
         mat = _eval_node(node.parts[0], ctx)
         for part in node.parts[1:]:
@@ -270,7 +294,7 @@ def _eval_node(node: TangleExpr, ctx: EvalContext) -> np.ndarray:
         mat = None
         for part in node.parts:
             piece = _eval_node(part, ctx)
-            mat = piece if mat is None else np.kron(mat, piece)
+            mat = piece if mat is None else _kron(mat, piece)
         return mat
     raise ValidationError("malformed tangle tree")
 

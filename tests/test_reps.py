@@ -23,6 +23,7 @@ from twohilb.reps import (
     RestrictionFunctor,
     frobenius_schur_indicator,
 )
+from twohilb.tangles import EvalContext
 
 
 @pytest.fixture(scope="module")
@@ -485,9 +486,10 @@ def test_decompose_rejects_non_integral_multiplicity(s3):
         s3.decompose(RepObject(s3, mats))
 
 
-def test_balancing_is_evaluated_once(monkeypatch):
-    cat = RepCategory(symmetric_group(4))
-    x = cat.irrep("3a")
+def test_balancing_is_evaluated_once(monkeypatch, super_q8):
+    """balancing, qdim and dim evaluate a graded balancing once each; the
+    canonical bosonic one is the identity and is not evaluated at all."""
+    s4 = RepCategory(symmetric_group(4))
     calls = []
     original = RepCategory.balancing_of
 
@@ -496,12 +498,54 @@ def test_balancing_is_evaluated_once(monkeypatch):
         return original(self, adj)
 
     monkeypatch.setattr(RepCategory, "balancing_of", counted)
-    counts = {}
-    for name in ("balancing", "qdim", "dim"):
-        calls.clear()
-        getattr(cat, name)(x)
-        counts[name] = len(calls)
-    assert counts == {"balancing": 1, "qdim": 1, "dim": 1}
+
+    def counts(cat, x):
+        out = {}
+        for name in ("balancing", "qdim", "dim"):
+            calls.clear()
+            getattr(cat, name)(x)
+            out[name] = len(calls)
+        return out
+
+    assert counts(super_q8, super_q8.irrep("2a")) == {"balancing": 1, "qdim": 1, "dim": 1}
+    assert counts(s4, s4.irrep("3a")) == {"balancing": 0, "qdim": 0, "dim": 0}
+
+
+def test_canonical_bosonic_duality_needs_no_svd(monkeypatch):
+    cat = RepCategory(symmetric_group(4))
+    x = cat.irrep("3a")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd was called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert np.array_equal(cat.balancing(x).matrix, np.eye(3))
+    assert cat.dim(x) == 3.0
+    assert cat.qdim(x) == 3.0
+    ctx = EvalContext.make(cat, x, ambient=4)
+    assert ctx.adjunction.triangle_dev() == 0.0
+
+
+def test_graded_balancing_that_is_not_unitary_raises(superhilb):
+    # even + odd on a carrier rotated by a non-unitary change of basis: the
+    # grading s diag(1, -1) s^-1, which is the balancing, is not unitary
+    s = np.array([[1.0, 1.0], [0.0, 1.0]])
+    mats = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+    x = RepObject(superhilb, s @ mats @ np.linalg.inv(s))
+    with pytest.raises(ValidationError, match="balancing is not unitary"):
+        superhilb.balancing(x)
+    with pytest.raises(ValidationError, match="balancing is not unitary"):
+        superhilb.well_balanced_adjunction(x)
+
+
+def test_rebalanced_adjunction_with_broken_triangles_raises(s3):
+    # doubling only the unit leaves the balancing E^H E = I but breaks both
+    # zig-zags, so rescaling has nothing to fix and the triangles must fail
+    x = s3.irrep("2a")
+    canonical = s3.adjunction(x)
+    broken = Adjunction(x, canonical.xstar, 2.0 * canonical.i, canonical.e)
+    with pytest.raises(ValidationError, match="duality triangles fail"):
+        s3.well_balanced_adjunction(x, base=broken)
 
 
 def test_shared_arrays_are_read_only(s3):

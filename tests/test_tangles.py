@@ -1,5 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twohilb import tangles
 
 from twohilb.errors import TangleSyntaxError, TangleTypeError, ValidationError
 from twohilb.groups import FiniteSuperGroup, cyclic_group, symmetric_group
@@ -9,6 +15,7 @@ from twohilb.tangles import (
     HOPF_PRESENTATIONS,
     KINK_PLUS,
     UNKNOT_PRESENTATIONS,
+    GEN_TYPES,
     EvalContext,
     evaluate,
     evaluate_scalar,
@@ -153,3 +160,82 @@ def test_hopf_presentations_agree(s3_ctx, odd_ctx):
 def test_move_check_boundary_mismatch(s3_ctx):
     with pytest.raises(TangleTypeError):
         move_check("id+", "id+ | id+", s3_ctx)
+
+
+def _reference_tokenize(text):
+    """The tokenizer as a loop: skip str.isspace, take a punctuation mark or
+    else the first generator, longest first, that the text continues with."""
+    generators = sorted(GEN_TYPES, key=len, reverse=True)
+    tokens, pos = [], 0
+    while pos < len(text):
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch in ";|()":
+            tokens.append((ch, ch, pos))
+            pos += 1
+            continue
+        for gen in generators:
+            if text.startswith(gen, pos):
+                tokens.append(("gen", gen, pos))
+                pos += len(gen)
+                break
+        else:
+            raise TangleSyntaxError(f"unexpected character {ch!r}", pos)
+    return tokens
+
+
+# generators, their prefixes and suffixes, punctuation, ASCII and Unicode
+# whitespace, and stray characters
+_FRAGMENTS = sorted(GEN_TYPES) + [
+    "c", "co", "coe", "e", "i", "id", "b", "B", "b+", "B-", "*", "+", "-",
+    ";", "|", "(", ")", " ", "  ", "\t", "\n", "\x1c", "\xa0", "\u2003",
+    "@", "x", "\u00e9", "\U0001f600"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join))
+def test_tokenizer_matches_the_reference_loop(text):
+    def outcome(tokenize):
+        try:
+            return tokenize(text)
+        except TangleSyntaxError as err:
+            return str(err), err.position
+
+    assert outcome(tangles._tokenize) == outcome(_reference_tokenize)
+
+
+def test_generator_matrices_are_read_only(s3_ctx):
+    """Evaluations in one context share each generator's matrix."""
+    value = evaluate("b++", s3_ctx)
+    with pytest.raises(ValueError):
+        value.matrix[0, 0] = 2.0
+    assert evaluate("b++", s3_ctx).matrix is value.matrix
+
+
+def test_parallel_composition_is_bitwise_kron(s3_ctx, rng):
+    a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    b = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
+    assert np.array_equal(tangles._kron(a, b), np.kron(a, b))
+    par = evaluate("coev | b+- | ev*", s3_ctx).matrix
+    want = np.kron(np.kron(evaluate("coev", s3_ctx).matrix, evaluate("b+-", s3_ctx).matrix),
+                   evaluate("ev*", s3_ctx).matrix)
+    assert np.array_equal(par, want)
+
+
+@pytest.mark.parametrize("ambient", [2, 3, 4])
+def test_move_suite_builds_each_generator_once(monkeypatch, ambient):
+    cat = RepCategory(symmetric_group(4))
+    ctx = EvalContext.make(cat, cat.irrep("3a"), ambient=ambient)
+    calls = Counter()
+    original = tangles._gen_matrix
+
+    def counted(name, context):
+        calls[name] += 1
+        return original(name, context)
+
+    monkeypatch.setattr(tangles, "_gen_matrix", counted)
+    move_suite(ctx)
+    assert calls and max(calls.values()) == 1
+    assert ("b++" in calls) == (ambient >= 3)
