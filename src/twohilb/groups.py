@@ -176,8 +176,12 @@ class FiniteGroup:
     def from_json(data: dict) -> "FiniteGroup":
         g = FiniteGroup.make(data.get("name", "group"), data["table"],
                              data.get("element_names"))
-        if "order" in data and int(data["order"]) != g.order:
-            raise ValidationError("declared order does not match the table")
+        if "order" in data:
+            order = data["order"]
+            if not isinstance(order, int) or isinstance(order, bool):
+                raise ValidationError("declared order must be an integer")
+            if order != g.order:
+                raise ValidationError("declared order does not match the table")
         return g
 
 

@@ -24,7 +24,6 @@ from .linalg import (
     DEFAULT_TOL,
     cluster_indices,
     dagger,
-    distance_to_unitary,
     max_abs,
     max_dev,
     random_complex,
@@ -415,27 +414,41 @@ class RepCategory:
 
         It is built from the matrix-coefficient operators
         E_j0 = (d/|G|) sum_g conj(irrep(g)[j, 0]) rho_x(g), one contraction
-        over the group per irreducible: E_00 is the Hermitian projector onto
-        a multiplicity space, an orthonormal basis v_b of its range comes
-        from one eigh, and column (j, b) of u^H is E_j0 v_b.  No random draw
-        is made, so equal matrices give identical co-isometries.  The
-        multiplicities come from the character table.
+        over the group per irreducible.  Each E_00 is the Hermitian projector
+        onto a multiplicity space, and by Schur orthogonality the projectors
+        of distinct irreducibles are mutually orthogonal, so one eigh of
+        H = sum_a (a + 1) E^a_00 over the irreducibles present gives them
+        all: its eigenspace at the integer a + 1 is the multiplicity space of
+        the a-th, and column (j, b) of u^H is E_j0 v_b for an orthonormal
+        basis v_b of it.  No random draw is made, so equal matrices give
+        identical co-isometries.  The multiplicities come from the character
+        table; raises when an eigenspace is not of that size, or when the
+        projectors do not resolve the identity (a carrier that is not unitary).
         """
         if x._isotypic is not None:
             return x._isotypic
-        pieces = []
         order = self.group.order
-        for irr, mult in zip(self.irreps(), self._multiplicity_vector(x)):
-            if mult == 0:
-                continue
-            d = irr.degree
-            coeffs = np.conj(irr.matrices[:, :, 0]).T * (d / order)  # (d, |G|)
-            e = (coeffs @ x.matrices.reshape(order, -1)).reshape(d, x.dim, x.dim)
-            _, vecs = np.linalg.eigh((e[0] + dagger(e[0])) / 2.0)
-            u_cols = (e @ vecs[:, -mult:]).transpose(1, 0, 2).reshape(x.dim, d * mult)
+        present = [(irr, m) for irr, m in zip(self.irreps(), self._multiplicity_vector(x))
+                   if m]
+        coefficient_ops = []
+        h = np.zeros((x.dim, x.dim), dtype=np.complex128)
+        for level, (irr, _) in enumerate(present, start=1):
+            coeffs = np.conj(irr.matrices[:, :, 0]).T * (irr.degree / order)  # (d, |G|)
+            e = (coeffs @ x.matrices.reshape(order, -1)).reshape(irr.degree, x.dim, x.dim)
+            coefficient_ops.append(e)
+            h += level * e[0]
+        eigvals, vecs = np.linalg.eigh((h + dagger(h)) / 2.0)
+        levels = np.rint(eigvals)
+        pieces = []
+        for level, ((irr, mult), e) in enumerate(zip(present, coefficient_ops), start=1):
+            basis = vecs[:, levels == level]
+            if basis.shape[1] != mult:
+                raise ValidationError(f"multiplicity space of {irr.label} has dimension "
+                                      f"{basis.shape[1]}, not {mult}")
+            u_cols = (e @ basis).transpose(1, 0, 2).reshape(x.dim, irr.degree * mult)
             pieces.append(IsotypicPiece(irr, mult, dagger(u_cols)))
-        worst = max_dev(sum(dagger(p.coisometry) @ p.coisometry for p in pieces),
-                        np.eye(x.dim))
+        u = _stacked(pieces, x.dim)
+        worst = max_dev(dagger(u) @ u, np.eye(x.dim))
         if worst > 1e-7:
             raise ValidationError(f"isotypic projectors do not resolve the identity "
                                   f"({worst:.3e})", violation=worst)
@@ -576,6 +589,11 @@ class RepCategory:
         The canonical unit and counit are reshaped identities, so their
         triangles hold exactly and E^H E = I: only a graded balancing, which
         is the grading, is left to check, and a bosonic one is I.
+
+        Unitarity is checked as ||b b^H - I||_F, one matmul and no SVD.  With
+        the polar form b = U P it equals ||(P - I)(P + I)||_F >= ||P - I||_F =
+        ||b - U||_F, which bounds every entry of b - U: the check is no weaker
+        than the distance to the unitary polar factor at the same threshold.
         """
         if base is None:
             adj = self.adjunction(x)
@@ -584,7 +602,7 @@ class RepCategory:
         else:
             adj = self._rebalance(base, tol)
         b = self.balancing_of(adj)
-        dev = distance_to_unitary(b.matrix)
+        dev = float(np.linalg.norm(b.matrix @ dagger(b.matrix) - np.eye(x.dim)))
         if dev > 1e3 * tol:
             raise ValidationError(f"balancing is not unitary ({dev:.3e})", violation=dev)
         if base is not None and adj.triangle_dev() > 1e3 * tol:

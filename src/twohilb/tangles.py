@@ -14,8 +14,9 @@ Cups and caps evaluate to the counit/unit of a well-balanced duality;
 Crossings need ambient dimension at least 3; in ambient 4 both crossings
 are required to agree (the braiding is a symmetry).
 
-One compiled regular expression tokenizes an expression, and every call
-parses anew.  An ``EvalContext`` builds each generator's matrix on first use
+One compiled regular expression tokenizes an expression.  The move suite's
+expressions are parsed once, when the module loads; any other is parsed on
+every call.  An ``EvalContext`` builds each generator's matrix on first use
 and keeps it, read-only, for every later occurrence, so a move suite builds
 ``b++`` and the inverse behind ``B++`` once.  Juxtaposition multiplies the
 factors' entries by broadcasting, the products ``np.kron`` makes, without
@@ -347,8 +348,9 @@ class MoveEntry:
                 "note": self.note}
 
 
-def move_check(lhs: str, rhs: str, ctx: EvalContext) -> float:
-    """Evaluate both sides of a move; returns the largest entry deviation."""
+def move_check(lhs: str | TangleExpr, rhs: str | TangleExpr, ctx: EvalContext) -> float:
+    """Evaluate both sides (parsed or textual) of a move; returns the largest
+    entry deviation."""
     left = evaluate(lhs, ctx)
     right = evaluate(rhs, ctx)
     if left.src.dim != right.src.dim or left.dst.dim != right.dst.dim:
@@ -370,6 +372,12 @@ _CROSSING_PAIRS = [
      "(id+ | b++) ; (b++ | id+) ; (id+ | b++)"),
     ("framed-r1-pair", f"{KINK_PLUS} ; {KINK_MINUS}", "id+"),
 ]
+
+
+# the suite's expressions never change, so each is parsed once, here
+_PARSED = {text: parse(text)
+           for text in [t for _, lhs, rhs in _ZIGZAGS + _CROSSING_PAIRS for t in (lhs, rhs)]
+           + [KINK_PLUS, "b++", "B++"]}
 
 
 def move_suite(ctx: EvalContext, tol: float | None = None) -> list[MoveEntry]:
@@ -396,9 +404,9 @@ def move_suite(ctx: EvalContext, tol: float | None = None) -> list[MoveEntry]:
     entries = []
     for move_id, name, lhs, rhs, required, note in jobs:
         if rhs is None:
-            deviation = distance_to_unitary(evaluate(lhs, ctx).matrix)
+            deviation = distance_to_unitary(evaluate(_PARSED[lhs], ctx).matrix)
         else:
-            deviation = move_check(lhs, rhs, ctx)
+            deviation = move_check(_PARSED[lhs], _PARSED[rhs], ctx)
         entries.append(MoveEntry(move_id, name, lhs, rhs, float(deviation),
                                  bool(deviation < tol), required, note))
     return entries

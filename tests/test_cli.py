@@ -153,6 +153,9 @@ def test_unknown_object_is_input_error(capsys):
     '{"table": [[0.5, 1], [1, 0]]}',            # truncated to Z2 by int()
     '{"table": [[0, 1], [1, 0]], "central_involution": 1.5}',
     '{"table": [[0, 1], [1, 0]], "central_involution": true}',
+    '{"table": [[0, 1], [1, 0]], "order": 2.9}',  # truncated to 2 by int()
+    '{"table": [[0, 1], [1, 0]], "order": "2"}',
+    '{"table": [[0]], "order": true}',               # int(True) is the order 1
 ])
 def test_malformed_group_json_is_input_error(tmp_path, capsys, text):
     path = tmp_path / "bad.json"

@@ -538,6 +538,77 @@ def test_graded_balancing_that_is_not_unitary_raises(superhilb):
         superhilb.well_balanced_adjunction(x)
 
 
+def test_graded_duality_needs_no_svd(monkeypatch, super_q8, superhilb):
+    cases = [(super_q8, super_q8.irrep("2a")), (superhilb, superhilb.irrep("1b"))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd was called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for cat, x in cases:
+        grading = x.grading
+        assert max_dev(cat.balancing(x).matrix, grading) < 1e-12
+        assert cat.dim(x) == pytest.approx(x.dim)
+        assert cat.qdim(x) == pytest.approx(np.trace(grading).real)
+        f = cat.identity_map(x)
+        assert cat.trace(f) == pytest.approx(x.dim)
+        assert cat.trace(f, quantum=True) == pytest.approx(np.trace(grading).real)
+        assert EvalContext.make(cat, x, ambient=4).adjunction.triangle_dev() == 0.0
+
+
+def _rotated_sum(cat, labels, seed):
+    """The direct sum of the named irreducibles, rotated by a random unitary."""
+    x = reduce(cat.direct_sum, [cat.irrep(label) for label in labels])
+    u = random_unitary(np.random.default_rng(seed), x.dim)
+    return RepObject(cat, u @ x.matrices @ dagger(u))
+
+
+def _one_eigh_case(name, super_q8):
+    if name == "S4":
+        cat = RepCategory(symmetric_group(4))
+        return cat, _rotated_sum(cat, ["1a", "2a", "3a", "3b", "3b"], 1)
+    if name == "SuperQ8":
+        return super_q8, _rotated_sum(super_q8, ["1a", "1b", "1c", "1d", "2a", "2a"], 2)
+    cat = RepCategory(cyclic_group(12))
+    x = cat.direct_sum(cat.irrep("1b"), cat.irrep("1c"))
+    y = reduce(cat.direct_sum, [cat.irrep("1d"), cat.irrep("1e"), cat.irrep("1f")])
+    return cat, cat.tensor(x, y)
+
+
+@pytest.mark.parametrize("name, present", [("S4", 4), ("SuperQ8", 5), ("Z12-tensor", 5)])
+def test_decompose_makes_one_eigh(monkeypatch, super_q8, name, present):
+    cat, x = _one_eigh_case(name, super_q8)
+    mults = cat.multiplicities(x)  # the irreducibles are split before counting
+    assert len(mults) == present
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    pieces = cat.decompose(x)
+    assert len(calls) == 1
+    assert {p.irrep.label: p.multiplicity for p in pieces} == mults
+    for p in pieces:
+        u = p.coisometry
+        for g in range(cat.group.order):
+            want = np.kron(p.irrep.matrices[g], np.eye(p.multiplicity))
+            assert max_dev(u @ x.matrices[g] @ dagger(u), want) < 1e-9
+
+
+def test_decompose_of_a_non_unitary_carrier_raises(s3):
+    # 2a + 1a under a non-unitary change of basis: the characters, and so the
+    # multiplicities, are unchanged, but the E_00 are no orthogonal projectors
+    x = s3.direct_sum(s3.irrep("2a"), s3.irrep("1a"))
+    s = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    y = RepObject(s3, s @ x.matrices @ np.linalg.inv(s))
+    assert s3.multiplicities(y) == {"1a": 1, "2a": 1}
+    with pytest.raises(ValidationError):
+        s3.decompose(y)
+
+
 def test_rebalanced_adjunction_with_broken_triangles_raises(s3):
     # doubling only the unit leaves the balancing E^H E = I but breaks both
     # zig-zags, so rescaling has nothing to fix and the triangles must fail

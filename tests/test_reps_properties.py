@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from twohilb.errors import CompositionError, ValidationError
 from twohilb.groups import FiniteSuperGroup, catalog, quaternion_group
 from twohilb.hstar import compose, inner_product, morphism_dev, star
-from twohilb.linalg import dagger, distance_to_unitary, max_abs, max_dev, random_complex
+from twohilb.linalg import (
+    dagger,
+    distance_to_unitary,
+    max_abs,
+    max_dev,
+    random_complex,
+    random_unitary,
+)
 from twohilb.reps import Intertwiner, RepCategory, RepObject, _random_intertwiner
 from twohilb.sampling import random_morphism, random_object, random_space
 
@@ -277,3 +284,18 @@ def test_triangle_identities(name, seed, scale):
         assert max_dev(on_dual, np.eye(ds)) < TOL
         assert adj.triangle_dev() < TOL
         assert distance_to_unitary(cat.balancing_of(adj).matrix) < 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 8), seed=seeds, near=st.booleans(),
+       eps=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1]))
+def test_gram_defect_bounds_the_distance_to_unitary(d, seed, near, eps):
+    """||a a^H - I||_F >= max |a - U| for the unitary polar factor U of a, the
+    bound that lets a graded balancing be checked without an SVD."""
+    rng = np.random.default_rng(seed)
+    if near:
+        a = random_unitary(rng, d) @ (np.eye(d) + eps * random_complex(rng, (d, d)))
+    else:
+        a = random_complex(rng, (d, d))
+    gram = np.linalg.norm(a @ dagger(a) - np.eye(d))
+    assert gram + 1e-13 >= distance_to_unitary(a)

@@ -225,6 +225,21 @@ def test_parallel_composition_is_bitwise_kron(s3_ctx, rng):
 
 
 @pytest.mark.parametrize("ambient", [2, 3, 4])
+def test_move_suite_parses_nothing(monkeypatch, ambient):
+    """The suite's expressions are parsed when the module loads, not per call."""
+    cat = RepCategory(symmetric_group(4))
+    ctx = EvalContext.make(cat, cat.irrep("3a"), ambient=ambient)
+
+    def refuse(text):
+        raise AssertionError(f"parse({text!r}) was called")
+
+    monkeypatch.setattr(tangles, "parse", refuse)
+    entries = move_suite(ctx)
+    assert len(entries) == (4 if ambient == 2 else 10)
+    assert all(e.passed for e in entries if e.required)
+
+
+@pytest.mark.parametrize("ambient", [2, 3, 4])
 def test_move_suite_builds_each_generator_once(monkeypatch, ambient):
     cat = RepCategory(symmetric_group(4))
     ctx = EvalContext.make(cat, cat.irrep("3a"), ambient=ambient)
