@@ -106,6 +106,17 @@ class FiniteGroup:
     def inverse(self, a: int) -> int:
         return int(self.inverses[a])
 
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """The greedy generating set of ``_generators_and_walk``."""
+        return self._memo("_walk", partial(_generators_and_walk, self))[0]
+
+    @property
+    def walk(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        """The steps (s, parents, children = parents s) that reach every
+        element from the identity, in order (see ``_generators_and_walk``)."""
+        return self._memo("_walk", partial(_generators_and_walk, self))[1]
+
     def validate(self) -> None:
         n = self.order
         t = self.matrix
@@ -115,7 +126,7 @@ class FiniteGroup:
         # Light's test: the s with (xs)y = x(sy) for all x, y are closed under
         # products and contain the identity, so checking s over a generating
         # set is exact; each s costs two n x n gathers
-        for s in _generators(t, self.identity):
+        for s in self.generators:
             if not np.array_equal(t[t[:, s]], t[:, t[s]]):
                 raise ValidationError("multiplication table is not associative")
 
@@ -156,7 +167,8 @@ class FiniteGroup:
         classes = []
         for a in range(self.order):
             if not seen[a]:
-                cls = np.unique(conj[:, a])
+                # bincount, not np.unique, whose first call imports numpy.ma
+                cls = np.flatnonzero(np.bincount(conj[:, a], minlength=self.order))
                 seen[cls] = True
                 classes.append(tuple(cls.tolist()))
         return tuple(classes)
@@ -223,23 +235,33 @@ def group_from_json(data: dict):
     return FiniteSuperGroup.make(g, int(z))
 
 
-def _generators(t: np.ndarray, identity: int) -> list[int]:
-    """A generating set, found greedily: the first element not yet reached
-    joins, and the reached set is closed under right multiplication by the
-    generators so far.  Every element is then a product ((g1 g2) g3)...
-    of generators; a group of order n needs at most log2(n) of them."""
+def _generators_and_walk(group: FiniteGroup):
+    """A generating set, found greedily, and a walk over the Cayley graph.
+
+    The first element not yet reached joins the generators, and the reached
+    set is closed under right multiplication by the generators so far, one
+    level at a time.  Each step (s, parents, children) of the walk records
+    the elements first reached as children = parents s, so every element is
+    a product ((g1 g2) g3)... of generators; a group of order n needs at
+    most log2(n) of them.  The arrays are read-only."""
+    t = group.matrix
     reached = np.zeros(len(t), dtype=bool)
-    reached[identity] = True
-    gens = []
+    reached[group.identity] = True
+    gens, steps = [], []
     while not reached.all():
         gens.append(int(np.argmin(reached)))
         frontier = np.flatnonzero(reached)  # each needs the new generator
         while frontier.size:
-            hit = np.zeros(len(t), dtype=bool)
-            hit[t[frontier[:, None], gens]] = True
-            frontier = np.flatnonzero(hit & ~reached)
-            reached |= hit
-    return gens
+            level = [frontier[:0]]
+            for s in gens:
+                children = t[frontier, s]
+                new = ~reached[children]
+                if new.any():
+                    reached[children[new]] = True
+                    steps.append((s, _frozen(frontier[new]), _frozen(children[new])))
+                    level.append(children[new])
+            frontier = np.concatenate(level)
+    return tuple(gens), tuple(steps)
 
 
 # -- constructions -----------------------------------------------------------

@@ -27,7 +27,6 @@ from .linalg import (
     max_abs,
     max_dev,
     random_complex,
-    random_hermitian,
     random_unitary,
 )
 
@@ -857,126 +856,79 @@ def _average(left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (left @ m @ np.conj(right.transpose(0, 2, 1))).mean(axis=0)
 
 
-# entries (64 KB of complex numbers) in one gathered block of permuted
-# copies in _compute_irreps: larger blocks were no faster on groups up to S5
-# and raised the peak memory of a run of small commands
-_GATHER_ENTRIES = 2 ** 12
-
-
-def _compute_irreps(group: FiniteGroup, z_index, attempts: int = 60):
+def _compute_irreps(group: FiniteGroup, z_index):
     """Split the regular representation reg (reg[g] e_h = e_{gh}) by the
-    eigenspaces of a group-averaged random Hermitian operator.
+    eigenspaces of a random Hermitian element of its commutant (Dixon,
+    "Computing irreducible representations of groups", Math. Comp. 24, 1970).
 
-    reg[g] permutes coordinates: (reg[g] v)[i] = v[p[i]] with p the row of
-    the table at g^-1.  So reg[g] h0 reg[g]^H is h0[p][:, p] and reg[g] @ basis
-    is basis[p]; nothing of size n^3 is built.
+    The commutant of reg is the right group algebra (Serre, Linear
+    Representations of Finite Groups, 2.4 and 6.2): the matrices
+    H[h, k] = c(h^-1 k), built by one gather of c.  With c(g^-1) = conj c(g),
+    H is Hermitian, and each eigenspace of a generic one is a single copy of
+    an irreducible.  An eigenvalue collision merges copies, which only the
+    norm check of ``_split_eigenspaces`` catches; c is then drawn again.
     """
-    n = group.order
-    perms = group.matrix[group.inverses]  # row g: the table row of g^-1
+    n, t, inv = group.order, group.matrix, group.inverses
+    quotients = t[inv]  # quotients[h, k] = h^-1 k
     rng = np.random.default_rng(1234)
-    for _ in range(attempts):
-        h0 = random_hermitian(rng, n)
-        avg = _conjugation_sum(h0, perms) / n
-        vals, vecs = np.linalg.eigh((avg + dagger(avg)) / 2.0)
-        spread = max(vals[-1] - vals[0], 1.0)
-        kept = _split_clusters(vecs, cluster_indices(vals, 1e-7 * spread), perms)
-        if kept is None or sum(m.shape[1] ** 2 for _, m in kept) != n:
-            continue
-        return _label_irreps(group, z_index, kept)
+    for _ in range(60):
+        z = random_complex(rng, n)
+        vals, vecs = np.linalg.eigh(((z + np.conj(z[inv])) / 2.0)[quotients])
+        clusters = cluster_indices(vals, 1e-7 * max(vals[-1] - vals[0], 1.0))
+        kept = _split_eigenspaces(group, vecs, clusters)
+        if kept is not None and sum(m.shape[1] ** 2 for _, m in kept) == n:
+            return _label_irreps(group, z_index, kept)
     raise ValidationError("failed to separate the isotypic blocks of the "
                           "regular representation")
 
 
-def _conjugation_sum(h0: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """sum over the rows p of perms of h0[p][:, p]: blocks of the copies are
-    gathered at once and added in the order of the rows, so the result is
-    bit for bit the sum of one loop over the rows."""
-    n = len(h0)
-    step = max(1, _GATHER_ENTRIES // (n * n))
-    total = np.zeros_like(h0)
-    for start in range(0, len(perms), step):
-        p = perms[start:start + step]
-        for copy in h0[p[:, :, None], p[:, None, :]]:
-            total += copy
-    return total
+def _split_eigenspaces(group: FiniteGroup, vecs: np.ndarray, clusters):
+    """(character, matrices) of reg on the first eigenspace of each character,
+    eigenspaces of one size together, or None when some eigenspace is not an
+    irreducible invariant subspace.
 
-
-def _split_clusters(vecs: np.ndarray, clusters, perms: np.ndarray):
-    """(character, matrices) of reg restricted to the span of the first
-    cluster of eigenvectors of each character (within 1e-6), in cluster
-    order, or None when some span is not an irreducible invariant subspace
-    (an eigenvalue collision merged non-isotypic spaces).  Clusters of one
-    size are handled together, as many as fit in one block of
-    _GATHER_ENTRIES gathered entries.
-
-    Every cluster is checked, but the matrices of the later clusters of a
-    character are never kept: the kept ones hold n sum_lam d_lam^2 = n^2
-    entries, where all d_lam clusters of each irreducible would hold
-    n sum_lam d_lam^3."""
-    n = len(vecs)
-    raw = [None] * len(clusters)
-    by_size = {}
-    for pos, cluster in enumerate(clusters):
-        by_size.setdefault(len(cluster), []).append(pos)
-    for d, positions in by_size.items():
-        seen = []  # the characters of this size listed so far
-        step = max(1, _GATHER_ENTRIES // (n * n * d))
-        for start in range(0, len(positions), step):
-            chunk = positions[start:start + step]
-            idx = np.array([clusters[pos] for pos in chunk])
-            bases = vecs[:, idx].transpose(1, 0, 2).copy()  # (clusters, n, d)
-            mats = _restricted(bases, perms)
-            if mats is None:
+    reg[s] permutes coordinates, (reg[s] B)[i] = B[s^-1 i], and invariance is
+    checked on the generators s only: the g with reg[g] B in span B are
+    closed under products, so this is exact (as Light's test is).  The
+    projector P = B B^H of an invariant eigenspace commutes with reg, so
+    P[h, k] = p(h^-1 k) with p = row e of P, and the character is
+    chi(g) = sum_h p(h^-1 g h) = (n / |C_g|) sum_{k in C_g} p(k): O(n d).
+    The matrices rho(g) = B^H reg[g] B of the kept eigenspaces are products
+    rho(g s) = rho(g) rho(s) along the group's walk, one batched matmul per
+    step and size."""
+    n, e, gens = group.order, group.identity, group.generators
+    classes = group.conjugacy_classes()
+    sizes = np.array([len(c) for c in classes])
+    members = np.concatenate(classes)
+    starts = np.cumsum(sizes) - sizes
+    moves = group.matrix[group.inverses[list(gens)]]
+    kept = []
+    for d, idx in itertools.groupby(sorted(clusters, key=len), key=len):
+        bases = vecs[:, list(idx)].transpose(1, 0, 2).copy()  # (eigenspaces, n, d)
+        adjoint = np.conj(bases.transpose(0, 2, 1))
+        rhos = []
+        for p in moves:
+            moved = bases[:, p]
+            rho = adjoint @ moved
+            moved -= bases @ rho
+            if max_abs(moved) > 1e-7:
                 return None
-            chars = np.einsum("cgii->cg", mats)
-            norm2 = np.sum(np.abs(chars) ** 2, axis=1) / n
-            if np.any(np.abs(norm2 - 1.0) > 1e-6):
-                return None
-            for c, pos in enumerate(chunk):
-                if seen and np.min(np.max(
-                        np.abs(np.stack(seen) - chars[c]), axis=1)) < 1e-6:
-                    continue
-                seen.append(chars[c])
-                raw[pos] = (chars[c], mats[c].copy())
-    return [entry for entry in raw if entry is not None]
-
-
-def _restricted(bases: np.ndarray, perms: np.ndarray):
-    """mats[c, g] = bases[c]^H reg[g] bases[c] for the (k, n, d) orthonormal
-    bases, or None when some reg[g] bases[c] leaves the span of bases[c].
-
-    The moved bases reg[g] bases[c] = bases[c][p] are gathered in blocks of
-    at most _GATHER_ENTRIES entries: several group elements at a time, or,
-    when the n x d copy of one element is larger, a range of its rows (and
-    the rows are then gathered twice, once for mats and once for the
-    invariance check)."""
-    k, n, d = bases.shape
-    rows = min(n, max(1, _GATHER_ENTRIES // (k * d)))
-    spans = [slice(lo, lo + rows) for lo in range(0, n, rows)]
-    step = max(1, _GATHER_ENTRIES // (k * n * d))
-    adjoint = np.conj(bases.transpose(0, 2, 1))[:, None]
-    mats = np.empty((k, len(perms), d, d), dtype=np.complex128)
-    for lo in range(0, len(perms), step):
-        p = perms[lo:lo + step]
-        out = mats[:, lo:lo + step]
-        # np.take keeps each moved block C-contiguous, as one cluster and
-        # one element alone would have it, so every matmul takes the same
-        # BLAS path and gives the same bits for any block size
-        for i, span in enumerate(spans):
-            moved = np.take(bases, p[:, span], axis=1)
-            if i:
-                out += adjoint[..., span] @ moved
-            else:
-                out[...] = adjoint[..., span] @ moved
-        for span in spans:
-            if len(spans) > 1:
-                moved = np.take(bases, p[:, span], axis=1)
-            # invariance: moved - bases mats, in place
-            residual = bases[:, None, span] @ out
-            residual -= moved
-            if max_abs(residual) > 1e-7:
-                return None
-    return mats
+            rhos.append(rho)
+        row_e = (np.conj(bases) @ bases[:, e, :, None])[..., 0]  # p = P[e]
+        chars = n * np.add.reduceat(row_e[:, members], starts, axis=1) / sizes
+        # <chi_a, chi_b>: 1 on the diagonal for irreducibles, and then 1 for
+        # equal characters and 0 for distinct ones
+        inner = ((np.conj(chars) * sizes) @ chars.T).real / n
+        if np.any(np.abs(np.diagonal(inner) - 1.0) > 1e-6):
+            return None
+        first = np.flatnonzero(np.argmax(inner > 0.5, axis=1) == np.arange(len(inner)))
+        mats = np.empty((len(first), n, d, d), dtype=np.complex128)
+        mats[:, e] = np.eye(d)
+        steps = dict(zip(gens, (rho[first, None] for rho in rhos)))
+        for s, parents, children in group.walk:
+            mats[:, children] = mats[:, parents] @ steps[s]
+        kept += zip(np.trace(mats, axis1=2, axis2=3), mats)
+    return kept
 
 
 def _label_irreps(group: FiniteGroup, z_index, kept) -> tuple[UnitaryIrrep, ...]:

@@ -28,7 +28,7 @@ from .hstar import (
     morphism_dev,
     star,
 )
-from .linalg import block_diag, dagger, max_dev, random_unitary
+from .linalg import block_diag, dagger, max_abs, max_dev, random_unitary
 from .reps import (Intertwiner, RepCategory, RepObject, _random_intertwiner, _skeletal,
                    _stacked, _swap_matrix)
 
@@ -122,39 +122,14 @@ def dual_group(cat: RepCategory) -> tuple[FiniteGroup, np.ndarray]:
 
     def build():
         chars = cat.character_table()
-        # each character is a tuple of 1 x 1 blocks, one per group element
-        table = _product_table([chars[:, :, None, None]],
-                               "character products failed to close")
+        # the validated fusion rules of degree-1 irreducibles have exactly
+        # one c per (a, b), which must be the product entrywise
+        table = cat.fusion_rules().argmax(axis=2)
+        if max_dev(chars[:, None] * chars[None, :], chars[table]) > 1e-6:
+            raise ValidationError("character products failed to close")
         dual = FiniteGroup.make(f"dual({group.name})", table, cat.irrep_labels())
         return dual, chars
     return cat._memo("dual_group", build)
-
-
-def _product_table(stacks, message: str) -> np.ndarray:
-    """table[a, b] = c where tuple a times tuple b, block by block, equals
-    tuple c within 1e-6 for exactly one c; otherwise raises ``message``.
-
-    Tuple a is (stack[a] for stack in stacks): each stack holds, per tuple,
-    k unitary d x d blocks as a (k, d, d) array (d = 1 for characters).
-    Weighting each block by its degree, the overlap sum_blocks d tr(x y^H)
-    of two tuples is, for the irreducibles of a group, sum_lam d_lam
-    chi_lam(x y^-1) = |G| delta_xy: it is the number of entries at a hit
-    and 0 elsewhere.  So one matmul per tuple a finds the candidates
-    (overlap above half the entries), and only those are compared entrywise.
-    """
-    n = len(stacks[0])
-    rows = np.hstack([s.reshape(n, -1) for s in stacks])
-    weighted = dagger(rows * np.hstack([np.full(s[0].size, s.shape[-1]) for s in stacks]))
-    table = np.empty((n, n), dtype=int)
-    for a in range(n):
-        prod = np.hstack([(s[a] @ s).reshape(n, -1) for s in stacks])
-        b, c = np.nonzero((prod @ weighted).real > rows.shape[1] / 2)
-        hit = np.max(np.abs(prod[b] - rows[c]), axis=1) < 1e-6
-        b, c = b[hit], c[hit]
-        if np.any(np.bincount(b, minlength=n) != 1):
-            raise ValidationError(message)
-        table[a, b] = c
-    return table
 
 
 # -- categorified Fourier transform -------------------------------------------
@@ -515,9 +490,12 @@ def tannaka_reconstruct(cat: RepCategory) -> TannakaResult:
     irreducibles' matrices, a monoidal unitary automorphism of the
     forgetful functor.  Every tuple is checked to be unitary, rho rho^H = I,
     and monoidal on characters, chi_lam chi_mu = sum_nu N_lam,mu^nu chi_nu
-    with the fusion rules N.  The tuples multiply block by block, and their
-    product table must be the group's own: the evaluation g -> tuple is an
-    isomorphism onto the reconstructed group.
+    with the fusion rules N.  The evaluation g -> tuple must be an
+    isomorphism onto the reconstructed group.  It is a homomorphism when
+    rho(b s) = rho(b) rho(s) for every b and each generator s: by induction
+    on words in the generators, as in Light's test.  It is injective when
+    sum_lam d_lam chi_lam = |G| delta_e, the character of the regular
+    representation, since rho(g) = I for every lam gives |G| at g.
 
     The list is complete.  The monoidal unitary automorphisms are the
     characters of the commutative algebra of matrix coefficients, whose
@@ -542,8 +520,13 @@ def tannaka_reconstruct(cat: RepCategory) -> TannakaResult:
         fused = np.tensordot(cat.fusion_rules(), chars, axes=(2, 0))
         if max_dev(chars[:, None] * chars[None, :], fused) > 1e-6:
             raise ValidationError("transformation is not monoidal")
-        table = _product_table(stacks, "transformations do not close under product")
-        if not np.array_equal(table, group.matrix):
+        # a homomorphism: rho(b s) = rho(b) rho(s) for every b and generator s
+        worst = max((max_dev(stack[group.matrix[:, s]], stack @ stack[s])
+                     for stack in stacks for s in group.generators), default=0.0)
+        # injective: sum_lam d_lam chi_lam is |G| at the identity and 0 elsewhere
+        regular = np.array([irr.degree for irr in irreps]) @ chars
+        regular[group.identity] -= group.order
+        if max(worst, max_abs(regular)) > 1e-6:
             raise ValidationError("evaluation at the group elements is not an "
                                   "isomorphism onto the reconstructed group")
         # the table is the group's own, which is validated already

@@ -4,18 +4,30 @@
 classes once with whole-table operations; Q8 and S_n are built with
 integer arithmetic; ``reps._average`` averages over the group in one
 batched matmul; and the irreducibles are split off the regular
-representation by permuting rows and columns.  The ``ref_*`` functions
-below keep the old definitions (2 x 2 quaternion matrices, composition of
-permutation tuples, per-element sums and the dense n x n x n regular
-representation) as the reference.
+representation through its commutant, in a basis of their own.  The
+``ref_*`` functions below keep the old definitions (2 x 2 quaternion
+matrices, composition of permutation tuples, per-element sums and the
+dense n x n x n regular representation) as the reference; the
+irreducibles are compared with it up to a change of basis.
 """
+import time
 import tracemalloc
+from functools import cache
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from twohilb.groups import FiniteSuperGroup, catalog, quaternion_group, symmetric_group
+from twohilb.groups import (
+    FiniteSuperGroup,
+    catalog,
+    cyclic_group,
+    group_from_json,
+    quaternion_group,
+    symmetric_group,
+)
+from twohilb import reps
+from twohilb.errors import ValidationError
 from twohilb.linalg import (
     cluster_indices,
     dagger,
@@ -24,16 +36,8 @@ from twohilb.linalg import (
     random_complex,
     random_hermitian,
 )
-from twohilb import reps
-from twohilb.groups import cyclic_group
-from twohilb.reps import (
-    RepCategory,
-    _average,
-    _conjugation_sum,
-    _label_irreps,
-    _random_intertwiner,
-    _split_clusters,
-)
+from twohilb.reps import RepCategory, _average, _label_irreps, _random_intertwiner
+from twohilb.transforms import tannaka_reconstruct
 
 TOL = 1e-12
 
@@ -113,32 +117,6 @@ def ref_irreps(group, z_index, attempts=60):
     raise AssertionError("reference failed to split the regular representation")
 
 
-def ref_conjugation_sum(h0, perms):
-    total = np.zeros_like(h0)
-    for p in perms:
-        total += h0[np.ix_(p, p)]
-    return total
-
-
-def ref_split_clusters(vecs, clusters, perms):
-    """One cluster at a time, keeping the first cluster of each character
-    (within 1e-6); None where a check fails on any cluster."""
-    n = len(vecs)
-    kept = []
-    for cluster in clusters:
-        basis = vecs[:, cluster]
-        moved = basis[perms]
-        mats = dagger(basis) @ moved
-        char = np.einsum("gii->g", mats)
-        if abs(float(np.real(np.sum(np.abs(char) ** 2))) / n - 1.0) > 1e-6:
-            return None
-        if max_dev(moved, basis @ mats) > 1e-7:
-            return None
-        if not any(max_abs(char - c2) < 1e-6 for c2, _ in kept):
-            kept.append((char, mats))
-    return kept
-
-
 def ref_label_order(kept):
     """The (degree, label rank) sort key of each entry of kept, with the
     fingerprints rounded one Python float at a time."""
@@ -198,21 +176,66 @@ def test_average_matches_per_element_sum(group):
         assert max_dev(f.matrix, ref_average(y.matrices, m0, x.matrices)) < TOL
 
 
+def _group(name):
+    if name in CATALOG:
+        return CATALOG[name]
+    return (symmetric_group(5) if name == "S5" else cyclic_group(int(name[1:]))), None
+
+
+@cache
+def _irreps_and_reference(name):
+    group, z = _group(name)
+    got = RepCategory(FiniteSuperGroup(group, z) if z is not None else group).irreps()
+    return got, ref_irreps(group, z)
+
+
+def _intertwining_unitary(a, b):
+    """The unitary u with u a(g) u^H = b(g) for every g, for two irreducibles
+    a and b: by Schur's lemma the group average of b(g) x a(g)^H is a
+    multiple of it when they are equivalent and 0 otherwise (then None)."""
+    x = random_complex(np.random.default_rng(3), a.shape[1:])
+    m = _average(b, x, a)
+    scale = np.sqrt(np.trace(m @ dagger(m)).real / len(m))  # 0 for inequivalent ones
+    u = m / max(scale, 1e-6)
+    return u if max_dev(u @ dagger(u), np.eye(len(m))) < TOL else None
+
+
+SPLIT_GROUPS = sorted(CATALOG) + ["S5", "Z27", "Z60"]
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG) + ["S5"])
 def test_irreps_match_dense_regular_representation(name):
-    group, z = CATALOG[name] if name in CATALOG else (symmetric_group(5), None)
-    got = RepCategory(FiniteSuperGroup(group, z) if z is not None else group).irreps()
-    want = ref_irreps(group, z)
+    """Labels, degrees, parities and characters agree with the reference:
+    the basis of each irreducible is the split's own."""
+    got, want = _irreps_and_reference(name)
     assert [i.label for i in got] == [i.label for i in want]
     assert [i.degree for i in got] == [i.degree for i in want]
     assert [i.parity for i in got] == [i.parity for i in want]
     for a, b in zip(got, want):
-        assert max_dev(a.matrices, b.matrices) < TOL
+        assert max_dev(a.character, b.character) < TOL
+
+
+@pytest.mark.parametrize("name", SPLIT_GROUPS)
+def test_irreps_are_unitarily_equivalent_to_the_dense_reference(name):
+    """Each irreducible is a unitary representation, its character is the
+    reference's within 1e-12, and one unitary carries its matrices onto the
+    reference's (the walk over the Cayley graph builds every element's)."""
+    got, want = _irreps_and_reference(name)
+    assert [i.label for i in got] == [i.label for i in want]
+    for a, b in zip(got, want):
+        assert max_dev(a.character, b.character) < TOL
+        assert max_dev(a.matrices @ np.conj(a.matrices.transpose(0, 2, 1)),
+                       np.eye(a.degree)) < TOL
+        u = _intertwining_unitary(a.matrices, b.matrices)
+        assert u is not None and max_dev(u @ a.matrices @ dagger(u), b.matrices) < TOL
+    # an inequivalent pair, 1b and the trivial 1a, has no intertwining unitary
+    if len(got) > 1 and got[1].degree == 1:
+        assert _intertwining_unitary(got[1].matrices, want[0].matrices) is None
 
 
 def test_s5_irreps_memory():
-    """The dense regular representation of S5 alone is 27.6 MB; splitting it by
-    row and column permutations keeps the peak to O(n^2) arrays."""
+    """The dense regular representation of S5 alone is 27.6 MB; splitting it
+    through its commutant keeps the peak to O(n^2) arrays."""
     cat = RepCategory(symmetric_group(5))
     tracemalloc.start()
     try:
@@ -224,35 +247,72 @@ def test_s5_irreps_memory():
     assert peak_mb < 15.0, f"S5 irreps peaked at {peak_mb:.1f} MB"
 
 
-BLOCKED = sorted(CATALOG) + ["S5", "Z27", "Z60"]
+def test_s6_irreps_and_tannaka():
+    """S6 (n = 720) splits in under 2 s within 64 MB of traced memory, and
+    its Tannaka check, on the generators, takes under 1 s.  The time is the
+    faster of two fresh groups' splits, as the host's speed varies."""
+    times = []
+    for _ in range(2):
+        cat = RepCategory(symmetric_group(6))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            irreps = cat.irreps()
+            times.append(time.perf_counter() - start)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert [i.degree for i in irreps] == [1, 1, 5, 5, 5, 5, 9, 9, 10, 10, 16]
+        assert peak_mb < 64.0, f"S6 irreps peaked at {peak_mb:.1f} MB"
+    assert min(times) < 2.0, f"S6 irreps took {min(times):.2f} s"
+    start = time.perf_counter()
+    assert tannaka_reconstruct(cat).order == 720
+    assert time.perf_counter() - start < 1.0
 
 
-def _group(name):
-    if name in CATALOG:
-        return CATALOG[name]
-    return (symmetric_group(5) if name == "S5" else cyclic_group(int(name[1:]))), None
+def test_split_refuses_merged_and_non_invariant_eigenspaces(monkeypatch):
+    """c = 1 makes H the all-ones matrix, whose eigenspace at 0 holds every
+    nontrivial copy: its character's norm is not 1, and the split draws
+    again (and gives up when every draw is such)."""
+    group = symmetric_group(3)
+    want = [i.label for i in RepCategory(symmetric_group(3)).irreps()]
+    draws = []
+
+    def first_constant(rng, shape):
+        draws.append(shape)
+        return np.ones(shape) if len(draws) == 1 else random_complex(rng, shape)
+    monkeypatch.setattr(reps, "random_complex", first_constant)
+    assert [i.label for i in reps._compute_irreps(group, None)] == want
+    assert len(draws) == 2
+    monkeypatch.setattr(reps, "random_complex", lambda rng, shape: np.ones(shape))
+    with pytest.raises(ValidationError, match="failed to separate"):
+        reps._compute_irreps(group, None)
+    # f = -1 on the 3-cycles and 1 elsewhere is a class function of norm 1
+    # but no character, so its line passes the norm check and only the
+    # generators refuse it; the sign character's line is kept
+    orders = np.array([group.element_order(a) for a in range(group.order)])
+    for f, kept in ((np.where(orders == 3, -1.0, 1.0), False),
+                    (np.where(orders == 2, -1.0, 1.0), True)):
+        vecs = np.linalg.qr(np.column_stack([f, np.eye(group.order)[:, 1:]]))[0]
+        assert (reps._split_eigenspaces(group, vecs, [[0]]) is not None) == kept
+    # the trivial and sign lines together span an invariant plane whose
+    # character has norm 2: only the norm check refuses it
+    lines = np.column_stack([np.ones(group.order), np.where(orders == 2, -1.0, 1.0)])
+    vecs = np.linalg.qr(np.column_stack([lines, np.eye(group.order)[:, 2:]]))[0]
+    assert reps._split_eigenspaces(group, vecs, [[0, 1]]) is None
 
 
-@pytest.mark.parametrize("name", BLOCKED)
-def test_blocked_split_is_bitwise_the_cluster_loop(name):
-    """The gathered blocks (several of them on S5) add the permuted copies in
-    the loop's order, and the batched matmul takes each cluster's BLAS path:
-    the averaged operator and the irreducible matrices are the same bits."""
-    group, _ = _group(name)
-    perms = group.matrix[group.inverses]
-    h0 = random_hermitian(np.random.default_rng(1234), group.order)
-    avg = _conjugation_sum(h0, perms)
-    assert np.array_equal(avg, ref_conjugation_sum(h0, perms))
-    vals, vecs = np.linalg.eigh((avg + dagger(avg)) / 2.0)
-    clusters = cluster_indices(vals, 1e-7 * max(vals[-1] - vals[0], 1.0))
-    got, want = _split_clusters(vecs, clusters, perms), ref_split_clusters(vecs, clusters, perms)
-    assert (got is None) == (want is None)
-    for (char, mats), (ref_char, ref_mats) in zip(got or [], want or [], strict=True):
-        assert np.array_equal(mats, ref_mats)
-        assert max_dev(char, ref_char) < TOL
+@pytest.mark.parametrize("group", [cyclic_group(1), group_from_json({"table": [[0]]})])
+def test_the_trivial_group_splits_and_reconstructs(group):
+    """The trivial group has no generators: nothing to check or walk."""
+    assert group.generators == () and group.walk == ()
+    cat = RepCategory(group)
+    [irrep] = cat.irreps()
+    assert irrep.label == "1a" and irrep.matrices.tolist() == [[[1]]]
+    assert tannaka_reconstruct(cat).order == 1
 
 
-@pytest.mark.parametrize("name", BLOCKED)
+@pytest.mark.parametrize("name", SPLIT_GROUPS)
 def test_labels_sort_like_rounded_python_floats(name):
     group, z = _group(name)
     irreps = RepCategory(FiniteSuperGroup(group, z) if z is not None else group).irreps()
@@ -262,40 +322,3 @@ def test_labels_sort_like_rounded_python_floats(name):
     order = ref_label_order(kept)
     assert all(np.shares_memory(relabelled[pos].matrices, kept[i][1])
                for pos, i in enumerate(order))
-
-
-def _recorded_takes(monkeypatch):
-    """The sizes of the arrays that np.take returns, for the reps module."""
-    sizes, take = [], np.take
-
-    def recording(*args, **kwargs):
-        out = take(*args, **kwargs)
-        sizes.append(out.size)
-        return out
-    monkeypatch.setattr(reps.np, "take", recording)
-    return sizes
-
-
-def test_split_gathers_stay_within_the_budget(monkeypatch):
-    """On S5 a degree-6 eigenspace moved by all 120 elements at once is
-    86,400 entries; the split gathers blocks of elements instead."""
-    sizes = _recorded_takes(monkeypatch)
-    irreps = RepCategory(symmetric_group(5)).irreps()
-    assert [i.degree for i in irreps] == [1, 1, 4, 4, 5, 5, 6]
-    assert sizes and max(sizes) <= reps._GATHER_ENTRIES
-
-
-@pytest.mark.parametrize("budget", [3, 7, 40])
-def test_split_within_small_budgets_gathers_rows(monkeypatch, budget):
-    """A budget below the n x d copy of one element makes the split gather a
-    range of rows at a time (S4 has d <= 3, one row of d entries is the
-    least); the irreducibles agree with the one-block split."""
-    group = symmetric_group(4)
-    want = RepCategory(group).irreps()
-    sizes = _recorded_takes(monkeypatch)
-    monkeypatch.setattr(reps, "_GATHER_ENTRIES", budget)
-    got = RepCategory(symmetric_group(4)).irreps()
-    assert max(sizes) <= budget
-    assert [i.label for i in got] == [i.label for i in want]
-    for a, b in zip(got, want):
-        assert max_dev(a.matrices, b.matrices) < TOL

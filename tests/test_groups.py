@@ -16,7 +16,6 @@ from twohilb.groups import (
     product_group,
     quaternion_group,
     symmetric_group,
-    _generators,
 )
 from twohilb.reps import RepCategory
 
@@ -181,10 +180,17 @@ def test_light_test_agrees_with_the_triple_check():
 
 def test_generators_generate():
     """Every element is a product of the greedy generators, and a group of
-    order n needs at most log2(n) of them."""
+    order n needs at most log2(n) of them.  The walk reaches every element
+    but the identity once, from a parent reached before it."""
     for g in (symmetric_group(5), dihedral_group(6),
               product_group(cyclic_group(2), cyclic_group(4)), cyclic_group(1)):
-        gens = _generators(g.matrix, g.identity)
+        gens = g.generators
+        seen = [g.identity]
+        for s, parents, children in g.walk:
+            assert s in gens and set(parents.tolist()) <= set(seen)
+            assert children.tolist() == [g.mult(x, s) for x in parents.tolist()]
+            seen += children.tolist()
+        assert sorted(seen) == list(range(g.order))
         reached, frontier = {g.identity}, [g.identity]
         while frontier:
             frontier = [g.mult(x, s) for x in frontier for s in gens

@@ -19,7 +19,6 @@ from twohilb.reps import Intertwiner, RepCategory, UnitaryIrrep, _random_intertw
 from twohilb.transforms import (
     FourierMap,
     SpectrumPoint,
-    _product_table,
     conv_layout,
     convolution,
     convolution_tensor,
@@ -89,25 +88,33 @@ def test_dual_group_structure():
         dual_group(RepCategory(symmetric_group(3)))
 
 
-def test_product_table_rejects_rows_that_do_not_close():
-    def characters(rows):
-        """Each row as a tuple of 1 x 1 blocks."""
-        return [np.asarray(rows)[:, :, None, None]]
+def _forged_dual(group, rows):
+    """dual_group of a category of the group whose character table is rows."""
+    cat = RepCategory(group)
+    cat._shared["characters"] = np.asarray(rows, dtype=np.complex128)
+    return dual_group(cat)
+
+
+def test_dual_group_rejects_character_rows_that_do_not_close():
     # orthonormal unit-modulus rows: (i, -i)^2 = (-1, -1) is no row
-    with pytest.raises(ValidationError, match="failed to close"):
-        _product_table(characters([[1, 1], [1j, -1j]]), "failed to close")
+    with pytest.raises(ValidationError):
+        _forged_dual(cyclic_group(2), [[1, 1], [1j, -1j]])
     z3 = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3)
-    assert _product_table(characters(z3), "failed to close").tolist() == \
-        [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    assert _forged_dual(cyclic_group(3), z3)[0].table == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     # row 2 turned by opposite phases 5e-4 in two entries: products miss
-    # their rows entrywise by up to 1e-3, while every overlap stays real
-    # and within 4e-7 of 1
-    z3[2, 1:] *= np.exp([5e-4j, -5e-4j])
-    with pytest.raises(ValidationError, match="failed to close"):
-        _product_table(characters(z3), "failed to close")
+    # their rows entrywise by up to 1e-3
+    turned = z3.copy()
+    turned[2, 1:] *= np.exp([5e-4j, -5e-4j])
+    with pytest.raises(ValidationError):
+        _forged_dual(cyclic_group(3), turned)
     # a repeated row is hit twice by every product
-    with pytest.raises(ValidationError, match="failed to close"):
-        _product_table(characters(np.ones((2, 2))), "failed to close")
+    with pytest.raises(ValidationError):
+        _forged_dual(cyclic_group(2), np.ones((2, 2)))
+    # phases of 7e-7: the fusion multiplicities round to the table of Z3,
+    # and only the entrywise comparison sees products miss by 1.4e-6
+    turned[2, 1:] = z3[2, 1:] * np.exp([7e-7j, -7e-7j])
+    with pytest.raises(ValidationError, match="^character products failed to close$"):
+        _forged_dual(cyclic_group(3), turned)
 
 
 def test_convolution_matches_the_dense_multiplicity_matrix():
@@ -466,8 +473,8 @@ def test_tannaka_tells_d4_from_q8():
 
 def test_tannaka_rejects_an_anti_homomorphism():
     """Transposed 2a matrices stay unitary and keep every character, but
-    g -> rho(g)^T reverses products: the tuples multiply to the opposite
-    table, and the evaluation check refuses it."""
+    g -> rho(g)^T reverses products, rho(b s) = rho(s) rho(b), and the
+    check on the generators refuses it."""
     group = symmetric_group(3)
     cat = RepCategory(group)
     irreps = tuple(UnitaryIrrep(irr.label, irr.degree,
@@ -475,11 +482,21 @@ def test_tannaka_rejects_an_anti_homomorphism():
                                 else irr.matrices, irr.parity)
                    for irr in cat.irreps())
     cat._shared["irreps"] = irreps
-    stacks = [np.stack([irr.matrices for irr in irreps if irr.degree == d], axis=1)
-              for d in (1, 2)]
-    opposite = _product_table(stacks, "failed to close")
-    assert np.array_equal(opposite, group.matrix.T)
-    assert not np.array_equal(opposite, group.matrix)
+    rho, t = irreps[-1].matrices, group.matrix
+    for s in group.generators:
+        assert max_dev(rho[t[:, s]], rho[s] @ rho) < 1e-12
+        assert max_dev(rho[t[:, s]], rho @ rho[s]) > 1.0
+    with pytest.raises(ValidationError, match="not an isomorphism"):
+        tannaka_reconstruct(cat)
+
+
+def test_tannaka_rejects_an_evaluation_that_is_not_injective():
+    """1a and 1b alone are the irreducibles of S3/A3: unitary, monoidal and
+    multiplicative, but every element of A3 goes to the identity tuple, so
+    sum_lam d_lam chi_lam is 2 there, not 0."""
+    cat = RepCategory(symmetric_group(3))
+    cat._shared["irreps"] = cat.irreps()[:2]
+    assert [irr.label for irr in cat.irreps()] == ["1a", "1b"]
     with pytest.raises(ValidationError, match="not an isomorphism"):
         tannaka_reconstruct(cat)
 
