@@ -108,9 +108,3 @@ def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     q, r = np.linalg.qr(random_complex(rng, (n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = random_complex(rng, (n, n))
-    return (a + dagger(a)) / 2.0
-

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -129,10 +130,12 @@ def loop_right_mult_matrix(alg, a):
     return np.einsum("j,ijk->ki", a, alg.table)
 
 
-def loop_validate(alg, tol=1e-7):
+def loop_validate(alg, tol=1e-7, slices=None):
+    """The axioms on basis triples; with ``slices``, only for first factors e_i there."""
     n = alg.dim
     t = alg.table
-    assoc = np.einsum("ijm,mkl->ijkl", t, t) - np.einsum("jkm,iml->ijkl", t, t)
+    slices = list(range(n) if slices is None else slices)
+    assoc = np.einsum("ijm,mkl->ijkl", t[slices], t) - np.einsum("jkm,iml->ijkl", t, t[slices])
     worst = float(np.max(np.abs(assoc)))
     if worst > tol:
         raise ValidationError(f"associativity fails (max violation {worst:.3e})",
@@ -148,7 +151,7 @@ def loop_validate(alg, tol=1e-7):
         raise ValidationError(f"star is not an involution (max violation {worst:.3e})",
                               violation=worst)
     worst = 0.0
-    for i in range(n):
+    for i in slices:
         for j in range(n):
             a, b = alg.basis(i), alg.basis(j)
             ab = loop_mult(alg, a, b)
@@ -158,7 +161,7 @@ def loop_validate(alg, tol=1e-7):
         raise ValidationError(f"star is not an antihomomorphism (max violation {worst:.3e})",
                               violation=worst)
     worst = 0.0
-    for i in range(n):
+    for i in slices:
         a = alg.basis(i)
         astar = alg.star(a)
         worst = max(worst, max_dev(dagger(loop_left_mult_matrix(alg, a)),
@@ -257,8 +260,11 @@ def test_table_forms_match_loop_definitions():
             want = validate_outcome(loop_validate, variant)
             assert (got is None) == (want is None)
             if got is not None:
-                assert got[0] == want[0]
-                assert abs(got[1] - want[1]) < 1e-12
+                # the message of the dense check, the violation on the generators
+                on_gens = validate_outcome(
+                    lambda x: loop_validate(x, slices=x.generators), variant)
+                assert got[0] == want[0] == on_gens[0]
+                assert abs(got[1] - on_gens[1]) < 1e-12
 
 
 def test_recomposition_matches_loop_definition():
@@ -373,3 +379,97 @@ def test_group_algebra_splits_into_the_irreducibles(group, rng):
     assert sorted(dec.sizes) == sorted(degrees)
     for size, weight in zip(dec.sizes, dec.weights):
         assert abs(weight - size / group.order) < 1e-8
+
+
+# -- the generating set (Light's test) -------------------------------------------
+
+def word_span_dim(alg, gens):
+    """Dimension of the span of the words g1(g2(...gk)), grown one word length at a time."""
+    t = alg.table
+    words = np.eye(alg.dim, dtype=np.complex128)[list(gens)]
+    while True:
+        _, s, vh = np.linalg.svd(np.concatenate([words] + [words @ t[g] for g in gens]),
+                                 full_matrices=False)
+        longer = vh[s > 1e-9]
+        if len(longer) == len(words):
+            return len(words)
+        words = longer
+
+
+def generator_test_algebras():
+    for k, (base, u) in enumerate(rotated_block_models(23, count=6)):
+        yield pytest.param(change_basis(base, u), id=f"rotated-{k}")
+    for group in [cyclic_group(5), symmetric_group(3), symmetric_group(4)]:
+        yield pytest.param(group_algebra(group), id=group.name)
+    yield pytest.param(block_model([1], [2.0]), id="one-dimensional")
+
+
+@pytest.mark.parametrize("alg", list(generator_test_algebras()))
+def test_generators_span_every_basis_vector(alg):
+    gens = alg.generators
+    assert len(gens) >= 1 and len(set(gens)) == len(gens)
+    assert word_span_dim(alg, gens) == alg.dim
+    assert alg.generators is gens  # kept with the algebra
+
+
+def test_one_dimensional_algebras_get_one_generator():
+    assert block_model([1], [0.5]).generators == (0,)
+    zero = HStarAlgebraData(1, np.zeros((1, 1, 1)), np.ones(1), np.ones((1, 1)))
+    assert zero.generators == (0,)
+
+
+def test_table_is_a_read_only_copy():
+    alg = block_model([2], [1.0])
+    table = alg.table.copy()
+    copy = HStarAlgebraData(alg.dim, table, alg.unit, alg.star_matrix)
+    gens = copy.generators
+    table[:] = 0.0
+    assert max_dev(copy.table, alg.table) == 0.0
+    with pytest.raises(ValueError):
+        copy.table[0, 0, 0] = 2.0
+    with pytest.raises(AttributeError):
+        copy.table = table
+    assert copy.generators == gens
+
+
+@pytest.mark.parametrize("alg", [block_model([2, 1], [1.0, 2.0]),
+                                 group_algebra(cyclic_group(5)),
+                                 group_algebra(symmetric_group(3))], ids=["M2+M1", "Z5", "S3"])
+def test_associativity_broken_off_the_generators_still_fails(alg):
+    # only products whose first factor is not a generator change, so every
+    # associativity slice the check computes is a consequence of Light's test
+    i = max(set(range(alg.dim)) - set(alg.generators))
+    table = alg.table.copy()
+    table[i, i, 0] += 0.3
+    broken = HStarAlgebraData(alg.dim, table, alg.unit, alg.star_matrix)
+    assert i not in broken.generators
+    with pytest.raises(ValidationError, match="^associativity fails"):
+        broken.validate()
+    assert validate_outcome(loop_validate, broken)[0] == "associativity fails"
+
+
+def dense_center_projector(alg):
+    t, n = alg.table, alg.dim
+    commutators = (t.transpose(1, 2, 0) - t.transpose(0, 2, 1)).reshape(n * n, n)
+    _, s, vh = np.linalg.svd(commutators)
+    basis = vh[int(np.sum(s > 1e-9 * max(1.0, s[0]))):].conj().T
+    return basis @ dagger(basis)
+
+
+@pytest.mark.parametrize("alg", list(generator_test_algebras()))
+def test_center_on_generators_matches_the_dense_commutant(alg):
+    center = alg.center_basis()
+    assert max_dev(dagger(center) @ center, np.eye(center.shape[1])) < 1e-10
+    assert max_dev(center @ dagger(center), dense_center_projector(alg)) < 1e-10
+
+
+def test_s5_group_algebra_splits_quickly():
+    # 120-dimensional; the dense check of all n^3 triples took about 7 s
+    alg = group_algebra(symmetric_group(5))
+    start = time.perf_counter()
+    dec = ambrose_decompose(alg, rng=np.random.default_rng(5))
+    elapsed = time.perf_counter() - start
+    assert dec.sizes == (1, 1, 4, 4, 5, 5, 6)
+    for size, weight in zip(dec.sizes, dec.weights):
+        assert abs(weight - size / 120) < 1e-8
+    assert elapsed < 3.0

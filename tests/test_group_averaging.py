@@ -34,7 +34,6 @@ from twohilb.linalg import (
     max_abs,
     max_dev,
     random_complex,
-    random_hermitian,
 )
 from twohilb.reps import RepCategory, _average, _label_irreps, _random_intertwiner
 from twohilb.transforms import tannaka_reconstruct
@@ -43,6 +42,11 @@ TOL = 1e-12
 
 
 # -- reference definitions ------------------------------------------------------
+
+def random_hermitian(rng, n):
+    a = random_complex(rng, (n, n))
+    return (a + dagger(a)) / 2.0
+
 
 def ref_q8_table():
     units = [np.eye(2, dtype=complex), np.array([[1j, 0], [0, -1j]]),
