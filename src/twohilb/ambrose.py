@@ -30,6 +30,9 @@ from .linalg import (
     random_complex,
 )
 
+# entries of the product table rebuilt at once by recomposition_dev (16 MB)
+_BLOCK_ENTRIES = 1 << 20
+
 __all__ = ["HStarAlgebraData", "block_model", "change_basis",
            "endomorphism_algebra", "ambrose_decompose", "AmbroseIdeal",
            "AmbroseDecomposition"]
@@ -302,14 +305,24 @@ class AmbroseDecomposition:
         On basis vectors, model_coords(e_i) is c[:, :, i] with
         c = conj(matrix_units) / weight; each ideal contributes
         from_model(c[:, :, i] @ c[:, :, j]) to the product e_i e_j.
+        The table is rebuilt and compared in blocks of rows i holding at most
+        _BLOCK_ENTRIES entries, so only the table and one block are alive.
         """
-        alg = self.algebra
-        rebuilt = np.zeros_like(alg.table)
-        for ideal in self.ideals:
-            c = np.conj(ideal.matrix_units) / ideal.weight
-            pairs = np.einsum("abi,bcj->acij", c, c)
-            rebuilt += np.tensordot(pairs, ideal.matrix_units, axes=([0, 1], [0, 1]))
-        return max_dev(alg.table, rebuilt)
+        table = self.algebra.table
+        n = self.algebra.dim
+        units = [(np.conj(ideal.matrix_units) / ideal.weight, ideal.matrix_units)
+                 for ideal in self.ideals]
+        step = max(1, _BLOCK_ENTRIES // (n * n))
+        worst = 0.0
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            rebuilt = np.zeros_like(table[rows])
+            for c, mu in units:
+                pairs = np.einsum("abi,bcj->acij", c[:, :, rows], c)
+                rebuilt += np.tensordot(pairs, mu, axes=([0, 1], [0, 1]))
+            rebuilt -= table[rows]
+            worst = np.maximum(worst, max_abs(rebuilt))  # keeps a NaN
+        return float(worst)
 
 
 def _lagrange_projection(alg, element, eigenvalues, which, unit):

@@ -9,14 +9,13 @@ matrices multiply as ``g_block @ f_block``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
 from .errors import CompositionError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
-    as_complex,
     dagger,
     max_abs,
     range_complement_basis,
@@ -137,7 +136,7 @@ class ObjectExpr:
 
 
 def _check_same_space(a: SpaceTable, b: SpaceTable) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise CompositionError("objects live over different space tables")
 
 
@@ -145,7 +144,9 @@ class BlockMorphism:
     """A morphism between two objects, stored as one complex block per simple.
 
     The block at label ``s`` has shape ``(dst.mult(s), src.mult(s))`` and maps
-    source coordinates to target coordinates.  Absent blocks are zero.
+    source coordinates to target coordinates.  Absent blocks are zero.  The
+    blocks are read-only copies, kept in the space's simple order, so sums,
+    composites and their JSON do not depend on the order of the input.
     """
 
     def __init__(self, src: ObjectExpr, dst: ObjectExpr,
@@ -154,20 +155,26 @@ class BlockMorphism:
         self.src = src
         self.dst = dst
         store: dict[str, np.ndarray] = {}
-        blocks = blocks or {}
-        for label, mat in blocks.items():
-            if label not in src.space.simples:
-                raise ValidationError(f"block label {label!r} not in space")
-            mat = as_complex(mat)
-            want = (dst.mult(label), src.mult(label))
-            if mat.shape != want:
-                raise ValidationError(
-                    f"block {label!r} has shape {mat.shape}, expected {want}")
-            if mat.size == 0:
-                continue
-            mat = mat.copy()
-            mat.flags.writeable = False
-            store[label] = mat
+        if blocks:
+            simples = src.space.simples
+            ordered, last = True, -1
+            for label, mat in blocks.items():
+                try:
+                    i = simples.index(label)
+                except ValueError:
+                    raise ValidationError(f"block label {label!r} not in space") from None
+                mat = np.array(mat, dtype=np.complex128)
+                want = (dst.mults[i], src.mults[i])
+                if mat.shape != want:
+                    raise ValidationError(
+                        f"block {label!r} has shape {mat.shape}, expected {want}")
+                if mat.size == 0:
+                    continue
+                mat.flags.writeable = False
+                store[label] = mat
+                ordered, last = ordered and i > last, i
+            if not ordered:
+                store = {s: store[s] for s in simples if s in store}
         self.blocks = store
 
     @property
@@ -183,9 +190,10 @@ class BlockMorphism:
     def __add__(self, other: "BlockMorphism") -> "BlockMorphism":
         if self.src != other.src or self.dst != other.dst:
             raise CompositionError("cannot add morphisms with different endpoints")
-        labels = set(self.blocks) | set(other.blocks)
+        a, b = self.blocks, other.blocks
         return BlockMorphism(self.src, self.dst,
-                             {s: self.block(s) + other.block(s) for s in labels})
+                             {s: self.block(s) + other.block(s)
+                              for s in self.space.simples if s in a or s in b})
 
     def __sub__(self, other: "BlockMorphism") -> "BlockMorphism":
         return self + (-1.0) * other
@@ -202,7 +210,8 @@ class BlockMorphism:
         return f"BlockMorphism({sup})"
 
     def max_abs(self) -> float:
-        return max((max_abs(m) for m in self.blocks.values()), default=0.0)
+        # max_abs of the per-block values, not max(), so that a NaN is kept
+        return max_abs([max_abs(m) for m in self.blocks.values()])
 
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         return self.max_abs() <= tol
@@ -237,8 +246,8 @@ def compose(first: BlockMorphism, second: BlockMorphism) -> BlockMorphism:
     """Composite "first, then second"; requires first.dst == second.src."""
     if first.space != second.space or first.dst != second.src:
         raise CompositionError("inner endpoints do not match")
-    labels = set(first.blocks) & set(second.blocks)
-    blocks = {s: second.block(s) @ first.block(s) for s in labels}
+    after = second.blocks
+    blocks = {s: after[s] @ m for s, m in first.blocks.items() if s in after}
     return BlockMorphism(first.src, second.dst, blocks)
 
 
@@ -248,12 +257,15 @@ def star(f: BlockMorphism) -> BlockMorphism:
 
 
 def inner_product(f: BlockMorphism, g: BlockMorphism) -> complex:
-    """Weighted Hilbert-Schmidt pairing sum_s k_s tr(f_s^* g_s)."""
+    """Weighted Hilbert-Schmidt pairing sum_s k_s tr(f_s^* g_s), summed in the
+    space's simple order; ``np.vdot`` of two blocks is the trace."""
     if f.src != g.src or f.dst != g.dst:
         raise CompositionError("inner product requires equal endpoints")
     total = 0.0 + 0.0j
-    for s in set(f.blocks) & set(g.blocks):
-        total += f.space.weight(s) * np.trace(dagger(f.block(s)) @ g.block(s))
+    fb, gb = f.blocks, g.blocks
+    for s, k in zip(f.space.simples, f.space.weights):
+        if s in fb and s in gb:
+            total += k * np.vdot(fb[s], gb[s])
     return complex(total)
 
 
@@ -265,8 +277,9 @@ def morphism_dev(f: BlockMorphism, g: BlockMorphism) -> float:
     """Largest entrywise deviation between two morphisms with equal endpoints."""
     if f.src != g.src or f.dst != g.dst:
         raise CompositionError("cannot compare morphisms with different endpoints")
-    labels = set(f.blocks) | set(g.blocks)
-    return max((max_abs(f.block(s) - g.block(s)) for s in labels), default=0.0)
+    fb, gb = f.blocks, g.blocks
+    return max_abs([max_abs(f.block(s) - g.block(s)) for s in f.space.simples
+                    if s in fb or s in gb])
 
 
 def is_unitary_morphism(f: BlockMorphism, tol: float = DEFAULT_TOL) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -783,17 +783,25 @@ class SymmetrizerData:
     alternating_part: tuple[RepObject, np.ndarray]
 
 
+@lru_cache(maxsize=64)
+def _copy_counts(degrees: tuple[int, ...], max_copies: int,
+                 max_dim: int) -> tuple[tuple[int, ...], ...]:
+    """ways[i][r]: the choices of copies for irreducibles i, i+1, ... of
+    total degree <= r, built once per (degrees, max_copies, max_dim)."""
+    ways = [(1,) * (max_dim + 1)]
+    for deg in reversed(degrees):
+        ways.insert(0, tuple(sum(ways[0][r - c * deg] for c in range(max_copies + 1)
+                                 if c * deg <= r) for r in range(max_dim + 1)))
+    return tuple(ways)
+
+
 def _uniform_copies(rng: np.random.Generator, degrees: list[int], max_copies: int,
                     max_dim: int) -> list[int]:
     """A uniform draw of copies c (0 <= c_i <= max_copies) with total degree
     sum c_i degrees[i] in 1..max_dim: the vector of a uniform rank >= 1 in
-    the order that compares c_0 first (the zero vector has rank 0).  ways[i][r]
-    counts the choices for irreducibles i, i+1, ... of total degree <= r.
+    the order that compares c_0 first (the zero vector has rank 0).
     """
-    ways = [[1] * (max_dim + 1)]
-    for deg in reversed(degrees):
-        ways.insert(0, [sum(ways[0][r - c * deg] for c in range(max_copies + 1)
-                            if c * deg <= r) for r in range(max_dim + 1)])
+    ways = _copy_counts(tuple(degrees), max_copies, max_dim)
     if max_dim < 1 or ways[0][max_dim] < 2:
         raise ValidationError(f"no direct sum of at most {max_copies} copies of each "
                               f"irreducible has a degree in 1..{max_dim}")

@@ -33,8 +33,7 @@ def random_object(rng: np.random.Generator, space: SpaceTable) -> ObjectExpr:
 def random_morphism(rng: np.random.Generator, src: ObjectExpr,
                     dst: ObjectExpr) -> BlockMorphism:
     blocks = {}
-    for s in src.space.simples:
-        rows, cols = dst.mult(s), src.mult(s)
+    for s, rows, cols in zip(src.space.simples, dst.mults, src.mults):
         if rows and cols:
             blocks[s] = random_complex(rng, (rows, cols))
     return BlockMorphism(src, dst, blocks)

@@ -18,8 +18,8 @@ One compiled regular expression tokenizes an expression.  The move suite's
 expressions are parsed once, when the module loads; any other is parsed on
 every call.  An ``EvalContext`` builds each generator's matrix on first use
 and keeps it, read-only, for every later occurrence, so a move suite builds
-``b++`` and the inverse behind ``B++`` once.  Juxtaposition multiplies the
-factors' entries by broadcasting, the products ``np.kron`` makes, without
+``b++`` and the inverse behind ``B++`` once.  Juxtaposition is
+``linalg.kron``: the products ``np.kron`` makes, by broadcasting, without
 its per-call set-up.
 """
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TangleSyntaxError, TangleTypeError, ValidationError
-from .linalg import DEFAULT_TOL, distance_to_unitary, max_dev
+from .linalg import DEFAULT_TOL, distance_to_unitary, kron, max_dev
 from .reps import Adjunction, Intertwiner, RepCategory, RepObject
 
 __all__ = ["parse", "TangleExpr", "Gen", "Seq", "Par", "EvalContext",
@@ -239,12 +239,6 @@ class EvalContext:
         return obj if obj is not None else self.cat.unit()
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices: the same products, without its per-call set-up."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
 def _gen_matrix(name: str, ctx: EvalContext) -> np.ndarray:
     adj = ctx.adjunction
     if name == "id+":
@@ -295,7 +289,7 @@ def _eval_node(node: TangleExpr, ctx: EvalContext) -> np.ndarray:
         mat = None
         for part in node.parts:
             piece = _eval_node(part, ctx)
-            mat = piece if mat is None else _kron(mat, piece)
+            mat = piece if mat is None else kron(mat, piece)
         return mat
     raise ValidationError("malformed tangle tree")
 

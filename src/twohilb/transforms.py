@@ -28,7 +28,7 @@ from .hstar import (
     morphism_dev,
     star,
 )
-from .linalg import block_diag, dagger, max_abs, max_dev, random_unitary
+from .linalg import block_diag, dagger, kron, max_abs, max_dev, random_unitary
 from .reps import (Intertwiner, RepCategory, RepObject, _random_intertwiner, _skeletal,
                    _stacked, _swap_matrix)
 
@@ -189,7 +189,7 @@ class FourierMap:
         for g, label in enumerate(self.space.simples):
             layout = conv_layout(self.dual, fx, fy, g)
             if layout:
-                include = np.hstack([np.kron(dagger(ux[g1]), dagger(uy[g2]))
+                include = np.hstack([kron(dagger(ux[g1]), dagger(uy[g2]))
                                      for g1, g2, *_ in layout])
                 blocks[label] = uxy[g] @ include
         return BlockMorphism(convolution_tensor(self.conv, fx, fy),

@@ -369,6 +369,34 @@ def test_decomposition_memory_is_cubic():
     assert peak_mb < 16.0
 
 
+def test_recomposition_compares_in_row_blocks(monkeypatch):
+    base = block_model([4, 4, 4], [0.5, 1.0, 1.5])
+    alg = change_basis(base, random_unitary(np.random.default_rng(48), base.dim))
+    dec = ambrose_decompose(alg, rng=np.random.default_rng(5))
+    whole = dec.recomposition_dev()
+    n = alg.dim
+    # four rows per block: 12 blocks, the last one where the table is changed
+    monkeypatch.setattr(ambrose_module, "_BLOCK_ENTRIES", 4 * n * n)
+    tracemalloc.start()
+    try:
+        blocked = dec.recomposition_dev()
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert whole < 1e-12 and blocked < 1e-12
+    # the n^3 table is 1.7 MB; one block and its temporaries are a few 0.1 MB
+    assert peak_mb < 0.6
+    table = alg.table.copy()
+    table[n - 1, 3, 7] += 1e-3
+    bad = ambrose_module.AmbroseDecomposition(
+        HStarAlgebraData(n, table, alg.unit, alg.star_matrix), dec.ideals)
+    assert abs(bad.recomposition_dev() - 1e-3) < 1e-9
+    table[n - 1, 3, 7] = np.nan
+    bad = ambrose_module.AmbroseDecomposition(
+        HStarAlgebraData(n, table, alg.unit, alg.star_matrix), dec.ideals)
+    assert np.isnan(bad.recomposition_dev())
+
+
 @pytest.mark.parametrize("group", [symmetric_group(4), quaternion_group(), dihedral_group(4)],
                          ids=lambda g: g.name)
 def test_group_algebra_splits_into_the_irreducibles(group, rng):

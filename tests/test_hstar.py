@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import twohilb
 
 from twohilb.errors import CompositionError, ValidationError
 from twohilb.hstar import (
@@ -342,3 +349,113 @@ def test_json_round_trip(rng):
     assert morphism_dev(f, g) < 1e-12
     assert SpaceTable.from_json(space.to_json()) == space
     assert ObjectExpr.from_json(x.to_json()) == x
+
+
+def _ab_objects():
+    space = SpaceTable.make(["a", "b", "c"], {"a": 1.0, "b": 2.0, "c": 0.5})
+    return space, ObjectExpr.make(space, {"a": 1, "b": 2}), ObjectExpr.make(space, {"a": 2, "b": 2})
+
+
+def test_block_label_outside_the_space_is_named():
+    _, x, y = _ab_objects()
+    with pytest.raises(ValidationError, match=r"block label 'z' not in space"):
+        BlockMorphism(x, y, {"z": [[1.0]]})
+
+
+def test_block_shape_is_checked():
+    _, x, y = _ab_objects()
+    with pytest.raises(ValidationError,
+                       match=r"block 'a' has shape \(1, 1\), expected \(2, 1\)"):
+        BlockMorphism(x, y, {"a": [[1.0]]})
+
+
+def test_blocks_over_different_spaces_refuse():
+    _, x, _ = _ab_objects()
+    other = ObjectExpr.make(SpaceTable.make(["a", "b", "c"]), {"a": 1, "b": 2})
+    with pytest.raises(CompositionError, match="different space tables"):
+        BlockMorphism(x, other, {})
+
+
+def test_blocks_are_read_only_copies(rng):
+    _, x, y = _ab_objects()
+    mat = rng.normal(size=(2, 1)) + 0j
+    f = BlockMorphism(x, y, {"a": mat})
+    mat[0, 0] = 99.0
+    assert f.block("a")[0, 0] != 99.0
+    with pytest.raises(ValueError):
+        f.blocks["a"][0, 0] = 1.0
+
+
+def test_zero_size_blocks_are_dropped_and_lists_accepted():
+    space, x, y = _ab_objects()
+    f = BlockMorphism(x, y, {"c": np.zeros((0, 0)), "b": [[1, 2], [3, 4]]})
+    assert list(f.blocks) == ["b"]
+    assert f.blocks["b"].dtype == np.complex128
+    assert np.array_equal(f.block("b"), [[1, 2], [3, 4]])
+    assert f.block("c").shape == (0, 0)
+
+
+def test_blocks_keep_the_simple_order():
+    _, x, y = _ab_objects()
+    f = BlockMorphism(x, y, {"b": np.eye(2), "a": [[1.0], [2.0]]})
+    assert list(f.blocks) == ["a", "b"]
+    assert list(f.to_json()["blocks"]) == ["a", "b"]
+    assert list((f + BlockMorphism(x, y, {"b": np.eye(2)})).blocks) == ["a", "b"]
+
+
+
+def test_a_nan_block_is_never_unitary_or_zero():
+    space = SpaceTable.make(["a", "b"])
+    x = space.object({"a": 1, "b": 1})
+    f = BlockMorphism(x, x, {"a": [[1.0]], "b": [[np.nan]]})
+    assert np.isnan(morphism_dev(f, identity(x)))
+    assert np.isnan(f.max_abs())
+    assert not is_unitary_morphism(f)
+    assert not BlockMorphism(x, x, {"a": [[0.0]], "b": [[np.nan]]}).is_zero()
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), drop_f=st.integers(0, 7), drop_g=st.integers(0, 7))
+def test_inner_product_matches_the_trace_reference(seed, drop_f, drop_g):
+    """sum_s k_s tr(f_s^* g_s), with the blocks flagged in drop_f / drop_g missing."""
+    rng = np.random.default_rng(seed)
+    space = random_space(rng)
+    x, y = (random_object(rng, space) for _ in range(2))
+
+    def thinned(drop):
+        f = random_morphism(rng, x, y)
+        return BlockMorphism(x, y, {s: m for i, (s, m) in enumerate(f.blocks.items())
+                                    if not drop >> i & 1})
+    f, g = thinned(drop_f), thinned(drop_g)
+    want = sum(space.weight(s) * np.trace(f.block(s).conj().T @ g.block(s))
+               for s in space.simples)
+    got = inner_product(f, g)
+    assert abs(got - want) <= 1e-12 * (1 + abs(want))
+
+
+_HASH_SEED_PROBE = """
+import json
+import numpy as np
+from twohilb.acceptance import check_hstar_axioms
+from twohilb.hstar import SpaceTable, compose
+from twohilb.sampling import random_morphism, random_object
+rng = np.random.default_rng(11)
+space = SpaceTable.make(["p", "q", "r", "s"], {"p": 0.5, "q": 1.5, "r": 2.0, "s": 3.0})
+x, y, z = (random_object(rng, space) for _ in range(3))
+f, f2, g = random_morphism(rng, x, y), random_morphism(rng, x, y), random_morphism(rng, y, z)
+print(json.dumps([repr(check_hstar_axioms(5).deviation), repr(check_hstar_axioms(9).deviation),
+                  compose(f, g).to_json(), (f + f2).to_json()]))
+"""
+
+
+def test_pairing_and_json_do_not_depend_on_the_hash_seed():
+    """Criterion 1's deviation and the JSON of a composite and a sum are the
+    same bits under every string-hash seed."""
+    src = Path(twohilb.__file__).resolve().parent.parent
+    outputs = set()
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(src))
+        run = subprocess.run([sys.executable, "-c", _HASH_SEED_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1

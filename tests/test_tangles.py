@@ -9,7 +9,7 @@ from twohilb import tangles
 
 from twohilb.errors import TangleSyntaxError, TangleTypeError, ValidationError
 from twohilb.groups import FiniteSuperGroup, cyclic_group, symmetric_group
-from twohilb.linalg import max_dev
+from twohilb.linalg import kron, max_dev
 from twohilb.reps import RepCategory
 from twohilb.tangles import (
     HOPF_PRESENTATIONS,
@@ -217,7 +217,7 @@ def test_generator_matrices_are_read_only(s3_ctx):
 def test_parallel_composition_is_bitwise_kron(s3_ctx, rng):
     a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
     b = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
-    assert np.array_equal(tangles._kron(a, b), np.kron(a, b))
+    assert np.array_equal(kron(a, b), np.kron(a, b))
     par = evaluate("coev | b+- | ev*", s3_ctx).matrix
     want = np.kron(np.kron(evaluate("coev", s3_ctx).matrix, evaluate("b+-", s3_ctx).matrix),
                    evaluate("ev*", s3_ctx).matrix)

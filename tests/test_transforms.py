@@ -162,6 +162,26 @@ def test_fourier_monoidal_defect_small(rng):
         assert fm.monoidal_defect(x, y, f, fp) < 1e-9
 
 
+@pytest.mark.parametrize("group", [cyclic_group(4),
+                                   product_group(cyclic_group(2), cyclic_group(2))],
+                         ids=["Z4", "Z2xZ2"])
+def test_structure_map_is_bitwise_the_np_kron_reference(group, rng):
+    cat = RepCategory(group)
+    fm = FourierMap(cat)
+    x = cat.random_object(rng, max_dim=4)
+    y = cat.random_object(rng, max_dim=4)
+    xy = cat.tensor(x, y)
+    phi = fm._structure_map(x, y, xy)
+    ux, uy, uxy = fm.coisometries(x), fm.coisometries(y), fm.coisometries(xy)
+    fx, fy = fm.object_fibers(x), fm.object_fibers(y)
+    for g, label in enumerate(fm.space.simples):
+        layout = conv_layout(fm.dual, fx, fy, g)
+        if layout:
+            want = uxy[g] @ np.hstack([np.kron(dagger(ux[g1]), dagger(uy[g2]))
+                                       for g1, g2, *_ in layout])
+            assert np.array_equal(phi.block(label), want)
+
+
 def test_fourier_naturality_between_distinct_objects(rng):
     cat = RepCategory(cyclic_group(3))
     fm = FourierMap(cat)
