@@ -3,8 +3,10 @@
 An algebra is presented on an orthonormal basis: a complex 3-tensor of
 structure constants, the coordinates of the unit, and the antilinear star
 action.  Every such algebra splits into minimal two-sided ideals, each a
-full matrix algebra with a rescaled trace inner product; the decomposition
-is computed by diagonalizing a random self-adjoint central element.
+full matrix algebra with a rescaled trace inner product.  The decomposition
+takes one ``eigh`` of left multiplication by a random self-adjoint central
+element: the unit's projections onto its eigenspaces are the central
+projections, and one ``eigh`` inside each ideal gives its minimal ones.
 
 The axioms and the center are checked on a generating set of basis vectors
 only (Light's test): the elements c with (cx)y = c(xy) for all x and y are
@@ -30,7 +32,7 @@ from .linalg import (
     random_complex,
 )
 
-# entries of the product table rebuilt at once by recomposition_dev (16 MB)
+# entries of the product table compared at once by validate and recomposition_dev (16 MB)
 _BLOCK_ENTRIES = 1 << 20
 
 __all__ = ["HStarAlgebraData", "block_model", "change_basis",
@@ -68,8 +70,10 @@ class HStarAlgebraData:
         and the span is closed under left multiplication by the generators,
         one word length per step: the new products are orthogonalized against
         the span, and the directions with singular values above DEFAULT_TOL
-        join it.  The span is not seeded with the unit, which is checked only
-        after associativity.
+        join it.  The next products are taken of those directions at their
+        own sizes, so a word that is rounding noise stays below the cut.  The
+        span is not seeded with the unit, which is checked only after
+        associativity.
         """
         n = self.dim
         t = self.table
@@ -86,9 +90,9 @@ class HStarAlgebraData:
                 for _ in range(2):  # orthogonalized twice, to working precision
                     new = new - (new @ dagger(span)) @ span
                 _, s, vh = np.linalg.svd(new, full_matrices=False)
-                new = vh[s > DEFAULT_TOL]
-                span = np.vstack([span, new])
-                new = (new @ left).reshape(-1, n)
+                keep = s > DEFAULT_TOL
+                span = np.vstack([span, vh[keep]])
+                new = ((s[keep, None] * vh[keep]) @ left).reshape(-1, n)
         return tuple(gens)
 
     def mult(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -106,9 +110,6 @@ class HStarAlgebraData:
     def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
         n = self.dim
         return (a @ self.table.reshape(n, n * n)).reshape(n, n).T
-
-    def right_mult_matrix(self, a: np.ndarray) -> np.ndarray:
-        return (a @ self.table).T
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> complex:
         return complex(np.vdot(a, b))
@@ -128,24 +129,33 @@ class HStarAlgebraData:
         generators.  Given associativity, the a with (ax)* = x* a* for all x,
         and those with L(a)^H = L(a*) or with R(a)^H = R(a*), are subspaces
         closed under products too.  Associativity costs two n x n^2 products
-        per generator, O(|gens| n^4) time, and the star identities O(|gens| n^3);
-        memory is O(n^3).  A failure reports the largest violation over the
-        generators.
+        per generator, O(|gens| n^4) time, compared in blocks of rows holding
+        at most _BLOCK_ENTRIES entries, and the star identities O(|gens| n^3);
+        no temporary is as large as the table.  A non-finite entry is refused
+        first, and a failure reports the largest violation over the generators.
         """
+        for name in ("table", "unit", "star_matrix"):
+            finite = np.isfinite(getattr(self, name))
+            if not finite.all():
+                where = tuple(np.argwhere(~finite)[0].tolist())
+                raise ValidationError(f"{name} has a non-finite entry at {where}")
         n = self.dim
         t = self.table
         gens = list(self.generators)
-        # slice i: (e_i e_j) e_k minus e_i (e_j e_k), both indexed [j, k, l]
+        step = max(1, _BLOCK_ENTRIES // (n * n))
         worst = 0.0
         for i in gens:
-            assoc = t[i] @ t.reshape(n, n * n)
-            assoc -= (t.reshape(n * n, n) @ t[i]).reshape(n, n * n)
-            worst = max(worst, max_abs(assoc))
+            for start in range(0, n, step):
+                rows = slice(start, start + step)
+                # rows j of slice i: (e_i e_j) e_k minus e_i (e_j e_k), indexed [j, k, l]
+                assoc = t[i, rows] @ t.reshape(n, n * n)
+                assoc -= (t[rows].reshape(-1, n) @ t[i]).reshape(-1, n * n)
+                worst = max(worst, max_abs(assoc))
         if worst > tol:
             raise ValidationError(f"associativity fails (max violation {worst:.3e})",
                                   violation=worst)
         lu = np.tensordot(self.unit, t, axes=(0, 0))
-        ru = np.tensordot(self.unit, t, axes=(0, 1))
+        ru = self.unit @ t  # a contraction over t's middle axis, without a transposed copy
         worst = max(max_dev(lu, np.eye(n)), max_dev(ru, np.eye(n)))
         if worst > tol:
             raise ValidationError(f"unit fails (max violation {worst:.3e})", violation=worst)
@@ -156,7 +166,7 @@ class HStarAlgebraData:
                                   violation=worst)
         # for generators i: (e_i e_j)* against e_j* e_i*, with e_i* the i-th
         # column of s
-        star_right = np.tensordot(s[:, gens], t, axes=(0, 1))  # [i, p, k] = (e_p e_i*)[k]
+        star_right = (s[:, gens].T @ t).transpose(1, 0, 2)  # [i, p, k] = (e_p e_i*)[k]
         worst = max_dev(np.conj(t[gens]) @ s.T, s.T @ star_right)
         if worst > tol:
             raise ValidationError(
@@ -325,14 +335,26 @@ class AmbroseDecomposition:
         return float(worst)
 
 
-def _lagrange_projection(alg, element, eigenvalues, which, unit):
-    p = unit.copy()
-    lam = eigenvalues[which]
-    for j, mu in enumerate(eigenvalues):
-        if j == which:
-            continue
-        p = alg.mult(p, (element - mu * unit)) / (lam - mu)
-    return p
+def _spectral_projections(alg, element, unit, basis, tol):
+    """Eigenspace sizes of L(element) on the span of ``basis``, and unit's projection on each.
+
+    ``basis`` has orthonormal columns spanning a subspace that L(element)
+    maps into itself.  For a self-adjoint element of an H*-algebra L(element)
+    is Hermitian, so one ``eigh`` gives its eigenspaces V_c and the spectral
+    projector V_c V_c^H, which is the Lagrange polynomial in the element;
+    applied to the unit of an ideal it gives the ideal's projection onto
+    the eigenspace.  Each projection must be idempotent.
+    """
+    compressed = dagger(basis) @ alg.left_mult_matrix(element) @ basis
+    vals, vecs = np.linalg.eigh((compressed + dagger(compressed)) / 2.0)
+    clusters = cluster_indices(vals, 1e-6 * max(vals[-1] - vals[0], 1.0))
+    coords = dagger(basis) @ unit
+    projections = [basis @ (vecs[:, c] @ (dagger(vecs[:, c]) @ coords)) for c in clusters]
+    worst = max(max_dev(alg.mult(q, q), q) for q in projections)
+    if not worst < 1e3 * tol:
+        raise ValidationError(f"spectral projections are not idempotent ({worst:.3e})",
+                              violation=worst)
+    return [len(c) for c in clusters], projections
 
 
 def _minimal_projections(alg, p, d, rng, tol, attempts=40):
@@ -344,17 +366,8 @@ def _minimal_projections(alg, p, d, rng, tol, attempts=40):
         raw = random_complex(rng, alg.dim)
         y = alg.mult(p, alg.mult(raw, p))
         y = (y + alg.star(y)) / 2.0
-        ly = alg.left_mult_matrix(y)
-        compressed = dagger(ideal_basis) @ ly @ ideal_basis
-        vals = np.linalg.eigvalsh((compressed + dagger(compressed)) / 2.0)
-        spread = max(vals[-1] - vals[0], 1.0)
-        clusters = cluster_indices(vals, 1e-6 * spread)
-        if len(clusters) != d or any(len(c) != d for c in clusters):
-            continue
-        mus = np.array([np.mean(vals[c]) for c in clusters])
-        projs = [_lagrange_projection(alg, y, mus, a, p) for a in range(d)]
-        ok = all(max_dev(alg.mult(q, q), q) < 1e3 * tol for q in projs)
-        if ok:
+        sizes, projs = _spectral_projections(alg, y, p, ideal_basis, tol)
+        if sizes == [d] * d:
             return projs
     raise ValidationError("failed to split an ideal into minimal projections")
 
@@ -364,46 +377,29 @@ def ambrose_decompose(alg: HStarAlgebraData, tol: float = 1e-7,
                       attempts: int = 40) -> AmbroseDecomposition:
     """Minimal two-sided ideal decomposition of a concrete H*-algebra.
 
-    Central projections are found by diagonalizing a random self-adjoint
-    central element (restarting if eigenvalues collide); each ideal is then
-    identified with a matrix algebra by constructing matrix units, and the
-    recomposed structure constants are checked against the input.
+    The central projections are the spectral projections of the unit for
+    L(z), z a random self-adjoint central element (redrawn if eigenvalues
+    collide); each ideal is then split into minimal projections the same
+    way and identified with a matrix algebra by constructing matrix units,
+    and the recomposed structure constants are checked against the input.
     """
     alg.validate(tol)
     rng = rng if rng is not None else np.random.default_rng(0)
     center = alg.center_basis()
     n_ideals = center.shape[1]
 
-    projections = None
     for _ in range(attempts):
         z = center @ random_complex(rng, n_ideals)
         z = (z + alg.star(z)) / 2.0
-        lz = alg.left_mult_matrix(z)
-        vals = np.linalg.eigvalsh((lz + dagger(lz)) / 2.0)
-        spread = max(vals[-1] - vals[0], 1.0)
-        clusters = cluster_indices(vals, 1e-6 * spread)
-        if len(clusters) != n_ideals:
-            continue
-        sizes2 = [len(c) for c in clusters]
-        if any(round(np.sqrt(s)) ** 2 != s for s in sizes2):
-            continue
-        lams = np.array([np.mean(vals[c]) for c in clusters])
-        projections = [
-            (_lagrange_projection(alg, z, lams, i, alg.unit), int(round(np.sqrt(sizes2[i]))))
-            for i in range(n_ideals)
-        ]
-        break
-    if projections is None:
+        sizes2, projections = _spectral_projections(alg, z, alg.unit, np.eye(alg.dim), tol)
+        sizes = [int(round(np.sqrt(s))) for s in sizes2]
+        if len(sizes) == n_ideals and all(d * d == s for d, s in zip(sizes, sizes2)):
+            break
+    else:
         raise ValidationError("failed to separate central projections; algebra data suspect")
 
-    total = sum(p for p, _ in projections)
-    worst = max_dev(total, alg.unit)
-    if worst > 1e3 * tol:
-        raise ValidationError(f"central projections do not sum to the unit ({worst:.3e})",
-                              violation=worst)
-
     ideals = []
-    for p, d in projections:
+    for p, d in zip(projections, sizes):
         weight = float(np.real(alg.inner(p, p)) / d)
         qs = _minimal_projections(alg, p, d, rng, tol, attempts)
         row = [qs[0]]
