@@ -7,16 +7,7 @@ Tannaka constructions at finite scale.
 """
 
 from .ambrose import HStarAlgebraData, ambrose_decompose, block_model
-from .functors import (
-    FusionFunctor,
-    NatBlock,
-    adjoint_functor,
-    apply,
-    dual_space,
-    hom_space,
-    riesz_represent,
-    tensor_space,
-)
+from .functors import FusionFunctor, adjoint_functor, apply, tensor_space
 from .groups import (
     FiniteGroup,
     FiniteSuperGroup,
@@ -55,8 +46,7 @@ __all__ = [
     "polar_decompose", "direct_sum", "scalar_tensor", "identity",
     "zero_morphism",
     "HStarAlgebraData", "block_model", "ambrose_decompose",
-    "FusionFunctor", "NatBlock", "apply", "adjoint_functor",
-    "hom_space", "dual_space", "riesz_represent", "tensor_space",
+    "FusionFunctor", "apply", "adjoint_functor", "tensor_space",
     "FiniteGroup", "FiniteSuperGroup", "catalog", "load_group",
     "RepCategory", "RepObject", "Intertwiner", "Adjunction",
     "graded_space", "convolution_tensor", "FourierMap",

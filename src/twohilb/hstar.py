@@ -71,18 +71,11 @@ class SpaceTable:
     def dim(self) -> int:
         return len(self.simples)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.simples
-
     def object(self, mult: Mapping[str, int] | Iterable[int]) -> "ObjectExpr":
         return ObjectExpr.make(self, mult)
 
     def simple(self, label: str) -> "ObjectExpr":
         return ObjectExpr.make(self, {label: 1})
-
-    def zero_object(self) -> "ObjectExpr":
-        return ObjectExpr.make(self, {})
 
     def to_json(self) -> dict:
         return {"simples": list(self.simples),

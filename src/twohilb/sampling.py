@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functors import FusionFunctor, NatBlock, apply_object
+from .functors import FusionFunctor
 from .hstar import BlockMorphism, ObjectExpr, SpaceTable
 from .linalg import random_complex, random_unitary
 
@@ -75,20 +75,3 @@ def random_fusion_functor(rng: np.random.Generator, src: SpaceTable,
                           dst: SpaceTable, max_entry: int = 3) -> FusionFunctor:
     mat = rng.integers(0, max_entry + 1, size=(src.dim, dst.dim))
     return FusionFunctor.make(src, dst, mat)
-
-
-def random_natblock(rng: np.random.Generator, f: FusionFunctor,
-                    g: FusionFunctor) -> NatBlock:
-    comps = {}
-    for lam in f.src.simples:
-        e = f.src.simple(lam)
-        comps[lam] = random_morphism(rng, apply_object(f, e), apply_object(g, e))
-    return NatBlock(f, g, comps)
-
-
-def random_invertible_natblock(rng: np.random.Generator, f: FusionFunctor) -> NatBlock:
-    comps = {}
-    for lam in f.src.simples:
-        e = f.src.simple(lam)
-        comps[lam] = random_isomorphism(rng, apply_object(f, e))
-    return NatBlock(f, f, comps)

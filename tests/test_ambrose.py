@@ -329,6 +329,26 @@ def test_matrix_unit_check_tests_every_relation(monkeypatch, rng):
         ambrose_decompose(block_model([2], [1.0]), rng=rng)
 
 
+def test_end_to_end_gates_hold_the_given_tolerance(monkeypatch, rng):
+    # errors of about 1e-6, ten times the default tol, must not pass either gate
+    alg = block_model([2, 1], [1.0, 2.0])
+    split = ambrose_module._minimal_projections
+
+    def perturbed(*args):
+        return [q + 1e-6 * alg.unit for q in split(*args)]
+    with monkeypatch.context() as patch:
+        patch.setattr(ambrose_module, "_minimal_projections", perturbed)
+        with pytest.raises(ValidationError, match="^matrix unit relations violated"):
+            ambrose_decompose(alg, rng=rng)
+    ideal = ambrose_module.AmbroseIdeal
+
+    def misweighted(size, weight, **arrays):
+        return ideal(size, weight * (1 + 1e-6), **arrays)
+    monkeypatch.setattr(ambrose_module, "AmbroseIdeal", misweighted)
+    with pytest.raises(ValidationError, match="^recomposition mismatch"):
+        ambrose_decompose(alg, rng=rng)
+
+
 @pytest.mark.parametrize("stage, message", [("split", "failed to split"),
                                             ("link", "failed to link")])
 def test_attempts_reach_every_retry_loop(monkeypatch, rng, stage, message):
@@ -460,6 +480,16 @@ def test_generators_span_every_basis_vector(alg):
     assert len(gens) >= 1 and len(set(gens)) == len(gens)
     assert word_span_dim(alg, gens) == alg.dim
     assert alg.generators is gens  # kept with the algebra
+
+
+@pytest.mark.parametrize("group", [symmetric_group(3), symmetric_group(4),
+                                   symmetric_group(5), cyclic_group(12)],
+                         ids=lambda g: g.name)
+def test_group_unit_is_not_a_generator(group):
+    # delta_e generates only itself; the other generators' words reach it
+    alg = group_algebra(group)
+    assert group.identity not in alg.generators
+    assert word_span_dim(alg, alg.generators) == alg.dim
 
 
 def test_one_dimensional_algebras_get_one_generator():

@@ -284,7 +284,7 @@ def test_direct_sum_multiplicity_adds():
 def test_direct_sum_with_zero_is_unitary_iso(rng):
     space = random_space(rng)
     x = random_object(rng, space)
-    zero = space.zero_object()
+    zero = space.object({})
     z, ix, _, _, _ = direct_sum(x, zero)
     assert z.mults == x.mults
     assert is_unitary_morphism(ix)
