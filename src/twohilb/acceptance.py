@@ -121,7 +121,7 @@ def check_adjoint_duality(seed=DEFAULT_SEED) -> CheckResult:
     for _ in range(100):
         h = random_space(rng)
         k = random_space(rng)
-        f = random_fusion_functor(rng, h, k, max_entry=3)
+        f = random_fusion_functor(rng, h, k)
         fs = adjoint_functor(f)
         for lam in h.simples:
             for mu in k.simples:

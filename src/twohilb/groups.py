@@ -29,19 +29,20 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A finite group as a multiplication table on {0, .., order-1}.
 
-    The table as an array, the identity, the inverses and the conjugacy
-    classes are derived once, on first use, and kept on the instance, and
-    so are the irreducibles, character table, skeleton and dual group of
-    Rep(G) for each grading (see ``reps.RepCategory``); the values are
-    read-only because every caller shares them.
+    The table is one read-only int array, validated by ``make``.  The
+    identity, the inverses, the element orders and the conjugacy classes
+    are derived once, on first use, and kept on the instance, and so are
+    the irreducibles, character table, skeleton and dual group of Rep(G)
+    for each grading (see ``reps.RepCategory``); the values are read-only
+    because every caller shares them.
     """
 
     name: str
-    table: tuple[tuple[int, ...], ...]
+    table: np.ndarray
     element_names: tuple[str, ...] | None = None
 
     @staticmethod
@@ -58,10 +59,18 @@ class FiniteGroup:
         names = tuple(element_names) if element_names else None
         if names and not len(names) == len(set(names)) == n:
             raise ValidationError("need one distinct name per element")
-        g = FiniteGroup(name, tuple(map(tuple, arr.tolist())), names)
-        g._memo("_matrix", lambda: _frozen(arr))
+        g = FiniteGroup(name, _frozen(arr), names)
         g.validate()
         return g
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteGroup):
+            return NotImplemented
+        return (self.name == other.name and self.element_names == other.element_names
+                and np.array_equal(self.table, other.table))
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.order))
 
     def _memo(self, key: str, build):
         """The derived value stored under key, built on first use."""
@@ -75,10 +84,10 @@ class FiniteGroup:
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._memo("_matrix", lambda: _frozen(np.array(self.table, dtype=int)))
+        return self.table
 
     def mult(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return int(self.table[a, b])
 
     @property
     def identity(self) -> int:
@@ -135,14 +144,19 @@ class FiniteGroup:
             return self.element_names[a]
         return str(a)
 
-    def element_order(self, a: int) -> int:
-        e = self.identity
-        x = a
-        k = 1
-        while x != e:
-            x = self.mult(x, a)
-            k += 1
-        return k
+    @property
+    def element_orders(self) -> np.ndarray:
+        """element_orders[a] is the order of a (read-only)."""
+        return self._memo("_orders", self._find_orders)
+
+    def _find_orders(self) -> np.ndarray:
+        t, e, ar = self.matrix, self.identity, np.arange(self.order)
+        orders = np.zeros(self.order, dtype=int)
+        power, k = ar, 1  # power[a] = a^k
+        while not orders.all():
+            orders[(power == e) & (orders == 0)] = k
+            power, k = t[power, ar], k + 1
+        return _frozen(orders)
 
     @property
     def is_abelian(self) -> bool:
@@ -151,7 +165,7 @@ class FiniteGroup:
 
     @property
     def is_cyclic(self) -> bool:
-        return any(self.element_order(a) == self.order for a in range(self.order))
+        return bool(np.any(self.element_orders == self.order))
 
     def center(self) -> list[int]:
         t = self.matrix
@@ -179,7 +193,7 @@ class FiniteGroup:
 
     def to_json(self) -> dict:
         data = {"name": self.name, "order": self.order,
-                "table": [list(r) for r in self.table]}
+                "table": self.table.tolist()}
         if self.element_names:
             data["element_names"] = list(self.element_names)
         return data
@@ -267,7 +281,7 @@ def _generators_and_walk(group: FiniteGroup):
 # -- constructions -----------------------------------------------------------
 
 def cyclic_group(n: int) -> FiniteGroup:
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    table = (np.arange(n)[:, None] + np.arange(n)) % n
     names = [f"g{a}" for a in range(n)]
     names[0] = "e"
     return FiniteGroup.make(f"Z{n}", table, names)
@@ -283,32 +297,32 @@ def product_group(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 
 def symmetric_group(n: int) -> FiniteGroup:
-    from itertools import permutations
+    from itertools import chain, permutations
     from math import factorial
-    elems = np.array(list(permutations(range(n))), dtype=int).reshape(factorial(n), n)
+    m = factorial(n)
+    elems = np.fromiter(chain.from_iterable(permutations(range(n))), dtype=int,
+                        count=m * n).reshape(m, n)
     # elements are listed in lexicographic order, which is the order of their
-    # base-n codes; the product "first q, then p" is p[q], that is elems[:, elems]
+    # base-n codes; the product "first q, then p" is p[q], whose code
+    # sum_i p[q[i]] n^(n-1-i) is added up one position i at a time and
+    # then replaced by its index
     weights = n ** np.arange(n - 1, -1, -1)
-    table = np.searchsorted(elems @ weights, elems[:, elems] @ weights)
-    names = ["".join(str(v) for v in p) for p in elems.tolist()]
+    table = np.zeros((m, m), dtype=int)
+    for i, w in enumerate(weights):
+        table += (w * elems)[:, elems[:, i]]
+    table = np.searchsorted(elems @ weights, table)
+    names = ["".join(map(str, p)) for p in elems.tolist()]
     return FiniteGroup.make(f"S{n}", table, names)
 
 
 def dihedral_group(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n: rotations r^a and reflections r^a s."""
-    order = 2 * n
+    """Dihedral group of order 2n: rotations r^a and reflections r^a s.
 
-    def idx(a, b):
-        return a + n * b
-    table = [[0] * order for _ in range(order)]
-    for a in range(n):
-        for b in range(2):
-            for c in range(n):
-                for d in range(2):
-                    # (r^a s^b)(r^c s^d) = r^(a + c*(-1)^b) s^(b+d)
-                    aa = (a + (c if b == 0 else -c)) % n
-                    table[idx(a, b)][idx(c, d)] = idx(aa, (b + d) % 2)
-    names = [f"r{a}" for a in range(n)] + [f"r{a}s" for a in range(n)]
+    Element a + n b is r^a s^b, and (r^a s^b)(r^c s^d) = r^(a + c (-1)^b) s^(b + d).
+    """
+    b, a = np.divmod(np.arange(2 * n), n)
+    table = (a[:, None] + (1 - 2 * b[:, None]) * a) % n + n * (b[:, None] ^ b)
+    names = [f"r{k}" for k in range(n)] + [f"r{k}s" for k in range(n)]
     names[0] = "e"
     return FiniteGroup.make(f"D{n}", table, names)
 

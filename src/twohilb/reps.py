@@ -31,8 +31,7 @@ from .linalg import (
 )
 
 __all__ = ["UnitaryIrrep", "RepObject", "Intertwiner", "Adjunction",
-           "RepCategory", "RestrictionFunctor",
-           "frobenius_schur_indicator"]
+           "RepCategory", "frobenius_schur_indicator"]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -251,7 +250,7 @@ def _koszul(gx: np.ndarray, gy: np.ndarray, rows: str) -> np.ndarray:
 
 def frobenius_schur_indicator(group: FiniteGroup, character: np.ndarray) -> float:
     """Classical indicator (1/|G|) sum chi(g^2)."""
-    total = sum(character[group.mult(g, g)] for g in range(group.order))
+    total = character[np.diagonal(group.table)].sum()
     return float(np.real(total)) / group.order
 
 
@@ -995,69 +994,6 @@ def _letter_suffix(k: int) -> str:
         k, r = divmod(k - 1, 26)
         suffix = "abcdefghijklmnopqrstuvwxyz"[r] + suffix
     return suffix
-
-
-# -- homomorphisms -------------------------------------------------------------
-
-class RestrictionFunctor:
-    """Restriction along a group homomorphism phi: G -> G'.
-
-    Sends a representation of G' to its pullback; the monoidal structure
-    maps are identities on the level of carriers.
-    """
-
-    def __init__(self, src_cat: RepCategory, dst_cat: RepCategory, phi):
-        self.src_cat = src_cat  # Rep(G'), the domain category
-        self.dst_cat = dst_cat  # Rep(G)
-        self.phi = list(phi)
-        gp = src_cat.group
-        g = dst_cat.group
-        if len(self.phi) != g.order:
-            raise ValidationError("need one image per group element")
-        phi = np.array(self.phi)
-        if not np.array_equal(gp.matrix[phi[:, None], phi[None, :]], phi[g.matrix]):
-            raise ValidationError("the map is not a homomorphism")
-        if src_cat.z_index is not None or dst_cat.z_index is not None:
-            if dst_cat.z_index is None or src_cat.z_index is None or \
-               self.phi[dst_cat.z_index] != src_cat.z_index:
-                raise ValidationError("grading involutions are not matched")
-
-    def on_object(self, x: RepObject) -> RepObject:
-        mats = np.array([x.matrices[p] for p in self.phi])
-        return RepObject(self.dst_cat, mats, name=f"res({x.name})")
-
-    def on_morphism(self, f: Intertwiner) -> Intertwiner:
-        return Intertwiner(self.on_object(f.src), self.on_object(f.dst), f.matrix)
-
-    def validate(self, rng: np.random.Generator, tol: float = 1e-8) -> float:
-        """Coherence checks on 3 random pairs of objects: star, composition,
-        tensor squares, braiding, balancing and dimension preservation.
-        Returns the worst deviation."""
-        worst = 0.0
-        for _ in range(3):
-            x = self.src_cat.random_object(rng, max_dim=4)
-            y = self.src_cat.random_object(rng, max_dim=4)
-            fx, fy = self.on_object(x), self.on_object(y)
-            fx.validate()
-            f = _random_intertwiner(self.src_cat, rng, x, y)
-            g = _random_intertwiner(self.src_cat, rng, y, x)
-            worst = max(worst, self.on_morphism(f).equivariance_dev())
-            worst = max(worst, max_dev(self.on_morphism(f.then(g)).matrix,
-                                       self.on_morphism(f).then(self.on_morphism(g)).matrix))
-            worst = max(worst, max_dev(self.on_morphism(f.star()).matrix,
-                                       self.on_morphism(f).star().matrix))
-            # monoidal structure maps are identities: the braiding square
-            b_src = self.src_cat.braiding(x, y).matrix
-            b_dst = self.dst_cat.braiding(fx, fy).matrix
-            worst = max(worst, max_dev(b_src, b_dst))
-            # balancing and dimension preservation
-            worst = max(worst, max_dev(self.src_cat.balancing(x).matrix,
-                                       self.dst_cat.balancing(fx).matrix))
-            worst = max(worst, abs(self.src_cat.dim(x) - self.dst_cat.dim(fx)))
-        if worst > tol:
-            raise ValidationError(f"homomorphism coherence fails ({worst:.3e})",
-                                  violation=worst)
-        return worst
 
 
 def _random_intertwiner(cat: RepCategory, rng, x: RepObject, y: RepObject,

@@ -72,6 +72,7 @@ def random_monomorphism(rng: np.random.Generator, space: SpaceTable) -> BlockMor
 
 
 def random_fusion_functor(rng: np.random.Generator, src: SpaceTable,
-                          dst: SpaceTable, max_entry: int = 3) -> FusionFunctor:
-    mat = rng.integers(0, max_entry + 1, size=(src.dim, dst.dim))
+                          dst: SpaceTable) -> FusionFunctor:
+    """A functor whose multiplicity matrix has entries 0 to 3."""
+    mat = rng.integers(0, 4, size=(src.dim, dst.dim))
     return FusionFunctor.make(src, dst, mat)

@@ -531,6 +531,6 @@ def tannaka_reconstruct(cat: RepCategory) -> TannakaResult:
                                   "isomorphism onto the reconstructed group")
         # the table is the group's own, which is validated already
         rec = FiniteGroup(f"tannaka({group.name})", group.table)
-        orders = tuple(sorted(rec.element_order(a) for a in range(rec.order)))
-        return TannakaResult(rec, rec.order, rec.is_cyclic, orders)
+        orders = tuple(sorted(group.element_orders.tolist()))
+        return TannakaResult(rec, rec.order, group.is_cyclic, orders)
     return cat._memo("tannaka", build)

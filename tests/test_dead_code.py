@@ -75,7 +75,7 @@ def test_every_exported_name_exists(module):
 # CLI or a workload, or go.  A new test-only definition, or one that gains a
 # caller outside the tests, changes this list.
 TEST_ONLY = [
-    "RestrictionFunctor", "comparison_isomorphism", "direct_sum",
+    "comparison_isomorphism", "direct_sum",
     "endomorphism_algebra", "evaluate_scalar", "frobenius_schur_indicator",
     "gelfand_hat", "hat_homomorphism_defect", "identification_unitary",
     "invertibility_check", "is_unitary_morphism", "is_zero", "kernel",

@@ -1,14 +1,15 @@
 """Group tables and group averaging against their loop definitions.
 
-``FiniteGroup`` derives its table array, identity, inverses and conjugacy
-classes once with whole-table operations; Q8 and S_n are built with
-integer arithmetic; ``reps._average`` averages over the group in one
-batched matmul; and the irreducibles are split off the regular
-representation through its commutant, in a basis of their own.  The
-``ref_*`` functions below keep the old definitions (2 x 2 quaternion
-matrices, composition of permutation tuples, per-element sums and the
-dense n x n x n regular representation) as the reference; the
-irreducibles are compared with it up to a change of basis.
+``FiniteGroup`` derives its identity, inverses, element orders and
+conjugacy classes once with whole-table operations; Z_n, D_n, Q8 and S_n
+are built with integer array arithmetic; ``reps._average`` averages over
+the group in one batched matmul; and the irreducibles are split off the
+regular representation through its commutant, in a basis of their own.
+The ``ref_*`` functions below keep the old definitions (2 x 2 quaternion
+matrices, composition of permutation tuples, the dihedral and element-order
+loops, per-element sums and the dense n x n x n regular representation) as
+the reference; the irreducibles are compared with it up to a change of
+basis.
 """
 import time
 import tracemalloc
@@ -22,6 +23,7 @@ from twohilb.groups import (
     FiniteSuperGroup,
     catalog,
     cyclic_group,
+    dihedral_group,
     group_from_json,
     quaternion_group,
     symmetric_group,
@@ -65,6 +67,28 @@ def ref_symmetric_table(n):
     elems = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(elems)}
     return [[index[tuple(p[q[k]] for k in range(n))] for q in elems] for p in elems]
+
+
+def ref_dihedral_table(n):
+    def idx(a, b):
+        return a + n * b
+    table = [[0] * (2 * n) for _ in range(2 * n)]
+    for a in range(n):
+        for b in range(2):
+            for c in range(n):
+                for d in range(2):
+                    # (r^a s^b)(r^c s^d) = r^(a + c*(-1)^b) s^(b+d)
+                    aa = (a + (c if b == 0 else -c)) % n
+                    table[idx(a, b)][idx(c, d)] = idx(aa, (b + d) % 2)
+    return table
+
+
+def ref_element_order(group, a):
+    x, k = a, 1
+    while x != group.identity:
+        x = group.mult(x, a)
+        k += 1
+    return k
 
 
 def ref_conjugacy_classes(group):
@@ -143,12 +167,19 @@ CATALOG = {name: _split(build()) for name, build in catalog().items()}
 # -- group tables -----------------------------------------------------------------
 
 def test_q8_table_matches_matrix_products():
-    assert quaternion_group().table == tuple(map(tuple, ref_q8_table()))
+    assert np.array_equal(quaternion_group().table, ref_q8_table())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_symmetric_group_matches_tuple_composition(n):
-    assert symmetric_group(n).table == tuple(map(tuple, ref_symmetric_table(n)))
+    assert np.array_equal(symmetric_group(n).table, ref_symmetric_table(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_cyclic_and_dihedral_tables_match_loops(n):
+    want = [[(a + b) % n for b in range(n)] for a in range(n)]
+    assert np.array_equal(cyclic_group(n).table, want)
+    assert np.array_equal(dihedral_group(n).table, ref_dihedral_table(n))
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -159,6 +190,9 @@ def test_derived_group_data_matches_loops(name):
     e = group.identity
     assert np.array_equal(t[e], np.arange(group.order))
     assert all(t[a, group.inverses[a]] == e for a in range(group.order))
+    orders = [ref_element_order(group, a) for a in range(group.order)]
+    assert group.element_orders.tolist() == orders
+    assert group.is_cyclic is (group.order in orders)
 
 
 # -- averaging -----------------------------------------------------------------------
@@ -294,7 +328,7 @@ def test_split_refuses_merged_and_non_invariant_eigenspaces(monkeypatch):
     # f = -1 on the 3-cycles and 1 elsewhere is a class function of norm 1
     # but no character, so its line passes the norm check and only the
     # generators refuse it; the sign character's line is kept
-    orders = np.array([group.element_order(a) for a in range(group.order)])
+    orders = group.element_orders
     for f, kept in ((np.where(orders == 3, -1.0, 1.0), False),
                     (np.where(orders == 2, -1.0, 1.0), True)):
         vecs = np.linalg.qr(np.column_stack([f, np.eye(group.order)[:, 1:]]))[0]

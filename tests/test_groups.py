@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ def test_cyclic_properties():
     g = cyclic_group(6)
     assert g.order == 6
     assert g.is_abelian and g.is_cyclic
-    assert g.element_order(1) == 6
+    assert g.element_orders[1] == 6
     assert g.inverse(2) == 4
 
 
@@ -51,14 +52,14 @@ def test_dihedral_and_quaternion():
     q8 = quaternion_group()
     assert q8.order == 8
     assert q8.central_involutions() == [1]
-    assert q8.element_order(2) == 4  # i has order 4
+    assert q8.element_orders[2] == 4  # i has order 4
 
 
 def test_product_group_klein():
     k4 = product_group(cyclic_group(2), cyclic_group(2))
     assert k4.order == 4
     assert k4.is_abelian and not k4.is_cyclic
-    assert sorted(k4.element_order(a) for a in range(4)) == [1, 2, 2, 2]
+    assert sorted(k4.element_orders) == [1, 2, 2, 2]
 
 
 def test_supergroup_validation():
@@ -75,11 +76,43 @@ def test_supergroup_validation():
 def test_json_round_trip():
     g = dihedral_group(4)
     back = group_from_json(g.to_json())
-    assert back.table == g.table
+    assert np.array_equal(back.table, g.table)
     sup = FiniteSuperGroup.make(quaternion_group(), 1)
     back = group_from_json(sup.to_json())
     assert isinstance(back, FiniteSuperGroup)
     assert back.z == 1
+
+
+def test_table_is_one_read_only_array():
+    g = dihedral_group(4)
+    assert isinstance(g.table, np.ndarray) and g.table.dtype == int
+    assert g.matrix is g.table
+    with pytest.raises(ValueError):
+        g.table[0, 0] = 1
+    # the JSON form holds Python ints
+    assert json.loads(json.dumps(g.to_json()))["table"] == g.table.tolist()
+
+
+def test_groups_compare_by_name_element_names_and_table():
+    assert symmetric_group(4) == symmetric_group(4)
+    assert hash(symmetric_group(4)) == hash(symmetric_group(4))
+    z4 = cyclic_group(4)
+    assert FiniteGroup.make("Z4", z4.table) != z4  # no element names
+    assert FiniteGroup.make("C4", z4.table, z4.element_names) != z4
+    klein = product_group(cyclic_group(2), cyclic_group(2))
+    assert FiniteGroup.make("G", klein.table) != FiniteGroup.make("G", z4.table)
+    assert z4 != z4.table.tolist()
+
+
+def test_s6_holds_one_table():
+    """Building S6 (720 elements) keeps its 4 MB table and little else."""
+    tracemalloc.start()
+    try:
+        g = symmetric_group(6)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert live <= 2 * g.table.nbytes, f"S6 holds {live / 2**20:.1f} MB"
 
 
 def test_load_group_names(tmp_path):

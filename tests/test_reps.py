@@ -20,7 +20,6 @@ from twohilb.reps import (
     Intertwiner,
     RepCategory,
     RepObject,
-    RestrictionFunctor,
     frobenius_schur_indicator,
 )
 from twohilb.tangles import EvalContext
@@ -389,18 +388,6 @@ def test_trace_agreement_and_quantum(super_q8, rng):
     qd = super_q8.qdim(x)
     grading_trace = float(np.real(np.trace(x.grading)))
     assert qd == pytest.approx(grading_trace)
-
-
-def test_restriction_functor_validates(rng):
-    s3 = symmetric_group(3)
-    z2 = cyclic_group(2)
-    # send the generator of Z2 to the transposition "102"
-    src = RepCategory(s3)
-    dst = RepCategory(z2)
-    functor = RestrictionFunctor(src, dst, [s3.identity, 2])
-    assert functor.validate(rng) < 1e-8
-    with pytest.raises(ValidationError):
-        RestrictionFunctor(src, dst, [s3.identity, 3])  # not a homomorphism
 
 
 def test_then_refuses_mismatched_endpoints(s3):
