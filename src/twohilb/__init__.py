@@ -1,9 +1,11 @@
 """Executable finite-dimensional categorified linear algebra.
 
-Skeletal 2-Hilbert spaces with block morphisms, multiplicity-matrix functors
-between them, representation categories of finite groups and supergroups,
-a tangle-expression evaluator, and the categorified Fourier, Gelfand and
-Tannaka constructions at finite scale.
+Skeletal 2-Hilbert spaces with block morphisms (composition, star and the
+weighted inner product; kernels, biproducts and polar factors are per-block
+matrix algebra), multiplicity-matrix functors between them, representation
+categories of finite groups and supergroups with their canonical well-balanced
+dualities, a tangle-expression evaluator, and the categorified Fourier,
+Gelfand and Tannaka constructions at finite scale.
 """
 
 from .ambrose import HStarAlgebraData, ambrose_decompose, block_model
@@ -18,16 +20,10 @@ from .hstar import (
     BlockMorphism,
     ObjectExpr,
     SpaceTable,
-    cokernel,
     compose,
-    direct_sum,
     identity,
     inner_product,
-    kernel,
-    polar_decompose,
-    scalar_tensor,
     star,
-    zero_morphism,
 )
 from .reps import Adjunction, Intertwiner, RepCategory, RepObject
 from .tangles import EvalContext, evaluate, move_suite, parse
@@ -42,9 +38,7 @@ from .transforms import (
 
 __all__ = [
     "SpaceTable", "ObjectExpr", "BlockMorphism",
-    "compose", "star", "inner_product", "cokernel", "kernel",
-    "polar_decompose", "direct_sum", "scalar_tensor", "identity",
-    "zero_morphism",
+    "compose", "star", "inner_product", "identity",
     "HStarAlgebraData", "block_model", "ambrose_decompose",
     "FusionFunctor", "apply", "adjoint_functor", "tensor_space",
     "FiniteGroup", "FiniteSuperGroup", "catalog", "load_group",

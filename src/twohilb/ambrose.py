@@ -35,9 +35,8 @@ from .linalg import (
 # entries of the product table compared at once by validate and recomposition_dev (16 MB)
 _BLOCK_ENTRIES = 1 << 20
 
-__all__ = ["HStarAlgebraData", "block_model", "change_basis",
-           "endomorphism_algebra", "ambrose_decompose", "AmbroseIdeal",
-           "AmbroseDecomposition"]
+__all__ = ["HStarAlgebraData", "block_model", "change_basis", "ambrose_decompose",
+           "AmbroseIdeal", "AmbroseDecomposition"]
 
 
 @dataclass(frozen=True)
@@ -262,35 +261,12 @@ def change_basis(alg: HStarAlgebraData, u: np.ndarray) -> HStarAlgebraData:
     return HStarAlgebraData(n, table, unit, star)
 
 
-def endomorphism_algebra(x) -> HStarAlgebraData:
-    """The endomorphism H*-algebra of an object of a skeletal 2-Hilbert space.
-
-    The basis consists of the matrix units of each simple block, rescaled by
-    the block weight so the basis is orthonormal.
-    """
-    sizes = [m for m in x.mults if m > 0]
-    weights = [w for w, m in zip(x.space.weights, x.mults) if m > 0]
-    if not sizes:
-        raise ValidationError("the zero object has a zero endomorphism algebra")
-    return block_model(sizes, weights)
-
-
 @dataclass
 class AmbroseIdeal:
     size: int
     weight: float
     projection: np.ndarray
     matrix_units: np.ndarray  # shape (size, size, dim): coordinates of e_{ab}
-
-    def identification_unitary(self) -> np.ndarray:
-        """Orthonormal columns identifying the ideal with its matrix model.
-
-        Column (a, b) is the coordinate vector of the normalized matrix unit
-        e_{ab} / sqrt(weight); the map is a unitary from the model onto the
-        ideal subspace.
-        """
-        d = self.size
-        return self.matrix_units.reshape(d * d, -1).T / np.sqrt(self.weight)
 
     def model_coords(self, v: np.ndarray) -> np.ndarray:
         """Coordinates of the ideal component of v as a size x size matrix."""

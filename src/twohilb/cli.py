@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "categorified transforms")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, group=True):
+    def common(p, group=True, tol=False):
         if group:
             p.add_argument("--group", required=True,
                            help=f"catalog name ({', '.join(catalog_names())}), "
@@ -299,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
                            const="auto", default=None, metavar="Z",
                            help="grade by a central involution "
                                 "(index, or unique one when omitted)")
-        p.add_argument("--tol", type=_tolerance, default=1e-9)
+        if tol:  # only the commands that read it accept it
+            p.add_argument("--tol", type=_tolerance, default=1e-9)
         p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
         p.add_argument("--out", default=None, help="write the report to a file")
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["eval", "moves"])
     p.add_argument("expr", nargs="?", default=None,
                    help="tangle expression (for eval)")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--object", required=True,
                    help="irreducible label or alias (triv, sgn, std)")
     p.add_argument("--dim", type=int, default=3, choices=[2, 3, 4],
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_tangle)
 
     p = sub.add_parser("fourier", help="isotypic grading over the dual group")
-    common(p)
+    common(p, tol=True)
     p.set_defaults(fn=_cmd_fourier)
 
     p = sub.add_parser("tannaka", help="reconstruct the symmetry group")

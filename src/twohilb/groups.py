@@ -47,7 +47,11 @@ class FiniteGroup:
 
     @staticmethod
     def make(name: str, table, element_names=None) -> "FiniteGroup":
-        arr = np.array(table)
+        """The validated group; a read-only array that owns its data is kept
+        as the table, any other input is copied."""
+        arr = table
+        if not (isinstance(arr, np.ndarray) and arr.flags.owndata and not arr.flags.writeable):
+            arr = np.array(table)
         n = arr.shape[0]
         if arr.shape != (n, n):
             raise ValidationError("multiplication table must be square")
@@ -284,7 +288,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     table = (np.arange(n)[:, None] + np.arange(n)) % n
     names = [f"g{a}" for a in range(n)]
     names[0] = "e"
-    return FiniteGroup.make(f"Z{n}", table, names)
+    return FiniteGroup.make(f"Z{n}", _frozen(table), names)
 
 
 def product_group(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -312,7 +316,7 @@ def symmetric_group(n: int) -> FiniteGroup:
         table += (w * elems)[:, elems[:, i]]
     table = np.searchsorted(elems @ weights, table)
     names = ["".join(map(str, p)) for p in elems.tolist()]
-    return FiniteGroup.make(f"S{n}", table, names)
+    return FiniteGroup.make(f"S{n}", _frozen(table), names)
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -324,7 +328,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     table = (a[:, None] + (1 - 2 * b[:, None]) * a) % n + n * (b[:, None] ^ b)
     names = [f"r{k}" for k in range(n)] + [f"r{k}s" for k in range(n)]
     names[0] = "e"
-    return FiniteGroup.make(f"D{n}", table, names)
+    return FiniteGroup.make(f"D{n}", _frozen(table), names)
 
 
 def quaternion_group() -> FiniteGroup:

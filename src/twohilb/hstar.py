@@ -14,13 +14,7 @@ from collections.abc import Iterable, Mapping
 import numpy as np
 
 from .errors import CompositionError, ValidationError
-from .linalg import (
-    DEFAULT_TOL,
-    dagger,
-    max_abs,
-    range_complement_basis,
-    sqrtm_psd,
-)
+from .linalg import dagger, max_abs
 
 __all__ = [
     "SpaceTable",
@@ -29,14 +23,7 @@ __all__ = [
     "compose",
     "star",
     "inner_product",
-    "norm",
     "identity",
-    "zero_morphism",
-    "cokernel",
-    "kernel",
-    "polar_decompose",
-    "direct_sum",
-    "scalar_tensor",
     "morphism_dev",
 ]
 
@@ -110,10 +97,6 @@ class ObjectExpr:
 
     def mult(self, label: str) -> int:
         return self.mults[self.space.simples.index(label)]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(m == 0 for m in self.mults)
 
     @property
     def total_dim(self) -> int:
@@ -206,9 +189,6 @@ class BlockMorphism:
         # max_abs of the per-block values, not max(), so that a NaN is kept
         return max_abs([max_abs(m) for m in self.blocks.values()])
 
-    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.max_abs() <= tol
-
     def to_json(self) -> dict:
         def enc(mat):
             return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
@@ -229,10 +209,6 @@ class BlockMorphism:
 
 def identity(x: ObjectExpr) -> BlockMorphism:
     return BlockMorphism(x, x, {s: np.eye(m) for s, m in zip(x.space.simples, x.mults) if m})
-
-
-def zero_morphism(src: ObjectExpr, dst: ObjectExpr) -> BlockMorphism:
-    return BlockMorphism(src, dst, {})
 
 
 def compose(first: BlockMorphism, second: BlockMorphism) -> BlockMorphism:
@@ -262,10 +238,6 @@ def inner_product(f: BlockMorphism, g: BlockMorphism) -> complex:
     return complex(total)
 
 
-def norm(f: BlockMorphism) -> float:
-    return float(np.sqrt(max(inner_product(f, f).real, 0.0)))
-
-
 def morphism_dev(f: BlockMorphism, g: BlockMorphism) -> float:
     """Largest entrywise deviation between two morphisms with equal endpoints."""
     if f.src != g.src or f.dst != g.dst:
@@ -273,118 +245,3 @@ def morphism_dev(f: BlockMorphism, g: BlockMorphism) -> float:
     fb, gb = f.blocks, g.blocks
     return max_abs([max_abs(f.block(s) - g.block(s)) for s in f.space.simples
                     if s in fb or s in gb])
-
-
-def is_unitary_morphism(f: BlockMorphism, tol: float = DEFAULT_TOL) -> bool:
-    if f.src.mults != f.dst.mults:
-        return False
-    return (morphism_dev(compose(f, star(f)), identity(f.src)) <= tol
-            and morphism_dev(compose(star(f), f), identity(f.dst)) <= tol)
-
-
-def cokernel(f: BlockMorphism, tol: float = DEFAULT_TOL) -> tuple[ObjectExpr, BlockMorphism]:
-    """Cokernel object and the projection q: dst -> coker with f;q = 0.
-
-    q restricted to the orthogonal complement of the range of f is unitary;
-    for f = 0 it is a unitary on all of dst.
-    """
-    mults = {}
-    blocks = {}
-    for s in f.space.simples:
-        m_dst = f.dst.mult(s)
-        if m_dst == 0:
-            continue
-        _, comp = range_complement_basis(f.block(s), tol)
-        mults[s] = comp.shape[1]
-        blocks[s] = dagger(comp)
-    c = ObjectExpr.make(f.space, {s: m for s, m in mults.items() if m})
-    q = BlockMorphism(f.dst, c, {s: b[: mults[s], :] for s, b in blocks.items() if mults[s]})
-    return c, q
-
-
-def kernel(f: BlockMorphism, tol: float = DEFAULT_TOL) -> tuple[ObjectExpr, BlockMorphism]:
-    """Kernel object and injection j: ker -> src, obtained as star(cokernel(star(f)))."""
-    k, q = cokernel(star(f), tol)
-    return k, star(q)
-
-
-def polar_decompose(f: BlockMorphism) -> tuple[BlockMorphism, BlockMorphism]:
-    """Factor an isomorphism as f = compose(a, u), a positive on src, u unitary.
-
-    Blockwise, ``a`` is the positive square root of the composite of f with
-    its star and ``u = f a^{-1}``.  Raises for non-invertible input, naming
-    the offending simple label.
-    """
-    if f.src.mults != f.dst.mults:
-        raise ValidationError("polar decomposition requires equal multiplicities")
-    a_blocks = {}
-    u_blocks = {}
-    for s in f.space.simples:
-        m = f.src.mult(s)
-        if m == 0:
-            continue
-        mat = f.block(s)
-        if np.linalg.matrix_rank(mat) < m:
-            raise ValidationError(f"morphism is not invertible at simple {s!r}")
-        a = sqrtm_psd(dagger(mat) @ mat)
-        a_blocks[s] = a
-        u_blocks[s] = mat @ np.linalg.inv(a)
-    a = BlockMorphism(f.src, f.src, a_blocks)
-    u = BlockMorphism(f.src, f.dst, u_blocks)
-    return a, u
-
-
-def direct_sum(x: ObjectExpr, y: ObjectExpr):
-    """Biproduct of two objects over one space.
-
-    Returns ``(z, inj_x, inj_y, proj_x, proj_y)`` satisfying
-    ``compose(inj_x, proj_x) = 1_x`` and
-    ``compose(proj_x, inj_x) + compose(proj_y, inj_y) = 1_z``.
-    """
-    _check_same_space(x.space, y.space)
-    space = x.space
-    z = ObjectExpr.make(space, tuple(a + b for a, b in zip(x.mults, y.mults)))
-    ij_x, ij_y, pj_x, pj_y = {}, {}, {}, {}
-    for s, (mx, my) in zip(space.simples, zip(x.mults, y.mults)):
-        mz = mx + my
-        if mz == 0:
-            continue
-        ix = np.zeros((mz, mx), dtype=np.complex128)
-        ix[:mx, :] = np.eye(mx)
-        iy = np.zeros((mz, my), dtype=np.complex128)
-        iy[mx:, :] = np.eye(my)
-        if mx:
-            ij_x[s] = ix
-            pj_x[s] = dagger(ix)
-        if my:
-            ij_y[s] = iy
-            pj_y[s] = dagger(iy)
-    return (z,
-            BlockMorphism(x, z, ij_x),
-            BlockMorphism(y, z, ij_y),
-            BlockMorphism(z, x, pj_x),
-            BlockMorphism(z, y, pj_y))
-
-
-def scalar_tensor(x: ObjectExpr, n: int):
-    """Tensoring by an n-dimensional Hilbert space: the n-fold direct sum.
-
-    Returns ``(z, injections, projections)`` with the usual biproduct laws.
-    """
-    if n < 0:
-        raise ValidationError("scalar multiplicity must be nonnegative")
-    space = x.space
-    z = ObjectExpr.make(space, tuple(n * m for m in x.mults))
-    injections = []
-    projections = []
-    for copy in range(n):
-        inj = {}
-        for s, m in zip(space.simples, x.mults):
-            if m == 0:
-                continue
-            mat = np.zeros((n * m, m), dtype=np.complex128)
-            mat[copy * m:(copy + 1) * m, :] = np.eye(m)
-            inj[s] = mat
-        injections.append(BlockMorphism(x, z, inj))
-        projections.append(star(injections[-1]))
-    return z, injections, projections

@@ -34,13 +34,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def sqrtm_psd(a: np.ndarray) -> np.ndarray:
-    """Positive square root of a positive semidefinite Hermitian matrix."""
-    w, v = np.linalg.eigh((a + dagger(a)) / 2.0)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ dagger(v)
-
-
 def nearest_unitary(a: np.ndarray) -> np.ndarray:
     """Unitary polar factor of a square matrix (via SVD)."""
     u, _, vh = np.linalg.svd(a)
@@ -77,21 +70,6 @@ def cluster_indices(vals: np.ndarray, gap: float) -> list[list[int]]:
         else:
             clusters.append([idx])
     return clusters
-
-
-def range_complement_basis(a: np.ndarray, tol: float = DEFAULT_TOL):
-    """Orthonormal bases (range, complement) of the column space of ``a``.
-
-    Returns a pair of matrices whose columns are orthonormal and together
-    span the full target space.
-    """
-    rows = a.shape[0]
-    if a.size == 0:
-        return np.zeros((rows, 0), dtype=np.complex128), np.eye(rows, dtype=np.complex128)
-    u, s, _ = np.linalg.svd(a, full_matrices=True)
-    cutoff = max(tol, tol * (s[0] if s.size else 0.0))
-    rank = int(np.sum(s > cutoff))
-    return u[:, :rank], u[:, rank:]
 
 
 def nullspace_basis(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

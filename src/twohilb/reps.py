@@ -570,17 +570,11 @@ class RepCategory:
         return Intertwiner(x, x, mat)
 
     def well_balanced_adjunction(self, x: RepObject,
-                                 base: Adjunction | None = None,
                                  tol: float = DEFAULT_TOL) -> Adjunction:
-        """A duality whose balancing is unitary.
+        """The canonical adjunction, whose balancing is unitary within ``tol``."""
+        return self._well_balanced(x, tol)[0]
 
-        Without ``base`` this is the canonical adjunction (already well
-        balanced).  Given a deformed adjunction, the unit and counit are
-        rescaled per simple summand to restore unitarity.
-        """
-        return self._well_balanced(x, base, tol)[0]
-
-    def _well_balanced(self, x: RepObject, base: Adjunction | None = None,
+    def _well_balanced(self, x: RepObject,
                        tol: float = DEFAULT_TOL) -> tuple[Adjunction, Intertwiner]:
         """``well_balanced_adjunction`` together with the balancing it checked.
 
@@ -593,50 +587,17 @@ class RepCategory:
         ||b - U||_F, which bounds every entry of b - U: the check is no weaker
         than the distance to the unitary polar factor at the same threshold.
         """
-        if base is None:
-            adj = self.adjunction(x)
-            if self.bosonic:
-                return adj, Intertwiner(x, x, np.eye(x.dim, dtype=np.complex128))
-        else:
-            adj = self._rebalance(base, tol)
+        adj = self.adjunction(x)
+        if self.bosonic:
+            return adj, Intertwiner(x, x, np.eye(x.dim, dtype=np.complex128))
         b = self.balancing_of(adj)
         dev = float(np.linalg.norm(b.matrix @ dagger(b.matrix) - np.eye(x.dim)))
         if dev > 1e3 * tol:
             raise ValidationError(f"balancing is not unitary ({dev:.3e})", violation=dev)
-        if base is not None and adj.triangle_dev() > 1e3 * tol:
-            raise ValidationError("duality triangles fail")
         return adj, b
-
-    def _rebalance(self, adj: Adjunction, tol: float) -> Adjunction:
-        x = adj.x
-        b = self.balancing_of(adj).matrix
-        pieces = self.decompose(x)
-        scale = np.zeros((x.dim, x.dim), dtype=np.complex128)
-        for piece in pieces:
-            u = piece.coisometry
-            block = u @ b @ dagger(u)
-            beta = np.trace(block) / block.shape[0]
-            if max_dev(block, beta * np.eye(block.shape[0])) > 1e-6:
-                raise ValidationError(
-                    "balancing is not scalar per simple summand; cannot rescale")
-            scale += np.sqrt(abs(beta)) * (dagger(u) @ u)
-        f = np.conj(scale)  # acts on the conjugate carrier
-        # unit (1 (x) f) i and counit e (f^-1 (x) 1), on the reshaped matrices
-        i_new = (adj.unit_matrix @ f.T).reshape(-1, 1)
-        e_new = (np.linalg.inv(f).T @ adj.counit_matrix).reshape(1, -1)
-        return Adjunction(x, adj.xstar,
-                          Intertwiner(adj.i.src, adj.i.dst, i_new),
-                          Intertwiner(adj.e.src, adj.e.dst, e_new))
 
     def balancing(self, x: RepObject) -> Intertwiner:
         return self._well_balanced(x)[1]
-
-    @staticmethod
-    def comparison_isomorphism(first: Adjunction, second: Adjunction) -> Intertwiner:
-        """The canonical map between the duals of two adjunctions on one object."""
-        # (e (x) 1)(1 (x) i') = (E I')^T
-        mat = (first.counit_matrix @ second.unit_matrix).T
-        return Intertwiner(first.xstar, second.xstar, mat)
 
     # -- trace and dimension ------------------------------------------------
 
@@ -729,21 +690,6 @@ class RepCategory:
             raise ValidationError(f"self-duality sign is ambiguous "
                                   f"(overlap {overlap:.4f}, residual {residual:.2e})")
         return SelfDuality("real" if sign > 0 else "quaternionic", sign, f, residual)
-
-    # -- invertibility ------------------------------------------------------------
-
-    def invertibility_check(self, x: RepObject, tol: float = 1e-8) -> bool:
-        """True iff dim(x) = 1 iff the unit and its star are mutually inverse."""
-        adj = self.well_balanced_adjunction(x)
-        dim_test = abs(self.dim(x) - 1.0) < tol
-        i_m = adj.i.matrix
-        left = dagger(i_m) @ i_m
-        right = i_m @ dagger(i_m)
-        inv_test = (max_dev(left, np.eye(1)) < tol
-                    and max_dev(right, np.eye(right.shape[0])) < tol)
-        if dim_test != inv_test:
-            raise ValidationError("invertibility criteria disagree")
-        return dim_test
 
 
 @dataclass

@@ -9,7 +9,7 @@ import numpy as np
 
 from .functors import FusionFunctor
 from .hstar import BlockMorphism, ObjectExpr, SpaceTable
-from .linalg import random_complex, random_unitary
+from .linalg import random_complex
 
 _LABELS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -37,38 +37,6 @@ def random_morphism(rng: np.random.Generator, src: ObjectExpr,
         if rows and cols:
             blocks[s] = random_complex(rng, (rows, cols))
     return BlockMorphism(src, dst, blocks)
-
-
-def random_isomorphism(rng: np.random.Generator, x: ObjectExpr) -> BlockMorphism:
-    """A random invertible endo-shaped morphism (well conditioned w.h.p.)."""
-    blocks = {}
-    for s, m in zip(x.space.simples, x.mults):
-        if m:
-            blocks[s] = random_complex(rng, (m, m)) + 2.0 * m * np.eye(m)
-    return BlockMorphism(x, x, blocks)
-
-
-def random_unitary_morphism(rng: np.random.Generator, x: ObjectExpr) -> BlockMorphism:
-    blocks = {s: random_unitary(rng, m) for s, m in zip(x.space.simples, x.mults) if m}
-    return BlockMorphism(x, x, blocks)
-
-
-def random_monomorphism(rng: np.random.Generator, space: SpaceTable) -> BlockMorphism:
-    """A random injection x -> y (blocks of full column rank w.h.p.), with
-    multiplicities 0 to 3 in x and 0 to 3 more in y."""
-    src_m = []
-    dst_m = []
-    for _ in space.simples:
-        a = int(rng.integers(0, 4))
-        b = a + int(rng.integers(0, 4))
-        src_m.append(a)
-        dst_m.append(b)
-    if not any(src_m):
-        src_m[0] = 1
-        dst_m[0] = max(dst_m[0], 1)
-    src = ObjectExpr.make(space, src_m)
-    dst = ObjectExpr.make(space, dst_m)
-    return random_morphism(rng, src, dst)
 
 
 def random_fusion_functor(rng: np.random.Generator, src: SpaceTable,

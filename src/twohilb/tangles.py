@@ -34,7 +34,7 @@ from .linalg import DEFAULT_TOL, distance_to_unitary, kron, max_dev
 from .reps import Adjunction, Intertwiner, RepCategory, RepObject
 
 __all__ = ["parse", "TangleExpr", "Gen", "Seq", "Par", "EvalContext",
-           "evaluate", "evaluate_scalar", "move_check", "move_suite",
+           "evaluate", "move_check", "move_suite",
            "MoveEntry", "KINK_PLUS", "KINK_MINUS",
            "UNKNOT_PRESENTATIONS", "HOPF_PRESENTATIONS"]
 
@@ -292,15 +292,6 @@ def _eval_node(node: TangleExpr, ctx: EvalContext) -> np.ndarray:
             mat = piece if mat is None else kron(mat, piece)
         return mat
     raise ValidationError("malformed tangle tree")
-
-
-def evaluate_scalar(expr, ctx: EvalContext) -> complex:
-    """Value of a closed diagram as an endomorphism scalar of the unit."""
-    if isinstance(expr, str):
-        expr = parse(expr)
-    if expr.src or expr.dst:
-        raise TangleTypeError("expression is not closed")
-    return complex(_eval_node(expr, ctx)[0, 0])
 
 
 # -- moves ---------------------------------------------------------------------

@@ -11,11 +11,9 @@ from twohilb.ambrose import (
     ambrose_decompose,
     block_model,
     change_basis,
-    endomorphism_algebra,
 )
 from twohilb.errors import ValidationError
 from twohilb.groups import cyclic_group, dihedral_group, quaternion_group, symmetric_group
-from twohilb.hstar import ObjectExpr, SpaceTable
 from twohilb.linalg import dagger, max_dev, random_complex, random_unitary
 from twohilb.reps import RepCategory
 
@@ -81,16 +79,6 @@ def test_commutative_algebra_splits_into_lines(rng):
         assert min(np.max(np.abs(i.projection - want)) for i in dec.ideals) < 1e-8
 
 
-def test_endomorphism_algebra_of_double_simple(rng):
-    space = SpaceTable.make(["e"], {"e": 1.0})
-    x = ObjectExpr.make(space, {"e": 2})
-    alg = endomorphism_algebra(x)
-    alg.validate()
-    dec = ambrose_decompose(alg, rng=rng)
-    assert dec.sizes == (2,)
-    assert dec.weights[0] == pytest.approx(1.0)
-
-
 def test_validation_catches_broken_associativity(rng):
     alg = block_model([2], [1.0])
     table = alg.table.copy()
@@ -106,15 +94,6 @@ def test_json_round_trip(rng):
     assert np.allclose(back.table, alg.table)
     assert np.allclose(back.unit, alg.unit)
     assert np.allclose(back.star_matrix, alg.star_matrix)
-
-
-def test_identification_unitary_columns(rng):
-    alg = block_model([2, 1], [1.0, 2.0])
-    dec = ambrose_decompose(alg, rng=rng)
-    for ideal in dec.ideals:
-        u = ideal.identification_unitary()
-        gram = u.conj().T @ u
-        assert np.allclose(gram, np.eye(ideal.size ** 2), atol=1e-8)
 
 
 # -- reference definitions: one basis pair at a time ---------------------------

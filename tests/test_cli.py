@@ -239,6 +239,20 @@ def test_invalid_option_value_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_only_the_commands_that_read_tol_accept_it(capsys, command):
+    """``tangle`` and ``fourier`` read ``--tol``; elsewhere it is an unknown
+    option, not one that silently changes nothing."""
+    argv = SUBCOMMANDS[command] + ["--tol", "1e-3"]
+    if command in ("tangle", "fourier"):
+        assert run_cli(capsys, *argv)[0] == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", sorted(set(SUBCOMMANDS) - {"suite"}))
 def test_invalid_group_exits_2(capsys, command):
     argv = [a if a != "Z2" else "Nope" for a in SUBCOMMANDS[command]]

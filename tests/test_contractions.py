@@ -1,7 +1,7 @@
 """The contracted duality diagrams against their Kronecker-operator definitions.
 
-``RepCategory`` evaluates balancing, traces, triangles, the dagger
-transform and the comparison map by contracting the unit and counit as
+``RepCategory`` evaluates balancing, traces, triangles and the dagger
+transform by contracting the unit and counit as
 d x d matrices.  The ``ref_*`` functions below keep the diagrams as
 products of ``np.kron`` operators on d^3-dimensional carriers, which is
 how they are drawn; every contracted result must match them to 1e-12.
@@ -72,27 +72,11 @@ def ref_dagger_transform(adj, f):
     return step3 @ step2 @ step1
 
 
-def ref_comparison(first, second):
-    return (np.kron(first.e.matrix, np.eye(second.xstar.dim))
-            @ np.kron(np.eye(first.xstar.dim), second.i.matrix))
-
-
 def ref_deform(adj, h):
     """Unit (1 (x) h) i and counit e (h^-1 (x) 1) for h acting on xstar."""
     d = adj.x.dim
     return (np.kron(np.eye(d), h) @ adj.i.matrix,
             adj.e.matrix @ np.kron(np.linalg.inv(h), np.eye(d)))
-
-
-def ref_rebalance(cat, adj):
-    b = ref_balancing(cat, adj)
-    scale = np.zeros((adj.x.dim,) * 2, dtype=np.complex128)
-    for piece in cat.decompose(adj.x):
-        u = piece.coisometry
-        block = u @ b @ dagger(u)
-        beta = np.trace(block) / block.shape[0]
-        scale += np.sqrt(abs(beta)) * (dagger(u) @ u)
-    return ref_deform(adj, np.conj(scale))
 
 
 # -- fixtures -----------------------------------------------------------------------
@@ -118,8 +102,7 @@ def random_objects(cat, seed, count=3, max_dim=7):
 
 
 def adjunctions(cat, x):
-    """The canonical duality, two rescalings, a per-summand deformation and
-    the rebalanced versions of the deformed ones."""
+    """The canonical duality, two rescalings and a per-summand deformation."""
     canonical = cat.well_balanced_adjunction(x)
     out = {"canonical": canonical,
            "scaled-phase": canonical.scaled(np.exp(0.7j)),
@@ -131,8 +114,6 @@ def adjunctions(cat, x):
     out["deformed"] = Adjunction(x, canonical.xstar,
                                  Intertwiner(canonical.i.src, canonical.i.dst, i_m),
                                  Intertwiner(canonical.e.src, canonical.e.dst, e_m))
-    out["rebalanced-scaled"] = cat.well_balanced_adjunction(x, base=out["scaled"])
-    out["rebalanced-deformed"] = cat.well_balanced_adjunction(x, base=out["deformed"])
     return out
 
 
@@ -204,25 +185,6 @@ def test_dagger_transform_matches_kronecker_operators(cat):
         adj = cat.well_balanced_adjunction(x)
         got = cat.dagger_transform(f).matrix
         assert max_dev(got, ref_dagger_transform(adj, f.matrix)) < TOL
-
-
-def test_comparison_isomorphism_matches_kronecker_operators(cat):
-    for x in random_objects(cat, 6):
-        adjs = adjunctions(cat, x)
-        for first in adjs.values():
-            for name, second in adjs.items():
-                got = RepCategory.comparison_isomorphism(first, second).matrix
-                assert max_dev(got, ref_comparison(first, second)) < TOL, name
-
-
-def test_rebalance_matches_kronecker_operators(cat):
-    for x in random_objects(cat, 7):
-        adjs = adjunctions(cat, x)
-        for name in ("scaled", "deformed"):
-            i_m, e_m = ref_rebalance(cat, adjs[name])
-            got = adjs["rebalanced-" + name]
-            assert max_dev(got.i.matrix, i_m) < TOL, name
-            assert max_dev(got.e.matrix, e_m) < TOL, name
 
 
 # -- memory ------------------------------------------------------------------------

@@ -10,9 +10,10 @@ from twohilb.functors import (
     tensor_space,
 )
 from twohilb.hstar import (
+    BlockMorphism,
+    ObjectExpr,
     SpaceTable,
     compose,
-    direct_sum,
     identity,
     morphism_dev,
     star,
@@ -70,7 +71,12 @@ def test_apply_preserves_direct_sums(rng):
     h, k = two_spaces(rng)
     f = random_fusion_functor(rng, h, k)
     x, y = (random_object(rng, h) for _ in range(2))
-    z, ix, iy, px, py = direct_sum(x, y)
+    # the biproduct z = x + y: x in the first rows of each block, y below it
+    z = ObjectExpr.make(h, [a + b for a, b in zip(x.mults, y.mults)])
+    pairs = list(zip(h.simples, x.mults, y.mults))
+    ix = BlockMorphism(x, z, {s: np.eye(a + b, a) for s, a, b in pairs})
+    iy = BlockMorphism(y, z, {s: np.eye(a + b, b, -a) for s, a, b in pairs})
+    px, py = star(ix), star(iy)
     fz = apply_object(f, z)
     total = compose(apply(f, px), apply(f, ix)) + compose(apply(f, py), apply(f, iy))
     assert morphism_dev(total, identity(fz)) < TOL

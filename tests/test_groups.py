@@ -89,6 +89,12 @@ def test_table_is_one_read_only_array():
     assert g.matrix is g.table
     with pytest.raises(ValueError):
         g.table[0, 0] = 1
+    # make keeps a read-only array that owns its data and copies any other
+    assert FiniteGroup.make("D4", g.table).table is g.table
+    table = g.table.copy()
+    h = FiniteGroup.make("D4", table)
+    table[0, 0] = 1
+    assert h.table[0, 0] == 0 and not h.table.flags.writeable
     # the JSON form holds Python ints
     assert json.loads(json.dumps(g.to_json()))["table"] == g.table.tolist()
 
@@ -105,14 +111,18 @@ def test_groups_compare_by_name_element_names_and_table():
 
 
 def test_s6_holds_one_table():
-    """Building S6 (720 elements) keeps its 4 MB table and little else."""
+    """Building S6 (720 elements) keeps its 4 MB table and little else.  At
+    the peak it holds the table, the permutation codes and validate's two
+    gathers, but no copy of the table: ``make`` keeps the constructor's
+    read-only array (4.2 tables when it copied it)."""
     tracemalloc.start()
     try:
         g = symmetric_group(6)
-        live = tracemalloc.get_traced_memory()[0]
+        live, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert live <= 2 * g.table.nbytes, f"S6 holds {live / 2**20:.1f} MB"
+    assert peak <= 3.5 * g.table.nbytes, f"S6 peaks at {peak / g.table.nbytes:.2f} tables"
 
 
 def test_load_group_names(tmp_path):

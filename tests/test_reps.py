@@ -145,17 +145,13 @@ def test_canonical_adjunction_well_balanced(s3, rng):
     assert max_dev(b.matrix, np.eye(x.dim)) < 1e-9
 
 
-def test_scaled_adjunction_rebalanced(s3, rng):
+def test_scaled_adjunction_is_not_well_balanced(s3, rng):
     x = s3.random_object(rng, max_dim=4)
     bad = s3.adjunction(x).scaled(2.0)
     assert bad.triangle_dev() < 1e-9  # still an adjunction
     b_bad = s3.balancing_of(bad)
     assert max_dev(b_bad.matrix, 4.0 * np.eye(x.dim)) < 1e-9
     assert distance_to_unitary(b_bad.matrix) > 1.0
-    fixed = s3.well_balanced_adjunction(x, base=bad)
-    b_fixed = s3.balancing_of(fixed)
-    assert max_dev(b_fixed.matrix, np.eye(x.dim)) < 1e-8
-    assert fixed.triangle_dev() < 1e-8
 
 
 def test_odd_object_balancing(superhilb):
@@ -357,14 +353,6 @@ def test_even_pairs_unchanged_by_bosonization(super_q8):
     assert max_dev(super_q8.braiding(x, y).matrix, flat.braiding(x, y).matrix) < 1e-12
 
 
-def test_invertibility(s3):
-    z4 = RepCategory(cyclic_group(4))
-    assert s3.invertibility_check(s3.irrep("1b")) is True
-    assert s3.invertibility_check(s3.irrep("2a")) is False
-    for label in z4.irrep_labels():
-        assert z4.invertibility_check(z4.irrep(label)) is True
-
-
 def test_well_balanced_uniqueness(s3, rng):
     x = s3.random_object(rng, max_dim=4)
     first = s3.well_balanced_adjunction(x)
@@ -375,7 +363,9 @@ def test_well_balanced_uniqueness(s3, rng):
         Intertwiner(first.e.src, first.e.dst, first.e.matrix / phase))
     assert twisted.triangle_dev() < 1e-9
     assert distance_to_unitary(s3.balancing_of(twisted).matrix) < 1e-9
-    u = RepCategory.comparison_isomorphism(first, twisted)
+    # the comparison map (e (x) 1)(1 (x) i') = (E I')^T between the two duals
+    u = Intertwiner(first.xstar, twisted.xstar,
+                    (first.counit_matrix @ twisted.unit_matrix).T)
     assert max_dev(u.matrix @ dagger(u.matrix), np.eye(u.matrix.shape[0])) < 1e-8
     assert u.equivariance_dev() < 1e-8
 
@@ -594,16 +584,6 @@ def test_decompose_of_a_non_unitary_carrier_raises(s3):
     assert s3.multiplicities(y) == {"1a": 1, "2a": 1}
     with pytest.raises(ValidationError):
         s3.decompose(y)
-
-
-def test_rebalanced_adjunction_with_broken_triangles_raises(s3):
-    # doubling only the unit leaves the balancing E^H E = I but breaks both
-    # zig-zags, so rescaling has nothing to fix and the triangles must fail
-    x = s3.irrep("2a")
-    canonical = s3.adjunction(x)
-    broken = Adjunction(x, canonical.xstar, 2.0 * canonical.i, canonical.e)
-    with pytest.raises(ValidationError, match="duality triangles fail"):
-        s3.well_balanced_adjunction(x, base=broken)
 
 
 def test_shared_arrays_are_read_only(s3):

@@ -18,7 +18,6 @@ from twohilb.tangles import (
     GEN_TYPES,
     EvalContext,
     evaluate,
-    evaluate_scalar,
     move_check,
     move_suite,
     parse,
@@ -70,8 +69,8 @@ def test_ast_json_has_types():
 
 
 def test_closed_loop_value_is_dimension(s3_ctx):
-    assert evaluate_scalar("coev ; coev*", s3_ctx) == pytest.approx(2.0)
-    assert evaluate_scalar("ev* ; ev", s3_ctx) == pytest.approx(2.0)
+    assert evaluate("coev ; coev*", s3_ctx).matrix[0, 0] == pytest.approx(2.0)
+    assert evaluate("ev* ; ev", s3_ctx).matrix[0, 0] == pytest.approx(2.0)
 
 
 def test_twist_tangle_is_balancing(s3_ctx, odd_ctx):
@@ -84,7 +83,7 @@ def test_twist_tangle_is_balancing(s3_ctx, odd_ctx):
 def test_kinked_unknot_value(odd_ctx):
     # one positive kink in ambient 3 multiplies the closed loop by the twist
     kinked = f"ev* ; (id- | ({KINK_PLUS})) ; ev"
-    assert evaluate_scalar(kinked, odd_ctx) == pytest.approx(-1.0)
+    assert evaluate(kinked, odd_ctx).matrix[0, 0] == pytest.approx(-1.0)
 
 
 def test_evaluation_is_functorial(s3_ctx, rng):
@@ -142,7 +141,7 @@ def test_context_rejects_invalid_tolerance_and_scale(s3_ctx, option):
 
 def test_unknot_presentations_agree(s3_ctx, odd_ctx):
     for ctx, want in ((s3_ctx, 2.0), (odd_ctx, 1.0)):
-        values = [evaluate_scalar(text, ctx) for text in UNKNOT_PRESENTATIONS]
+        values = [evaluate(text, ctx).matrix[0, 0] for text in UNKNOT_PRESENTATIONS]
         assert len(values) >= 5
         for v in values:
             assert v == pytest.approx(want, abs=1e-8)
@@ -150,7 +149,7 @@ def test_unknot_presentations_agree(s3_ctx, odd_ctx):
 
 def test_hopf_presentations_agree(s3_ctx, odd_ctx):
     for ctx in (s3_ctx, odd_ctx):
-        values = [evaluate_scalar(text, ctx) for text in HOPF_PRESENTATIONS]
+        values = [evaluate(text, ctx).matrix[0, 0] for text in HOPF_PRESENTATIONS]
         assert len(values) >= 3
         first = values[0]
         for v in values[1:]:
