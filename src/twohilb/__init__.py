@@ -2,14 +2,16 @@
 
 Skeletal 2-Hilbert spaces with block morphisms (composition, star and the
 weighted inner product; kernels, biproducts and polar factors are per-block
-matrix algebra), multiplicity-matrix functors between them, representation
-categories of finite groups and supergroups with their canonical well-balanced
-dualities, a tangle-expression evaluator, and the categorified Fourier,
-Gelfand and Tannaka constructions at finite scale.
+matrix algebra), multiplicity-matrix functors between them with their action
+on objects, adjoints and hom dimensions, representation categories of finite
+groups and supergroups with their canonical well-balanced dualities, a
+tangle-expression evaluator, and the categorified Fourier, Gelfand and
+Tannaka constructions at finite scale, with the convolution of graded objects
+and morphisms read from the group table.
 """
 
 from .ambrose import HStarAlgebraData, ambrose_decompose, block_model
-from .functors import FusionFunctor, adjoint_functor, apply, tensor_space
+from .functors import FusionFunctor, adjoint_functor
 from .groups import (
     FiniteGroup,
     FiniteSuperGroup,
@@ -31,7 +33,6 @@ from .transforms import (
     FourierMap,
     convolution_tensor,
     gelfand_hat,
-    graded_space,
     tannaka_reconstruct,
     tautological_point,
 )
@@ -40,10 +41,10 @@ __all__ = [
     "SpaceTable", "ObjectExpr", "BlockMorphism",
     "compose", "star", "inner_product", "identity",
     "HStarAlgebraData", "block_model", "ambrose_decompose",
-    "FusionFunctor", "apply", "adjoint_functor", "tensor_space",
+    "FusionFunctor", "adjoint_functor",
     "FiniteGroup", "FiniteSuperGroup", "catalog", "load_group",
     "RepCategory", "RepObject", "Intertwiner", "Adjunction",
-    "graded_space", "convolution_tensor", "FourierMap",
+    "convolution_tensor", "FourierMap",
     "tautological_point", "gelfand_hat", "tannaka_reconstruct",
     "parse", "evaluate", "EvalContext", "move_suite",
 ]

@@ -5,24 +5,22 @@ at finite scale.
 For a finite abelian group T the dual group is materialized from the
 character table; the Fourier transform sends a representation to its
 isotypic grading over the dual and comes with explicit unitary structure
-maps that are validated numerically.  Graded objects and morphisms are the
-``hstar`` objects and block morphisms of ``graded_space``, with one simple
-per group element, and the convolution product is a ``FusionFunctor``.
+maps that are validated numerically.  Graded objects and morphisms are
+``hstar`` objects and block morphisms over a space with one simple per group
+element.  Their convolution reads the group table directly: ``conv_layout``
+is the one place that orders the pairs g1 g2 = g of a fiber.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import CompositionError, ValidationError
-from .functors import FusionFunctor, TensorSpace, apply, tensor_space
 from .groups import FiniteGroup
 from .hstar import (
     BlockMorphism,
     ObjectExpr,
-    SpaceTable,
     compose,
     identity,
     morphism_dev,
@@ -32,38 +30,44 @@ from .linalg import block_diag, dagger, kron, max_abs, max_dev, random_unitary
 from .reps import (Intertwiner, RepCategory, RepObject, _random_intertwiner, _skeletal,
                    _stacked, _swap_matrix)
 
-__all__ = ["graded_space", "convolution", "convolution_tensor", "conv_layout",
-           "graded_braiding", "dual_group", "FourierMap", "SpectrumPoint",
-           "tautological_point", "gelfand_hat", "GelfandHat",
+__all__ = ["convolution_tensor", "conv_layout", "graded_braiding", "dual_group",
+           "FourierMap", "SpectrumPoint", "tautological_point", "gelfand_hat", "GelfandHat",
            "tannaka_reconstruct", "TannakaResult"]
 
 
-# -- graded spaces and convolution ---------------------------------------------
+# -- graded convolution ---------------------------------------------------------
 
-def graded_space(group: FiniteGroup) -> SpaceTable:
-    """Hilb^G as a skeletal space: one simple of weight 1 per group element."""
-    return SpaceTable.make([group.element_name(g) for g in range(group.order)])
+def convolution_tensor(group: FiniteGroup, x, y):
+    """The convolution of two objects, or of two morphisms, of Hilb^G.
 
-
-def convolution(group: FiniteGroup) -> FusionFunctor:
-    """The convolution product of Hilb^G as a functor from S (x) S to S: the
-    simple (g1, g2) goes to the simple g1 g2."""
-    space = graded_space(group)
-    # each row is a unit row; sharing the n distinct row tuples keeps the
-    # n^2 x n multiplicity matrix at O(n^2) to build and to hold
-    units = [tuple(row) for row in np.eye(group.order, dtype=int).tolist()]
-    mult = tuple(units[c] for c in group.matrix.ravel().tolist())
-    return FusionFunctor(tensor_space(space, space).table, space, mult)
-
-
-def convolution_tensor(conv: FusionFunctor, x, y):
-    """The convolution of two objects, or of two morphisms, of the graded space.
-
-    The fiber at g has one block for each g1 g2 = g, in the order of g1."""
-    pair = TensorSpace(conv.dst, conv.dst, conv.src)  # conv.src is the pair table already
+    Both live over one space with a simple per element of the group, in the
+    group's order.  The fiber at g is the sum of x[g1] y[g2] over g1 g2 = g;
+    a morphism's block at g is blockdiag of kron(x_g1, y_g2) over those pairs,
+    laid out by ``conv_layout``.
+    """
+    if x.space != y.space:
+        raise CompositionError("convolution needs both arguments over one space")
+    if x.space.dim != group.order:
+        raise CompositionError("convolution needs one simple per group element")
     if isinstance(x, ObjectExpr):
-        return apply(conv, pair.object_pair(x, y))
-    return apply(conv, pair.morphism_pair(x, y))
+        fibers = np.bincount(group.matrix.ravel(), np.outer(x.mults, y.mults).ravel(),
+                             minlength=group.order)
+        return ObjectExpr.make(x.space, fibers.astype(int).tolist())
+    src = convolution_tensor(group, x.src, y.src)
+    dst = convolution_tensor(group, x.dst, y.dst)
+    labels = x.space.simples
+    blocks = {}
+    for g, label in enumerate(labels):
+        # a pair missing from either layout has an empty kron block
+        rows = {(g1, g2): off for g1, g2, off, *_ in conv_layout(group, x.dst, y.dst, g)}
+        mat = np.zeros((dst.mults[g], src.mults[g]), dtype=np.complex128)
+        for g1, g2, off, nx, ny in conv_layout(group, x.src, y.src, g):
+            if (g1, g2) in rows:
+                part = kron(x.block(labels[g1]), y.block(labels[g2]))
+                row = rows[g1, g2]
+                mat[row:row + part.shape[0], off:off + nx * ny] = part
+        blocks[label] = mat
+    return BlockMorphism(src, dst, blocks)
 
 
 def conv_layout(group: FiniteGroup, x: ObjectExpr, y: ObjectExpr, g: int):
@@ -152,12 +156,6 @@ class FourierMap:
         # involution z; the bosonic symmetry ignores the grading
         self._parity = None if cat.bosonic else [irr.parity for irr in cat.irreps()]
 
-    @cached_property
-    def conv(self) -> FusionFunctor:
-        """The convolution of the graded space, built on first use: it has
-        n^2 source simples, and only the structure maps need it."""
-        return convolution(self.dual)
-
     def object_fibers(self, x: RepObject) -> ObjectExpr:
         return _skeletal(self.space, self.cat.decompose(x))
 
@@ -174,13 +172,10 @@ class FourierMap:
     def morphism(self, f: Intertwiner) -> BlockMorphism:
         return self.cat.to_blocks(f)
 
-    def structure_map(self, x: RepObject, y: RepObject) -> BlockMorphism:
-        """Unitary from the convolution of the images onto the image of the tensor."""
-        return self._structure_map(x, y, self.cat.tensor(x, y))
-
     def _structure_map(self, x: RepObject, y: RepObject, xy: RepObject) -> BlockMorphism:
-        """``structure_map`` onto the image of the given tensor object xy of x
-        and y, whose decomposition is computed once and kept on it."""
+        """Unitary from the convolution of the images of x and y onto the
+        image of their tensor object xy, whose decomposition is computed once
+        and kept on it."""
         ux = self.coisometries(x)
         uy = self.coisometries(y)
         uxy = self.coisometries(xy)
@@ -192,7 +187,7 @@ class FourierMap:
                 include = np.hstack([kron(dagger(ux[g1]), dagger(uy[g2]))
                                      for g1, g2, *_ in layout])
                 blocks[label] = uxy[g] @ include
-        return BlockMorphism(convolution_tensor(self.conv, fx, fy),
+        return BlockMorphism(convolution_tensor(self.dual, fx, fy),
                              self.object_fibers(xy), blocks)
 
     def monoidal_defect(self, x: RepObject, y: RepObject,
@@ -227,7 +222,7 @@ class FourierMap:
                 raise CompositionError("naturality needs f to start at x and fp at y")
             dst = cat.tensor(f.dst, fp.dst)
             ff = self.morphism(f)
-            lhs = compose(convolution_tensor(self.conv, ff, self.morphism(fp)),
+            lhs = compose(convolution_tensor(self.dual, ff, self.morphism(fp)),
                           self._structure_map(f.dst, fp.dst, dst))
             tensor_map = Intertwiner(xy, dst, cat.tensor_map(f, fp).matrix)
             rhs = compose(phi, self.morphism(tensor_map))

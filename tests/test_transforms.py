@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from twohilb.errors import CompositionError, ValidationError
-from twohilb.functors import FusionFunctor
 from twohilb.groups import (
     FiniteSuperGroup,
     catalog_names,
@@ -13,27 +12,30 @@ from twohilb.groups import (
     quaternion_group,
     symmetric_group,
 )
-from twohilb.hstar import BlockMorphism, ObjectExpr, compose, identity, morphism_dev
+from twohilb.hstar import BlockMorphism, ObjectExpr, SpaceTable, compose, identity, morphism_dev
 from twohilb.linalg import dagger, max_dev
 from twohilb.reps import Intertwiner, RepCategory, UnitaryIrrep, _random_intertwiner
 from twohilb.transforms import (
     FourierMap,
     SpectrumPoint,
     conv_layout,
-    convolution,
     convolution_tensor,
     dual_group,
     gelfand_hat,
     graded_braiding,
-    graded_space,
     hat_homomorphism_defect,
     tannaka_reconstruct,
     tautological_point,
 )
 
 
+def hilb(group):
+    """Hilb^G: one simple of weight 1 per group element, in the group's order."""
+    return SpaceTable.make([group.element_name(g) for g in range(group.order)])
+
+
 def graded(group, fibers):
-    return ObjectExpr.make(graded_space(group), fibers)
+    return ObjectExpr.make(hilb(group), fibers)
 
 
 def delta(group, g, n=1):
@@ -44,36 +46,33 @@ def delta(group, g, n=1):
 
 def test_convolution_of_deltas():
     g = cyclic_group(5)
-    conv = convolution(g)
     for a in range(5):
         for b in range(5):
-            prod = convolution_tensor(conv, delta(g, a), delta(g, b))
+            prod = convolution_tensor(g, delta(g, a), delta(g, b))
             assert prod == delta(g, g.mult(a, b))
 
 
 def test_convolution_unit_law(rng):
     g = cyclic_group(6)
-    conv = convolution(g)
     x = graded(g, [int(rng.integers(0, 4)) for _ in range(6)])
     unit = delta(g, g.identity)
-    assert convolution_tensor(conv, unit, x) == x
-    assert convolution_tensor(conv, x, unit) == x
+    assert convolution_tensor(g, unit, x) == x
+    assert convolution_tensor(g, x, unit) == x
 
 
 def test_convolution_z2_count():
     g = cyclic_group(2)
     x = graded(g, [1, 1])
-    assert convolution_tensor(convolution(g), x, x).mults == (2, 2)
+    assert convolution_tensor(g, x, x).mults == (2, 2)
 
 
 def test_convolution_monoid_exact(rng):
     g = product_group(cyclic_group(2), cyclic_group(2))
-    conv = convolution(g)
     for _ in range(10):
         x, y, z = (graded(g, [int(rng.integers(0, 3)) for _ in range(4)])
                    for _ in range(3))
-        left = convolution_tensor(conv, convolution_tensor(conv, x, y), z)
-        right = convolution_tensor(conv, x, convolution_tensor(conv, y, z))
+        left = convolution_tensor(g, convolution_tensor(g, x, y), z)
+        right = convolution_tensor(g, x, convolution_tensor(g, y, z))
         assert left == right
 
 
@@ -118,12 +117,59 @@ def test_dual_group_rejects_character_rows_that_do_not_close():
         _forged_dual(cyclic_group(3), turned)
 
 
-def test_convolution_matches_the_dense_multiplicity_matrix():
+def test_convolution_matches_the_dense_multiplicity_matrix(rng):
     for g in (cyclic_group(4), symmetric_group(3)):
-        conv = convolution(g)
+        # the pair (g1, g2) goes to the simple g1 g2
         dense = np.zeros((g.order ** 2, g.order), dtype=int)
         dense[np.arange(g.order ** 2), g.matrix.ravel()] = 1
-        assert conv == FusionFunctor.make(conv.src, conv.dst, dense)
+        for _ in range(5):
+            x, y = (graded(g, rng.integers(0, 4, g.order)) for _ in range(2))
+            want = np.outer(x.mults, y.mults).ravel() @ dense
+            assert convolution_tensor(g, x, y).mults == tuple(want.tolist())
+
+
+def _random_graded_morphism(rng, src, dst, absent=()):
+    """A complex block morphism; the blocks at the ``absent`` labels are zero."""
+    return BlockMorphism(src, dst, {
+        lab: rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        for lab, m, n in zip(src.space.simples, dst.mults, src.mults) if lab not in absent})
+
+
+def test_convolution_morphism_blocks_are_the_np_kron_reference(rng):
+    """Block g is blockdiag of np.kron(f_g1, h_g2) over g1 g2 = g in the order
+    of g1, on an abelian and a non-abelian group, with fibers that are empty
+    on one side only and blocks that are absent."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    for g in (cyclic_group(3), symmetric_group(3)):
+        labels = hilb(g).simples
+        for _ in range(4):
+            x, xp, y, yp = (graded(g, rng.integers(0, 3, g.order)) for _ in range(4))
+            f = _random_graded_morphism(rng, x, xp, absent=labels[:1])
+            h = _random_graded_morphism(rng, y, yp)
+            fh = convolution_tensor(g, f, h)
+            assert fh.src == convolution_tensor(g, x, y)
+            assert fh.dst == convolution_tensor(g, xp, yp)
+            for k, lab in enumerate(labels):
+                want = scipy_linalg.block_diag(*[
+                    np.kron(f.block(labels[g1]), h.block(labels[g.mult(g.inverse(g1), k)]))
+                    for g1 in range(g.order)])
+                assert np.array_equal(fh.block(lab), want)
+
+
+def test_convolution_refuses_arguments_over_different_or_wrong_spaces():
+    z3, s3 = cyclic_group(3), symmetric_group(3)
+    x = graded(z3, [1, 0, 2])
+    other = ObjectExpr.make(SpaceTable.make(["p", "q", "r"]), [1, 1, 1])
+    with pytest.raises(CompositionError):
+        convolution_tensor(z3, x, other)
+    # three simples, but S3 has six elements
+    with pytest.raises(CompositionError):
+        convolution_tensor(s3, x, x)
+    f = identity(x)
+    with pytest.raises(CompositionError):
+        convolution_tensor(z3, f, identity(other))
+    with pytest.raises(CompositionError):
+        convolution_tensor(s3, f, f)
 
 
 def test_fourier_of_sign_character():
@@ -263,7 +309,7 @@ def test_graded_braiding_is_symmetry(rng):
     y = graded(g, [2, 0, 1])
     b = graded_braiding(g, x, y)
     back = graded_braiding(g, y, x)
-    assert b.src == convolution_tensor(convolution(g), x, y)
+    assert b.src == convolution_tensor(g, x, y)
     round_trip = compose(b, back)
     assert morphism_dev(round_trip, identity(round_trip.src)) < 1e-12
 
@@ -304,18 +350,12 @@ def test_fourier_monoidal_defect_graded():
 
 def test_convolution_morphism_functorial(rng):
     g = cyclic_group(3)
-    conv = convolution(g)
     x = graded(g, [1, 2, 1])
     y = graded(g, [2, 1, 0])
-
-    def rand_endo(obj):
-        return BlockMorphism(obj, obj, {lab: rng.standard_normal((n, n))
-                                        + 1j * rng.standard_normal((n, n))
-                                        for lab, n in zip(obj.space.simples, obj.mults)})
-    f1, f2 = rand_endo(x), rand_endo(x)
-    h1, h2 = rand_endo(y), rand_endo(y)
-    lhs = convolution_tensor(conv, compose(f1, f2), compose(h1, h2))
-    rhs = compose(convolution_tensor(conv, f1, h1), convolution_tensor(conv, f2, h2))
+    f1, f2 = (_random_graded_morphism(rng, x, x) for _ in range(2))
+    h1, h2 = (_random_graded_morphism(rng, y, y) for _ in range(2))
+    lhs = convolution_tensor(g, compose(f1, f2), compose(h1, h2))
+    rhs = compose(convolution_tensor(g, f1, h1), convolution_tensor(g, f2, h2))
     assert morphism_dev(lhs, rhs) < 1e-9
 
 
@@ -538,4 +578,4 @@ def test_graded_object_json_round_trip():
     x = graded(g, [1, 0, 2])
     back = ObjectExpr.from_json(x.to_json())
     assert back == x
-    assert back.space == graded_space(g)
+    assert back.space == hilb(g)
