@@ -117,11 +117,6 @@ class HStarAlgebraData:
     def inner(self, a: np.ndarray, b: np.ndarray) -> complex:
         return complex(np.vdot(a, b))
 
-    def basis(self, i: int) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.complex128)
-        v[i] = 1.0
-        return v
-
     def validate(self, tol: float = 1e-7) -> None:
         """Check associativity, the unit, the star axioms and the two product identities.
 
@@ -197,27 +192,6 @@ class HStarAlgebraData:
         commutators = (t[:, gens].transpose(1, 2, 0)
                        - t[gens].transpose(0, 2, 1)).reshape(len(gens) * n, n)
         return nullspace_basis(commutators, tol)
-
-    def to_json(self) -> dict:
-        def enc(x):
-            flat = [[float(z.real), float(z.imag)] for z in np.asarray(x).reshape(-1)]
-            return flat
-        return {"dim": self.dim,
-                "table": enc(self.table),
-                "unit": enc(self.unit),
-                "star": enc(self.star_matrix)}
-
-    @staticmethod
-    def from_json(data: dict) -> "HStarAlgebraData":
-        n = int(data["dim"])
-
-        def dec(pairs, shape):
-            flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-            return flat.reshape(shape)
-        return HStarAlgebraData(n,
-                                dec(data["table"], (n, n, n)),
-                                dec(data["unit"], (n,)),
-                                dec(data["star"], (n, n)))
 
 
 def block_model(sizes, weights) -> HStarAlgebraData:

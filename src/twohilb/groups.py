@@ -232,15 +232,6 @@ class FiniteSuperGroup:
             raise ValidationError("grading element must square to the identity")
         return FiniteSuperGroup(group, z)
 
-    @property
-    def name(self) -> str:
-        return f"{self.group.name}[z={self.group.element_name(self.z)}]"
-
-    def to_json(self) -> dict:
-        data = self.group.to_json()
-        data["central_involution"] = self.z
-        return data
-
 
 def group_from_json(data: dict):
     """Group or supergroup from the JSON interchange format."""

@@ -51,26 +51,12 @@ class SpaceTable:
             raise ValidationError("weights must be strictly positive")
         return SpaceTable(simples, wt)
 
-    def weight(self, label: str) -> float:
-        return self.weights[self.simples.index(label)]
-
     @property
     def dim(self) -> int:
         return len(self.simples)
 
-    def object(self, mult: Mapping[str, int] | Iterable[int]) -> "ObjectExpr":
-        return ObjectExpr.make(self, mult)
-
     def simple(self, label: str) -> "ObjectExpr":
         return ObjectExpr.make(self, {label: 1})
-
-    def to_json(self) -> dict:
-        return {"simples": list(self.simples),
-                "weights": {s: w for s, w in zip(self.simples, self.weights)}}
-
-    @staticmethod
-    def from_json(data: dict) -> "SpaceTable":
-        return SpaceTable.make(data["simples"], data.get("weights"))
 
 
 @dataclass(frozen=True)
@@ -102,14 +88,6 @@ class ObjectExpr:
     def total_dim(self) -> int:
         return sum(self.mults)
 
-    def to_json(self) -> dict:
-        return {"space": self.space.to_json(),
-                "mult": {s: m for s, m in zip(self.space.simples, self.mults) if m}}
-
-    @staticmethod
-    def from_json(data: dict) -> "ObjectExpr":
-        return ObjectExpr.make(SpaceTable.from_json(data["space"]), data.get("mult", {}))
-
 
 def _check_same_space(a: SpaceTable, b: SpaceTable) -> None:
     if a is not b and a != b:
@@ -121,8 +99,8 @@ class BlockMorphism:
 
     The block at label ``s`` has shape ``(dst.mult(s), src.mult(s))`` and maps
     source coordinates to target coordinates.  Absent blocks are zero.  The
-    blocks are read-only copies, kept in the space's simple order, so sums,
-    composites and their JSON do not depend on the order of the input.
+    blocks are read-only copies, kept in the space's simple order, so sums
+    and composites do not depend on the order of the input.
     """
 
     def __init__(self, src: ObjectExpr, dst: ObjectExpr,
@@ -184,27 +162,6 @@ class BlockMorphism:
     def __repr__(self):
         sup = {s: self.block(s).shape for s in self.blocks}
         return f"BlockMorphism({sup})"
-
-    def max_abs(self) -> float:
-        # max_abs of the per-block values, not max(), so that a NaN is kept
-        return max_abs([max_abs(m) for m in self.blocks.values()])
-
-    def to_json(self) -> dict:
-        def enc(mat):
-            return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-        return {"src": self.src.to_json(), "dst": self.dst.to_json(),
-                "blocks": {s: enc(m) for s, m in self.blocks.items()}}
-
-    @staticmethod
-    def from_json(data: dict) -> "BlockMorphism":
-        src = ObjectExpr.from_json(data["src"])
-        dst = ObjectExpr.from_json(data["dst"])
-
-        def dec(rows):
-            return np.array([[complex(re, im) for re, im in row] for row in rows],
-                            dtype=np.complex128)
-        blocks = {s: dec(rows) for s, rows in data.get("blocks", {}).items()}
-        return BlockMorphism(src, dst, blocks)
 
 
 def identity(x: ObjectExpr) -> BlockMorphism:

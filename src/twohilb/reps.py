@@ -80,9 +80,6 @@ class RepObject:
     def dim(self) -> int:
         return self.matrices.shape[1]
 
-    def matrix(self, g: int) -> np.ndarray:
-        return self.matrices[g]
-
     @property
     def grading(self) -> np.ndarray:
         """The grading involution (identity for purely even categories)."""

@@ -53,40 +53,31 @@ for _s in "+-":
 
 _GENERATORS = sorted(GEN_TYPES, key=len, reverse=True)
 
+# Each level of parentheses is three parser frames; about 330 reach the recursion limit.
+MAX_NESTING = 100
+# The largest matrix evaluate builds: 16 d^n bytes for n points of dimension d.
+MAX_MATRIX_BYTES = 64 * 2 ** 20
+
 
 @dataclass
 class TangleExpr:
     src: str = ""
     dst: str = ""
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass
 class Gen(TangleExpr):
     name: str = ""
-
-    def to_json(self):
-        return {"op": "gen", "name": self.name, "src": self.src, "dst": self.dst}
 
 
 @dataclass
 class Seq(TangleExpr):
     parts: list = field(default_factory=list)
 
-    def to_json(self):
-        return {"op": "seq", "parts": [p.to_json() for p in self.parts],
-                "src": self.src, "dst": self.dst}
-
 
 @dataclass
 class Par(TangleExpr):
     parts: list = field(default_factory=list)
-
-    def to_json(self):
-        return {"op": "par", "parts": [p.to_json() for p in self.parts],
-                "src": self.src, "dst": self.dst}
 
 
 # optional whitespace, then a token: a punctuation mark, a generator (the
@@ -114,6 +105,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -156,8 +148,12 @@ class _Parser:
         if tok is None:
             raise TangleSyntaxError("unexpected end of input", len(self.text))
         if tok[0] == "(":
+            if self.depth == MAX_NESTING:
+                raise TangleSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", tok[2])
             self.take("(")
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.take(")")
             return inner
         if tok[0] == "gen":
@@ -267,8 +263,22 @@ def evaluate(expr, ctx: EvalContext) -> Intertwiner:
     """Evaluate a (parsed or textual) tangle expression to an intertwiner."""
     if isinstance(expr, str):
         expr = parse(expr)
+    points = _boundary_points(expr)
+    if 16 * ctx.x.dim ** points > MAX_MATRIX_BYTES:
+        raise TangleTypeError(f"evaluation needs {points} boundary points of dimension "
+                              f"{ctx.x.dim}, over the {MAX_MATRIX_BYTES >> 20} MB limit")
     mat = _eval_node(expr, ctx)
     return Intertwiner(ctx.word_object(expr.src), ctx.word_object(expr.dst), mat)
+
+
+def _boundary_points(node: TangleExpr) -> int:
+    """The most boundary points of any matrix that evaluating ``node`` builds,
+    each running product of a composite (its source to a part's target) included."""
+    if isinstance(node, Seq):
+        own = len(node.src) + max(len(part.dst) for part in node.parts)
+    else:
+        own = len(node.src) + len(node.dst)
+    return max([own] + [_boundary_points(part) for part in getattr(node, "parts", ())])
 
 
 def _eval_node(node: TangleExpr, ctx: EvalContext) -> np.ndarray:

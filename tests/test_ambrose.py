@@ -88,14 +88,6 @@ def test_validation_catches_broken_associativity(rng):
         broken.validate()
 
 
-def test_json_round_trip(rng):
-    alg = block_model([2, 1], [1.0, 2.0])
-    back = HStarAlgebraData.from_json(alg.to_json())
-    assert np.allclose(back.table, alg.table)
-    assert np.allclose(back.unit, alg.unit)
-    assert np.allclose(back.star_matrix, alg.star_matrix)
-
-
 # -- reference definitions: one basis pair at a time ---------------------------
 
 def loop_mult(alg, a, b):
@@ -131,9 +123,10 @@ def loop_validate(alg, tol=1e-7, slices=None):
         raise ValidationError(f"star is not an involution (max violation {worst:.3e})",
                               violation=worst)
     worst = 0.0
+    e = np.eye(n, dtype=np.complex128)
     for i in slices:
         for j in range(n):
-            a, b = alg.basis(i), alg.basis(j)
+            a, b = e[i], e[j]
             ab = loop_mult(alg, a, b)
             ba = loop_mult(alg, alg.star(b), alg.star(a))
             worst = max(worst, max_dev(alg.star(ab), ba))
@@ -142,7 +135,7 @@ def loop_validate(alg, tol=1e-7, slices=None):
                               violation=worst)
     worst = 0.0
     for i in slices:
-        a = alg.basis(i)
+        a = e[i]
         astar = alg.star(a)
         worst = max(worst, max_dev(dagger(loop_left_mult_matrix(alg, a)),
                                    loop_left_mult_matrix(alg, astar)))
@@ -175,9 +168,10 @@ def loop_from_model(ideal, m):
 def loop_recomposition_dev(dec):
     alg = dec.algebra
     worst = 0.0
+    e = np.eye(alg.dim, dtype=np.complex128)
     for i in range(alg.dim):
         for j in range(alg.dim):
-            a, b = alg.basis(i), alg.basis(j)
+            a, b = e[i], e[j]
             rebuilt = np.zeros(alg.dim, dtype=np.complex128)
             for ideal in dec.ideals:
                 m = loop_model_coords(ideal, a) @ loop_model_coords(ideal, b)

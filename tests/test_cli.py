@@ -135,6 +135,28 @@ def test_unknown_group_is_input_error(capsys):
     assert "unknown group" in err
 
 
+def nested(levels: int) -> str:
+    """``levels`` composites, each nested in the parentheses of the last."""
+    return "(id+ ; " * levels + "id+" + ")" * levels
+
+
+def test_deep_nesting_is_input_error(capsys):
+    code, out, _ = run_cli(capsys, "tangle", "eval", nested(50),
+                           "--group", "S3", "--object", "std")
+    assert code == 0 and out == "+ -> + (2x2 matrix)\n"
+    code, _, err = run_cli(capsys, "tangle", "eval", nested(2000),
+                           "--group", "S3", "--object", "std")
+    assert_input_error(code, err)
+    assert "nested deeper than" in err
+
+
+def test_oversized_tangle_is_input_error(capsys):
+    code, _, err = run_cli(capsys, "tangle", "eval", " | ".join(["id+"] * 14),
+                           "--group", "S4", "--object", "3a")
+    assert_input_error(code, err)
+    assert "MB limit" in err
+
+
 def test_unknown_object_is_input_error(capsys):
     code, _, err = run_cli(capsys, "tangle", "eval", "id+",
                            "--group", "Z4", "--object", "std")

@@ -1,6 +1,6 @@
 """Every function or method defined in the package has a caller, every
-exported name exists, and the definitions that only the tests name are a
-known list.
+exported name exists, and the functions that the benchmark's workloads never
+enter are a known list.
 
 A name counts as used where code uses it: as a variable (``name``), as an
 attribute (``x.name``) or as a name imported by ``from ... import``.  The
@@ -13,10 +13,18 @@ package's ``__init__``.  A module-level function counts as used only as its
 bare name, as ``<module>.name`` or imported: so neither a method of the same
 name (``x.name``) nor a function of another library (``np.linalg.name``)
 hides it.  Dunder methods are called by Python itself and are not counted.
+
+A name is a weak test of use: a test-only method hides behind any other
+method of the same name.  So the workloads are also run, and the functions
+they never enter are pinned by their place in the source.
 """
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,7 +34,7 @@ PACKAGE = ROOT / "src" / "twohilb"
 TRACE = ROOT / "perfbench" / "trace.py"
 
 
-def _defined_names(kinds=(ast.FunctionDef, ast.AsyncFunctionDef)) -> dict[str, set[str]]:
+def _defined_names() -> dict[str, set[str]]:
     """Each defined name with the modules that define it at module level
     (empty for a name defined only as a method or nested function)."""
     names = {}
@@ -34,7 +42,7 @@ def _defined_names(kinds=(ast.FunctionDef, ast.AsyncFunctionDef)) -> dict[str, s
         tree = ast.parse(path.read_text())
         top = {id(node) for node in tree.body}
         for node in ast.walk(tree):
-            if isinstance(node, kinds):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 modules = names.setdefault(node.name, set())
                 if id(node) in top:
                     modules.add(path.stem)
@@ -134,20 +142,101 @@ def test_every_exported_name_exists(module):
     assert [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)] == []
 
 
-# Definitions that only the tests name: each one should join a criterion, the
-# CLI or a workload, or go.  A new test-only definition, or one that gains a
-# caller outside the tests, changes this list.
-TEST_ONLY = [
-    "frobenius_schur_indicator", "from_blocks", "from_model", "gelfand_hat",
-    "hat_homomorphism_defect", "koszul_operator", "model_coords", "multiplicities",
-    "tautological_point", "twisted",
+def _functions() -> dict[tuple[str, int, str], str]:
+    """Each non-dunder function of the package, nested ones too, keyed as its
+    code object reports it: (file, first line, name), with the first line of
+    a decorated definition at its first decorator.  Keying on the place and
+    not on ``co_qualname`` keeps Python 3.10.  The values are qualified names,
+    as ``module.Class.method`` or ``module.function.<locals>.helper``."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = child.decorator_list[0].lineno if child.decorator_list else child.lineno
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    found[str(path), first, child.name] = f"{prefix}{child.name}"
+                visit(child, path, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, f"{path.stem}.")
+    return found
+
+
+# Run in a fresh interpreter, so that what loading the package calls counts.
+# The trace function sees only call events: it returns None, so no line of
+# any frame is traced.
+_REACH_PROBE = """
+import contextlib, io, json, sys
+import numpy  # loaded before the trace starts, which would slow it
+
+package, workdir = sys.argv[1:]
+entered = set()
+
+
+def on_call(frame, event, arg):
+    code = frame.f_code
+    if code.co_filename.startswith(package):
+        entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+
+sys.settrace(on_call)
+from perfbench.workloads import WORKLOADS, OperationFailed
+from twohilb import cli
+for workload in WORKLOADS.values():
+    w = workload()
+    w.setup(3, workdir)
+    for op in w.operations():
+        # cli-catalog's two operations that fail on every run: exit 1 and an IndexError
+        with contextlib.suppress(OperationFailed, IndexError):
+            op.run()
+# the acceptance workload calls the checks, not the suite command around them
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["suite", "--format", "json"])
+sys.settrace(None)
+print(json.dumps(sorted(entered)))
+"""
+
+# The functions that no workload and not the suite command enters: each one
+# should join a criterion, the command line or a workload, or go.  A function
+# that a workload starts to enter, or one that none does, changes this list.
+UNREACHED = [
+    "ambrose.AmbroseIdeal.from_model",
+    "ambrose.AmbroseIdeal.model_coords",
+    "cli._tolerance",
+    "groups.FiniteGroup.inverse",
+    "reps.Adjunction.triangle_dev",
+    "reps.Intertwiner.then",
+    "reps.RepCategory.from_blocks",
+    "reps.RepCategory.koszul_operator",
+    "reps.RepCategory.multiplicities",
+    "reps.RepObject.validate",
+    "reps.frobenius_schur_indicator",
+    "transforms.GelfandHat.dims",
+    "transforms.SpectrumPoint._inflate",
+    "transforms.SpectrumPoint._tensor",
+    "transforms.SpectrumPoint.balancing_defect",
+    "transforms.SpectrumPoint.fused_layout",
+    "transforms.SpectrumPoint.morphism_value",
+    "transforms.SpectrumPoint.structure_map",
+    "transforms.SpectrumPoint.twisted",
+    "transforms.SpectrumPoint.validate",
+    "transforms.SpectrumPoint.value_dim",
+    "transforms.SpectrumPoint.value_grading",
+    "transforms.SpectrumPoint.value_of",
+    "transforms.gelfand_hat",
+    "transforms.hat_homomorphism_defect",
+    "transforms.tautological_point",
 ]
 
 
-def test_test_only_definitions_are_the_known_list():
-    outside = _uses(("README.md", "src", "perfbench"))
-    inside = _uses(("tests",))
-    test_only = [name for name, modules in _defined_names(
-                     (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)).items()
-                 if not outside.use(name, modules) and inside.use(name, modules)]
-    assert sorted(test_only) == TEST_ONLY
+def test_unreached_functions_are_the_known_list(tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
+    run = subprocess.run([sys.executable, "-c", _REACH_PROBE, str(PACKAGE), str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    entered = {tuple(key) for key in json.loads(run.stdout)}
+    assert sorted(name for key, name in _functions().items() if key not in entered) == UNREACHED

@@ -110,7 +110,7 @@ def test_inner_product_conjugate_symmetric_positive(rng):
     f = random_morphism(rng, x, y)
     g = random_morphism(rng, x, y)
     assert inner_product(f, g) == pytest.approx(np.conj(inner_product(g, f)))
-    if f.max_abs() > 0:
+    if any(m.any() for m in f.blocks.values()):
         assert inner_product(f, f).real > 0
 
 
@@ -151,7 +151,7 @@ def test_basis_orthogonality():
     space = SpaceTable.make(["a", "b"], {"a": 1.5, "b": 0.5})
     ea, eb = space.simple("a"), space.simple("b")
     f = BlockMorphism(ea, eb)
-    assert f.max_abs() == 0.0  # hom(a, b) only contains zero shapes
+    assert all(f.block(s).size == 0 for s in space.simples)  # hom(a, b) has only zero shapes
     one = identity(ea)
     assert inner_product(one, one) == pytest.approx(1.5)
 
@@ -173,17 +173,6 @@ def test_weight_validation():
         SpaceTable.make(["a"], {"a": -1.0})
     with pytest.raises(ValidationError):
         SpaceTable.make(["a", "a"])
-
-
-def test_json_round_trip(rng):
-    space = random_space(rng)
-    x = random_object(rng, space)
-    y = random_object(rng, space)
-    f = random_morphism(rng, x, y)
-    g = BlockMorphism.from_json(f.to_json())
-    assert morphism_dev(f, g) < 1e-12
-    assert SpaceTable.from_json(space.to_json()) == space
-    assert ObjectExpr.from_json(x.to_json()) == x
 
 
 def _ab_objects():
@@ -234,18 +223,17 @@ def test_blocks_keep_the_simple_order():
     _, x, y = _ab_objects()
     f = BlockMorphism(x, y, {"b": np.eye(2), "a": [[1.0], [2.0]]})
     assert list(f.blocks) == ["a", "b"]
-    assert list(f.to_json()["blocks"]) == ["a", "b"]
     assert list((f + BlockMorphism(x, y, {"b": np.eye(2)})).blocks) == ["a", "b"]
 
 
 
 def test_a_nan_block_is_never_unitary_or_zero():
     space = SpaceTable.make(["a", "b"])
-    x = space.object({"a": 1, "b": 1})
+    x = ObjectExpr.make(space, {"a": 1, "b": 1})
     f = BlockMorphism(x, x, {"a": [[1.0]], "b": [[np.nan]]})
     assert np.isnan(morphism_dev(f, identity(x)))
-    assert np.isnan(f.max_abs())
-    assert np.isnan(BlockMorphism(x, x, {"a": [[0.0]], "b": [[np.nan]]}).max_abs())
+    g = BlockMorphism(x, x, {"a": [[0.0]], "b": [[np.nan]]})
+    assert np.isnan(morphism_dev(g, BlockMorphism(x, x)))
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2 ** 31), drop_f=st.integers(0, 7), drop_g=st.integers(0, 7))
@@ -260,8 +248,8 @@ def test_inner_product_matches_the_trace_reference(seed, drop_f, drop_g):
         return BlockMorphism(x, y, {s: m for i, (s, m) in enumerate(f.blocks.items())
                                     if not drop >> i & 1})
     f, g = thinned(drop_f), thinned(drop_g)
-    want = sum(space.weight(s) * np.trace(f.block(s).conj().T @ g.block(s))
-               for s in space.simples)
+    want = sum(k * np.trace(f.block(s).conj().T @ g.block(s))
+               for s, k in zip(space.simples, space.weights))
     got = inner_product(f, g)
     assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
@@ -276,14 +264,20 @@ rng = np.random.default_rng(11)
 space = SpaceTable.make(["p", "q", "r", "s"], {"p": 0.5, "q": 1.5, "r": 2.0, "s": 3.0})
 x, y, z = (random_object(rng, space) for _ in range(3))
 f, f2, g = random_morphism(rng, x, y), random_morphism(rng, x, y), random_morphism(rng, y, z)
+
+
+def values(h):
+    return [[s, m.real.tolist(), m.imag.tolist()] for s, m in h.blocks.items()]
+
+
 print(json.dumps([repr(check_hstar_axioms(5).deviation), repr(check_hstar_axioms(9).deviation),
-                  compose(f, g).to_json(), (f + f2).to_json()]))
+                  values(compose(f, g)), values(f + f2)]))
 """
 
 
 def test_pairing_and_json_do_not_depend_on_the_hash_seed():
-    """Criterion 1's deviation and the JSON of a composite and a sum are the
-    same bits under every string-hash seed."""
+    """Criterion 1's deviation and the JSON of the block values of a composite
+    and a sum are the same bits under every string-hash seed."""
     src = Path(twohilb.__file__).resolve().parent.parent
     outputs = set()
     for hash_seed in ("0", "1", "2"):

@@ -86,7 +86,7 @@ def test_decompose_standard_form(s3, rng):
     assert max_dev(total, np.eye(x.dim)) < 1e-9
     for p in pieces:
         for g in range(s3.group.order):
-            got = p.coisometry @ x.matrix(g) @ dagger(p.coisometry)
+            got = p.coisometry @ x.matrices[g] @ dagger(p.coisometry)
             want = np.kron(p.irrep.matrices[g], np.eye(p.multiplicity))
             assert max_dev(got, want) < 1e-8
 

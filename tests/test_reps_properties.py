@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from twohilb.errors import CompositionError, ValidationError
 from twohilb.groups import FiniteSuperGroup, catalog, quaternion_group
-from twohilb.hstar import compose, inner_product, morphism_dev, star
+from twohilb.hstar import ObjectExpr, compose, inner_product, morphism_dev, star
 from twohilb.linalg import (
     dagger,
     distance_to_unitary,
@@ -147,7 +147,7 @@ def any_category(name):
 
 
 def skeletal_image(cat, x):
-    return cat.skeleton().object(cat.multiplicities(x))
+    return ObjectExpr.make(cat.skeleton(), cat.multiplicities(x))
 
 
 @settings(max_examples=25, deadline=None)

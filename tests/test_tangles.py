@@ -17,6 +17,8 @@ from twohilb.tangles import (
     UNKNOT_PRESENTATIONS,
     GEN_TYPES,
     EvalContext,
+    Par,
+    Seq,
     evaluate,
     move_check,
     move_suite,
@@ -61,11 +63,48 @@ def test_parse_errors_carry_position():
         parse("ev ; ev")
 
 
-def test_ast_json_has_types():
-    data = parse("(coev | id+) ; (id+ | ev)").to_json()
-    assert data["op"] == "seq"
-    assert data["src"] == "+" and data["dst"] == "+"
-    assert data["parts"][0]["op"] == "par"
+def test_nesting_is_limited_at_the_offending_parenthesis():
+    depth = tangles.MAX_NESTING
+    parse("(" * depth + "id+" + ")" * depth)
+    with pytest.raises(TangleSyntaxError, match="nested deeper") as err:
+        parse("(" * (depth + 1) + "id+" + ")" * (depth + 1))
+    assert err.value.position == depth
+
+
+@pytest.mark.parametrize("expr", [
+    " | ".join(["id+"] * 7),                      # 3^7 x 3^7, 73 MB
+    " | ".join(["id+"] * 14),
+    # each node has at most 8 points, but the running product after the cups has 16
+    "(ev | ev | ev | ev) ; (ev* | ev* | ev* | ev*) ; (ev | ev | ev | ev)",
+])
+def test_oversized_matrices_are_refused_before_any_allocation(expr, monkeypatch):
+    cat = RepCategory(symmetric_group(4))
+    ctx = EvalContext.make(cat, cat.irrep("3a"))
+
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built")
+    monkeypatch.setattr(tangles, "_gen_matrix", no_matrix)
+    monkeypatch.setattr(tangles, "kron", no_matrix)
+    with pytest.raises(TangleTypeError, match="over the 64 MB limit"):
+        evaluate(expr, ctx)
+
+
+def test_matrices_under_the_limit_are_evaluated():
+    """Six strands of S4's 3a on each side: 3^6 x 3^6, 8.1 MB."""
+    cat = RepCategory(symmetric_group(4))
+    ctx = EvalContext.make(cat, cat.irrep("3a"))
+    mat = evaluate(" | ".join(["id+"] * 6), ctx).matrix
+    assert mat.shape == (729, 729) and max_dev(mat, np.eye(729)) == 0.0
+
+
+def test_parse_annotates_boundary_types():
+    tree = parse("(coev | id+) ; (id+ | ev)")
+    assert isinstance(tree, Seq)
+    assert tree.src == "+" and tree.dst == "+"
+    first = tree.parts[0]
+    assert isinstance(first, Par) and (first.src, first.dst) == ("+", "+-+")
+    assert [(p.name, p.src, p.dst) for p in first.parts] == [("coev", "", "+-"),
+                                                             ("id+", "+", "+")]
 
 
 def test_closed_loop_value_is_dimension(s3_ctx):

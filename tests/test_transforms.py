@@ -571,11 +571,3 @@ def test_bosonization_compatible_with_transform(rng):
     for _ in range(3):
         x = cat.random_object(rng, max_dim=4)
         assert fm.transform(x).mults == fm_flat.transform(x).mults
-
-
-def test_graded_object_json_round_trip():
-    g = cyclic_group(3)
-    x = graded(g, [1, 0, 2])
-    back = ObjectExpr.from_json(x.to_json())
-    assert back == x
-    assert back.space == hilb(g)
