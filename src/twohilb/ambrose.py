@@ -34,6 +34,8 @@ from .linalg import (
 
 # entries of the product table compared at once by validate and recomposition_dev (16 MB)
 _BLOCK_ENTRIES = 1 << 20
+# random draws tried by each retry loop of ambrose_decompose before it gives up
+_ATTEMPTS = 40
 
 __all__ = ["HStarAlgebraData", "block_model", "change_basis", "ambrose_decompose",
            "AmbroseIdeal", "AmbroseDecomposition"]
@@ -311,12 +313,12 @@ def _spectral_projections(alg, element, unit, basis, tol):
     return [len(c) for c in clusters], projections
 
 
-def _minimal_projections(alg, p, d, rng, tol, attempts=40):
+def _minimal_projections(alg, p, d, rng, tol):
     """Split the central projection p of a size-d ideal into d minimal projections."""
     if d == 1:
         return [p]
     ideal_basis, _ = np.linalg.qr(alg.left_mult_matrix(p) @ random_complex(rng, (alg.dim, d * d)))
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         raw = random_complex(rng, alg.dim)
         y = alg.mult(p, alg.mult(raw, p))
         y = (y + alg.star(y)) / 2.0
@@ -327,8 +329,7 @@ def _minimal_projections(alg, p, d, rng, tol, attempts=40):
 
 
 def ambrose_decompose(alg: HStarAlgebraData, tol: float = 1e-7,
-                      rng: np.random.Generator | None = None,
-                      attempts: int = 40) -> AmbroseDecomposition:
+                      rng: np.random.Generator | None = None) -> AmbroseDecomposition:
     """Minimal two-sided ideal decomposition of a concrete H*-algebra.
 
     The central projections are the spectral projections of the unit for
@@ -342,7 +343,7 @@ def ambrose_decompose(alg: HStarAlgebraData, tol: float = 1e-7,
     center = alg.center_basis()
     n_ideals = center.shape[1]
 
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         z = center @ random_complex(rng, n_ideals)
         z = (z + alg.star(z)) / 2.0
         sizes2, projections = _spectral_projections(alg, z, alg.unit, np.eye(alg.dim), tol)
@@ -355,10 +356,10 @@ def ambrose_decompose(alg: HStarAlgebraData, tol: float = 1e-7,
     ideals = []
     for p, d in zip(projections, sizes):
         weight = float(np.real(alg.inner(p, p)) / d)
-        qs = _minimal_projections(alg, p, d, rng, tol, attempts)
+        qs = _minimal_projections(alg, p, d, rng, tol)
         row = [qs[0]]
         for a in range(1, d):
-            for _ in range(attempts):
+            for _ in range(_ATTEMPTS):
                 w = alg.mult(qs[0], alg.mult(random_complex(rng, alg.dim), qs[a]))
                 gamma = alg.inner(qs[0], alg.mult(w, alg.star(w))) / alg.inner(qs[0], qs[0])
                 if abs(gamma) > 1e-8:

@@ -172,12 +172,14 @@ def _cmd_tangle(args) -> int:
             else:
                 _write(f"{scalar.real:.6f}{scalar.imag:+.6f}j\n", args.out)
         else:
-            payload = {"expr": args.expr, "closed": False,
-                       "src": expr.src, "dst": expr.dst,
-                       "matrix": [[_complex_pair(v) for v in row]
-                                  for row in value.matrix]}
             if args.format == "json":
-                _write(json.dumps(payload) + "\n", args.out)
+                # one row at a time, as [re, im] pairs: no nested Python lists
+                # of the whole matrix
+                head = json.dumps({"expr": args.expr, "closed": False,
+                                   "src": expr.src, "dst": expr.dst})
+                rows = ", ".join(json.dumps(np.stack([r.real, r.imag], -1).tolist())
+                                 for r in value.matrix)
+                _write(f'{head[:-1]}, "matrix": [{rows}]}}\n', args.out)
             else:
                 _write(f"{expr.src or '()'} -> {expr.dst or '()'} "
                        f"({value.matrix.shape[0]}x{value.matrix.shape[1]} matrix)\n",

@@ -201,20 +201,12 @@ class Adjunction:
     i: Intertwiner
     e: Intertwiner
 
-    @property
-    def unit_matrix(self) -> np.ndarray:
-        """The unit as a dim(x) x dim(xstar) matrix I[a, p] = i[(a, p)]."""
-        return self.i.matrix.reshape(self.x.dim, self.xstar.dim)
-
-    @property
-    def counit_matrix(self) -> np.ndarray:
-        """The counit as a dim(xstar) x dim(x) matrix E[p, a] = e[(p, a)]."""
-        return self.e.matrix.reshape(self.xstar.dim, self.x.dim)
-
     def triangle_dev(self) -> float:
         """Deviation of both zig-zags from the identity: (1 (x) e)(i (x) 1) = I E
-        on x and (e (x) 1)(1 (x) i) = (E I)^T on xstar."""
-        i_m, e_m = self.unit_matrix, self.counit_matrix
+        on x and (e (x) 1)(1 (x) i) = (E I)^T on xstar, with I and E the unit
+        and counit as dim(x) x dim(xstar) and dim(xstar) x dim(x) matrices."""
+        i_m = self.i.matrix.reshape(self.x.dim, self.xstar.dim)
+        e_m = self.e.matrix.reshape(self.xstar.dim, self.x.dim)
         return max(max_dev(i_m @ e_m, np.eye(self.x.dim)),
                    max_dev(e_m @ i_m, np.eye(self.xstar.dim)))
 
@@ -549,78 +541,49 @@ class RepCategory:
         i = Intertwiner(one, self.tensor(x, xstar), i_mat)
         return Adjunction(x, xstar, i, e)
 
-    def balancing_of(self, adj: Adjunction) -> Intertwiner:
-        """Evaluate the twist composite (e (x) 1)(1 (x) B)(e^H (x) 1) of an adjunction.
-
-        With E the counit as a matrix, M = E^H E, g the grading of x and
-        P+- = (1 +- g) / 2, the braiding of x with itself contracts to
-        P+ M + P- M g = (M + M g + g (M - M g)) / 2, and to M for the plain
-        swap: O(d^3) work and O(d^2) memory, the braiding is never built.
-        """
-        x = adj.x
-        e_m = adj.counit_matrix
-        mat = dagger(e_m) @ e_m
-        if not self.bosonic:
-            g = x.grading
-            mg = mat @ g
-            mat = (mat + mg + g @ (mat - mg)) / 2.0
-        return Intertwiner(x, x, mat)
-
     def well_balanced_adjunction(self, x: RepObject,
                                  tol: float = DEFAULT_TOL) -> Adjunction:
         """The canonical adjunction, whose balancing is unitary within ``tol``."""
-        return self._well_balanced(x, tol)[0]
+        self.balancing(x, tol)
+        return self.adjunction(x)
 
-    def _well_balanced(self, x: RepObject,
-                       tol: float = DEFAULT_TOL) -> tuple[Adjunction, Intertwiner]:
-        """``well_balanced_adjunction`` together with the balancing it checked.
+    def balancing(self, x: RepObject, tol: float = DEFAULT_TOL) -> Intertwiner:
+        """The twist (e (x) 1)(1 (x) B)(e^H (x) 1) of the canonical duality.
 
-        The canonical unit and counit are reshaped identities, so their
-        triangles hold exactly and E^H E = I: only a graded balancing, which
-        is the grading, is left to check, and a bosonic one is I.
+        Its counit is the identity pairing, so E^H E = I and, with g the
+        grading of x and P+- = (1 +- g) / 2, the braiding of x with itself
+        contracts to P+ + P- g = (I + g + g (I - g)) / 2, and to I for the
+        plain swap.  No adjunction, conjugate or tensor carrier is built;
+        any other duality is evaluated by ``tangles.evaluate``.
 
         Unitarity is checked as ||b b^H - I||_F, one matmul and no SVD.  With
         the polar form b = U P it equals ||(P - I)(P + I)||_F >= ||P - I||_F =
         ||b - U||_F, which bounds every entry of b - U: the check is no weaker
         than the distance to the unitary polar factor at the same threshold.
         """
-        adj = self.adjunction(x)
+        eye = np.eye(x.dim, dtype=np.complex128)
         if self.bosonic:
-            return adj, Intertwiner(x, x, np.eye(x.dim, dtype=np.complex128))
-        b = self.balancing_of(adj)
-        dev = float(np.linalg.norm(b.matrix @ dagger(b.matrix) - np.eye(x.dim)))
+            return Intertwiner(x, x, eye)
+        g = x.grading
+        b = (eye + g + g @ (eye - g)) / 2.0
+        dev = float(np.linalg.norm(b @ dagger(b) - eye))
         if dev > 1e3 * tol:
             raise ValidationError(f"balancing is not unitary ({dev:.3e})", violation=dev)
-        return adj, b
-
-    def balancing(self, x: RepObject) -> Intertwiner:
-        return self._well_balanced(x)[1]
+        return Intertwiner(x, x, b)
 
     # -- trace and dimension ------------------------------------------------
 
-    def trace(self, f: Intertwiner, adj: Adjunction | None = None,
-              quantum: bool = False) -> complex:
+    def trace(self, f: Intertwiner, quantum: bool = False) -> complex:
         """Loop trace of an endomorphism; the quantum variant twists by the balancing.
 
-        The loop closed with the counit, e (1 (x) f) e^H = tr(E f E^H), is
-        compared with the loop closed with the unit, i^H (f (x) 1) i = tr(I^H f I).
+        Closed with the canonical counit, e (1 (x) f) e^H = tr(E f E^H) with
+        E = I, the loop is tr(f), or tr(f b) for the balancing b; like
+        ``dim`` and ``qdim`` it raises unless b is unitary.
         """
         if not _same_object(f.src, f.dst):
             raise CompositionError("trace needs an endomorphism")
-        x = f.src
-        if adj is None:
-            adj, b = self._well_balanced(x)
-        elif quantum:
-            b = self.balancing_of(adj)
-        mat = f.matrix
-        if quantum:
-            mat = mat @ b.matrix
-        e_m, i_m = adj.counit_matrix, adj.unit_matrix
-        val = np.trace(e_m @ mat @ dagger(e_m))
-        alt = np.trace(dagger(i_m) @ mat @ i_m)
-        if abs(val - alt) > 1e-7 * max(1.0, abs(val)):
-            raise ValidationError("the two trace evaluations disagree")
-        return complex(val)
+        b = self.balancing(f.src)
+        return complex(np.trace(f.matrix @ b.matrix if quantum else f.matrix))
 
     def dim(self, x: RepObject) -> float:
         return float(np.real(self.trace(self.identity_map(x))))
@@ -664,10 +627,11 @@ class RepCategory:
 
         Inserting the unit, applying f to the middle factor and pairing the
         first two factors with the unit's adjoint,
-        (i^H (x) 1)(1 (x) f (x) 1)(1 (x) i), is (conj(I) f I)^T.
+        (i^H (x) 1)(1 (x) f (x) 1)(1 (x) i), is (conj(I) f I)^T, which is f^T
+        for the canonical unit I = identity.  Raises unless x is well balanced.
         """
-        i_m = self.well_balanced_adjunction(f.src).unit_matrix
-        return Intertwiner(f.src, f.dst, (np.conj(i_m) @ f.matrix @ i_m).T)
+        self.balancing(f.src)
+        return Intertwiner(f.src, f.dst, f.matrix.T.copy())
 
     def classify_self_dual(self, x: RepObject,
                            rng: np.random.Generator | None = None) -> SelfDuality:

@@ -375,14 +375,14 @@ _PARSED = {text: parse(text)
            + [KINK_PLUS, "b++", "B++"]}
 
 
-def move_suite(ctx: EvalContext, tol: float | None = None) -> list[MoveEntry]:
+def move_suite(ctx: EvalContext) -> list[MoveEntry]:
     """Evaluate the standard isotopy moves in the given context.
 
     Ambient 2 runs only the duality zig-zags; ambient 3 adds the second and
     third Reidemeister moves and the framed first move (the twist tangle
-    must be unitary); ambient 4 additionally requires crossing symmetry.
+    must be unitary); ambient 4 additionally requires crossing symmetry.  A
+    move passes when its deviation is below ``ctx.tol``.
     """
-    tol = ctx.tol if tol is None else tol
     jobs = []
     for move_id, lhs, rhs in _ZIGZAGS:
         jobs.append((move_id, move_id, lhs, rhs, True, ""))
@@ -403,5 +403,5 @@ def move_suite(ctx: EvalContext, tol: float | None = None) -> list[MoveEntry]:
         else:
             deviation = move_check(_PARSED[lhs], _PARSED[rhs], ctx)
         entries.append(MoveEntry(move_id, name, lhs, rhs, float(deviation),
-                                 bool(deviation < tol), required, note))
+                                 bool(deviation < ctx.tol), required, note))
     return entries

@@ -343,8 +343,9 @@ def test_attempts_reach_every_retry_loop(monkeypatch, rng, stage, message):
         return draw(gen, shape)
     monkeypatch.setattr(ambrose_module, "_minimal_projections", split_then_zero)
     monkeypatch.setattr(ambrose_module, "random_complex", maybe_zero)
+    monkeypatch.setattr(ambrose_module, "_ATTEMPTS", 3)
     with pytest.raises(ValidationError, match=message):
-        ambrose_decompose(alg, rng=rng, attempts=3)
+        ambrose_decompose(alg, rng=rng)
     assert state["zero_draws"] == 3
 
 

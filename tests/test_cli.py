@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import tracemalloc
 from collections import Counter
 
 import pytest
 
+from twohilb import cli
 from twohilb.cli import build_parser, main
 from twohilb.groups import cyclic_group, symmetric_group
+from twohilb.tangles import EvalContext, evaluate, parse
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +47,35 @@ def test_tangle_eval_open_expression(capsys):
     payload = json.loads(out)
     assert payload["dst"] == "+-"
     assert not payload["closed"]
+    # the rows are encoded one at a time, byte for byte as the whole payload
+    # of nested [re, im] lists would be
+    for argv in (["coev", "--group", "S3", "--object", "std"],
+                 ["(coev | id+) ; (id+ | B-+)", "--group", "Q8", "--super",
+                  "--object", "2a"],
+                 ["id+ | ev*", "--group", "S4", "--object", "3a", "--scale", "1.7"]):
+        args = build_parser().parse_args(["tangle", "eval", *argv, "--format", "json"])
+        cat = cli._category(args)
+        ctx = EvalContext.make(cat, cli._resolve_irrep(cat, args.object), scale=args.scale)
+        expr = parse(args.expr)
+        matrix = evaluate(expr, ctx).matrix
+        old = {"expr": args.expr, "closed": False, "src": expr.src, "dst": expr.dst,
+               "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in matrix]}
+        code, out, _ = run_cli(capsys, "tangle", "eval", *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(old) + "\n"
+
+
+def test_open_tangle_json_memory():
+    """A 243 x 243 matrix (0.9 MB) as nested Python lists of [re, im]
+    pairs would take about 12 MB of Python allocations."""
+    tracemalloc.start()
+    try:
+        main(["tangle", "eval", " | ".join(["id+"] * 5), "--group", "S4",
+              "--object", "3a", "--format", "json", "--out", os.devnull])
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 4.0, f"peak {peak_mb:.1f} MB"
 
 
 def test_tangle_moves_pass_and_fail(capsys):

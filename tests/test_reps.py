@@ -22,7 +22,7 @@ from twohilb.reps import (
     RepObject,
     frobenius_schur_indicator,
 )
-from twohilb.tangles import EvalContext
+from twohilb.tangles import KINK_PLUS, EvalContext, evaluate
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +141,7 @@ def test_canonical_adjunction_well_balanced(s3, rng):
     x = s3.random_object(rng, max_dim=5)
     adj = s3.well_balanced_adjunction(x)
     assert adj.triangle_dev() < 1e-9
-    b = s3.balancing_of(adj)
+    b = s3.balancing(x)
     assert max_dev(b.matrix, np.eye(x.dim)) < 1e-9
 
 
@@ -149,7 +149,7 @@ def test_scaled_adjunction_is_not_well_balanced(s3, rng):
     x = s3.random_object(rng, max_dim=4)
     bad = s3.adjunction(x).scaled(2.0)
     assert bad.triangle_dev() < 1e-9  # still an adjunction
-    b_bad = s3.balancing_of(bad)
+    b_bad = evaluate(KINK_PLUS, EvalContext(s3, x, bad))
     assert max_dev(b_bad.matrix, 4.0 * np.eye(x.dim)) < 1e-9
     assert distance_to_unitary(b_bad.matrix) > 1.0
 
@@ -362,10 +362,13 @@ def test_well_balanced_uniqueness(s3, rng):
         Intertwiner(first.i.src, first.i.dst, phase * first.i.matrix),
         Intertwiner(first.e.src, first.e.dst, first.e.matrix / phase))
     assert twisted.triangle_dev() < 1e-9
-    assert distance_to_unitary(s3.balancing_of(twisted).matrix) < 1e-9
+    twist = evaluate(KINK_PLUS, EvalContext(s3, x, twisted))
+    assert distance_to_unitary(twist.matrix) < 1e-9
     # the comparison map (e (x) 1)(1 (x) i') = (E I')^T between the two duals
-    u = Intertwiner(first.xstar, twisted.xstar,
-                    (first.counit_matrix @ twisted.unit_matrix).T)
+    d = x.dim
+    e_first = first.e.matrix.reshape(d, d)
+    i_twisted = twisted.i.matrix.reshape(d, d)
+    u = Intertwiner(first.xstar, twisted.xstar, (e_first @ i_twisted).T)
     assert max_dev(u.matrix @ dagger(u.matrix), np.eye(u.matrix.shape[0])) < 1e-8
     assert u.equivariance_dev() < 1e-8
 
@@ -463,29 +466,37 @@ def test_decompose_rejects_non_integral_multiplicity(s3):
         s3.decompose(RepObject(s3, mats))
 
 
-def test_balancing_is_evaluated_once(monkeypatch, super_q8):
-    """balancing, qdim and dim evaluate a graded balancing once each; the
-    canonical bosonic one is the identity and is not evaluated at all."""
+def test_balancing_dim_and_trace_build_no_adjunction(monkeypatch, super_q8):
+    """balancing, dim, qdim and trace read the canonical duality in closed
+    form: no adjunction and no conjugate representation is built, graded or
+    bosonic."""
     s4 = RepCategory(symmetric_group(4))
-    calls = []
-    original = RepCategory.balancing_of
+    cases = [(super_q8, super_q8.irrep("2a")), (s4, s4.irrep("3a"))]
 
-    def counted(self, adj):
-        calls.append(adj)
-        return original(self, adj)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a duality was built")
 
-    monkeypatch.setattr(RepCategory, "balancing_of", counted)
+    monkeypatch.setattr(RepCategory, "adjunction", forbidden)
+    monkeypatch.setattr(RepCategory, "conjugate", forbidden)
+    for cat, x in cases:
+        grading = x.grading
+        assert max_dev(cat.balancing(x).matrix, grading) < 1e-12
+        assert cat.dim(x) == pytest.approx(x.dim)
+        assert cat.qdim(x) == pytest.approx(np.trace(grading).real)
+        f = cat.identity_map(x)
+        assert cat.trace(f) == pytest.approx(x.dim)
+        assert cat.trace(f, quantum=True) == pytest.approx(np.trace(grading).real)
 
-    def counts(cat, x):
-        out = {}
-        for name in ("balancing", "qdim", "dim"):
-            calls.clear()
-            getattr(cat, name)(x)
-            out[name] = len(calls)
-        return out
 
-    assert counts(super_q8, super_q8.irrep("2a")) == {"balancing": 1, "qdim": 1, "dim": 1}
-    assert counts(s4, s4.irrep("3a")) == {"balancing": 0, "qdim": 0, "dim": 0}
+def test_balancing_and_dims_of_a_tensor_product_leave_its_carrier_unbuilt(super_q8, s3):
+    for cat, labels in ((super_q8, ("2a", "1b")), (s3, ("2a", "2a"))):
+        x, y = (cat.irrep(label) for label in labels)
+        xy = cat.tensor(x, y)
+        want = np.kron(x.grading, y.grading)
+        assert max_dev(cat.balancing(xy).matrix, want) < 1e-12
+        assert cat.dim(xy) == pytest.approx(xy.dim)
+        assert cat.qdim(xy) == pytest.approx(np.trace(want).real)
+        assert "matrices" not in vars(xy)
 
 
 def test_canonical_bosonic_duality_needs_no_svd(monkeypatch):
