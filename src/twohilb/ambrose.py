@@ -4,14 +4,17 @@ An algebra is presented on an orthonormal basis: a complex 3-tensor of
 structure constants, the coordinates of the unit, and the antilinear star
 action.  Every such algebra splits into minimal two-sided ideals, each a
 full matrix algebra with a rescaled trace inner product.  The decomposition
-takes one ``eigh`` of left multiplication by a random self-adjoint central
-element: the unit's projections onto its eigenspaces are the central
-projections, and one ``eigh`` inside each ideal gives its minimal ones.
+takes one ``eigh`` of left multiplication by a random self-adjoint element
+y: on an ideal M_d, L(y) repeats each eigenvalue of y's block d times, and
+the unit's projection onto each eigenspace is a minimal projection.  For a
+second random element r, q_a r q_b is nonzero exactly when the minimal
+projections q_a and q_b lie in one ideal, which groups them into ideals and
+links them into matrix units.
 
-The axioms and the center are checked on a generating set of basis vectors
-only (Light's test): the elements c with (cx)y = c(xy) for all x and y are
-closed under products, so once the generators satisfy it, every word in
-them does, and the words span the algebra.
+The axioms are checked on a generating set of basis vectors only (Light's
+test): the elements c with (cx)y = c(xy) for all x and y are closed under
+products, so once the generators satisfy it, every word in them does, and
+the words span the algebra.
 """
 from __future__ import annotations
 
@@ -28,13 +31,12 @@ from .linalg import (
     dagger,
     max_abs,
     max_dev,
-    nullspace_basis,
     random_complex,
 )
 
 # entries of the product table compared at once by validate and recomposition_dev (16 MB)
 _BLOCK_ENTRIES = 1 << 20
-# random draws tried by each retry loop of ambrose_decompose before it gives up
+# random draws tried by ambrose_decompose's split before it gives up
 _ATTEMPTS = 40
 
 __all__ = ["HStarAlgebraData", "block_model", "change_basis", "ambrose_decompose",
@@ -181,20 +183,6 @@ class HStarAlgebraData:
             raise ValidationError(
                 f"product identities fail (max violation {worst:.3e})", violation=worst)
 
-    def center_basis(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Orthonormal basis (columns) of the center of a validated algebra.
-
-        By associativity, an element commuting with two elements commutes with
-        their product, so the center is the commutant of the generators.
-        """
-        t = self.table
-        n = self.dim
-        gens = list(self.generators)
-        # row (j, k) for generators j, column i: (e_i e_j - e_j e_i)[k]
-        commutators = (t[:, gens].transpose(1, 2, 0)
-                       - t[gens].transpose(0, 2, 1)).reshape(len(gens) * n, n)
-        return nullspace_basis(commutators, tol)
-
 
 def block_model(sizes, weights) -> HStarAlgebraData:
     """Direct sum of matrix algebras with trace inner products scaled by the weights.
@@ -211,15 +199,11 @@ def block_model(sizes, weights) -> HStarAlgebraData:
     star = np.zeros((n, n), dtype=np.complex128)
     offset = 0
     for d, k in zip(sizes, weights):
-        def idx(a, b, base=offset, dd=d):
-            return base + a * dd + b
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    # (E_ab/sqrt k)(E_bc/sqrt k) = (1/sqrt k)(E_ac/sqrt k)
-                    table[idx(a, b), idx(b, c), idx(a, c)] = 1.0 / np.sqrt(k)
-                star[idx(a, b), idx(b, a)] = 1.0
-            unit[idx(a, a)] = np.sqrt(k)
+        idx = offset + np.arange(d * d).reshape(d, d)  # idx[a, b] is the basis vector of E_ab
+        # (E_ab/sqrt k)(E_bc/sqrt k) = (1/sqrt k)(E_ac/sqrt k), for every [a, b, c]
+        table[idx[:, :, None], idx[None, :, :], idx[:, None, :]] = 1.0 / np.sqrt(k)
+        star[idx, idx.T] = 1.0
+        unit[np.diag(idx)] = np.sqrt(k)
         offset += d * d
     return HStarAlgebraData(n, table, unit, star)
 
@@ -268,109 +252,119 @@ class AmbroseDecomposition:
     def recomposition_dev(self) -> float:
         """Deviation between the original product and the product rebuilt blockwise.
 
-        On basis vectors, model_coords(e_i) is c[:, :, i] with
+        On basis vectors, the ideal's coordinates of e_i are c[:, :, i] with
         c = conj(matrix_units) / weight; each ideal contributes
-        from_model(c[:, :, i] @ c[:, :, j]) to the product e_i e_j.
+        sum_ac (c[:, :, i] @ c[:, :, j])[a, c] matrix_units[a, c] to the
+        product e_i e_j.  The ideals of one size are stacked and contracted
+        together, and one matrix product of the pairs of every ideal with the
+        stacked matrix units gives the rebuilt rows.
         The table is rebuilt and compared in blocks of rows i holding at most
-        _BLOCK_ENTRIES entries, so only the table and one block are alive.
+        _BLOCK_ENTRIES entries, so only the table, one block and its pairs
+        are alive.
         """
         table = self.algebra.table
         n = self.algebra.dim
-        units = [(np.conj(ideal.matrix_units) / ideal.weight, ideal.matrix_units)
-                 for ideal in self.ideals]
+        by_size = [[i for i in self.ideals if i.size == d] for d in sorted(set(self.sizes))]
+        coords = [np.array([np.conj(i.matrix_units) / i.weight for i in ideals])
+                  for ideals in by_size]
+        units = np.concatenate([i.matrix_units.reshape(-1, n)
+                                for ideals in by_size for i in ideals])
         step = max(1, _BLOCK_ENTRIES // (n * n))
         worst = 0.0
         for start in range(0, n, step):
-            rows = slice(start, start + step)
-            rebuilt = np.zeros_like(table[rows])
-            for c, mu in units:
-                pairs = np.einsum("abi,bcj->acij", c[:, :, rows], c)
-                rebuilt += np.tensordot(pairs, mu, axes=([0, 1], [0, 1]))
+            rows = slice(start, min(start + step, n))
+            # pairs[(x, a, c), i, j] = (c_x[:, :, i] @ c_x[:, :, j])[a, c] for ideal x,
+            # written in place: a concatenation would hold a second block
+            pairs = np.empty((len(units), rows.stop - start, n), dtype=np.complex128)
+            offset = 0
+            for c in coords:
+                stack = pairs[offset:offset + c.size // n]
+                np.einsum("xabi,xbcj->xacij", c[..., rows], c,
+                          out=stack.reshape(c.shape[:3] + stack.shape[1:]))
+                offset += len(stack)
+            rebuilt = (pairs.reshape(len(units), -1).T @ units).reshape(-1, n, n)
             rebuilt -= table[rows]
             worst = np.maximum(worst, max_abs(rebuilt))  # keeps a NaN
         return float(worst)
 
 
-def _spectral_projections(alg, element, unit, basis, tol):
-    """Eigenspace sizes of L(element) on the span of ``basis``, and unit's projection on each.
+def _minimal_projections(alg, rng, tol):
+    """Every ideal's minimal projections, one array per ideal, and the element r linking them.
 
-    ``basis`` has orthonormal columns spanning a subspace that L(element)
-    maps into itself.  For a self-adjoint element of an H*-algebra L(element)
-    is Hermitian, so one ``eigh`` gives its eigenspaces V_c and the spectral
-    projector V_c V_c^H, which is the Lagrange polynomial in the element;
-    applied to the unit of an ideal it gives the ideal's projection onto
-    the eigenspace.  Each projection must be idempotent.
+    For a self-adjoint y, L(y) is Hermitian in an H*-algebra, and on an
+    ideal M_d it is y's block acting on each column: each eigenvalue of the
+    block is an eigenvalue of L(y) of multiplicity d, and the unit's
+    projection V V^H 1 onto its eigenspace is a minimal projection q of the
+    ideal.  Each q must be idempotent.  For a random r and q_a r q_b =
+    c_ab e_ab in one ideal of weight k, <q_a r, r q_b> = <q_a r q_b, r> =
+    k |c_ab|^2, and it is zero across ideals: these m x m scalars, read
+    through the n x n matrices R(r) and L(r), group the q.  A draw is
+    redrawn unless every ideal has d members of cluster size d and the d^2
+    add up to the dimension.
     """
-    compressed = dagger(basis) @ alg.left_mult_matrix(element) @ basis
-    vals, vecs = np.linalg.eigh((compressed + dagger(compressed)) / 2.0)
-    clusters = cluster_indices(vals, 1e-6 * max(vals[-1] - vals[0], 1.0))
-    coords = dagger(basis) @ unit
-    projections = [basis @ (vecs[:, c] @ (dagger(vecs[:, c]) @ coords)) for c in clusters]
-    worst = max(max_dev(alg.mult(q, q), q) for q in projections)
-    if not worst < 1e3 * tol:
-        raise ValidationError(f"spectral projections are not idempotent ({worst:.3e})",
-                              violation=worst)
-    return [len(c) for c in clusters], projections
-
-
-def _minimal_projections(alg, p, d, rng, tol):
-    """Split the central projection p of a size-d ideal into d minimal projections."""
-    if d == 1:
-        return [p]
-    ideal_basis, _ = np.linalg.qr(alg.left_mult_matrix(p) @ random_complex(rng, (alg.dim, d * d)))
+    n = alg.dim
+    t = alg.table
     for _ in range(_ATTEMPTS):
-        raw = random_complex(rng, alg.dim)
-        y = alg.mult(p, alg.mult(raw, p))
-        y = (y + alg.star(y)) / 2.0
-        sizes, projs = _spectral_projections(alg, y, p, ideal_basis, tol)
-        if sizes == [d] * d:
-            return projs
-    raise ValidationError("failed to split an ideal into minimal projections")
+        raw, r = random_complex(rng, (2, n))
+        left = alg.left_mult_matrix((raw + alg.star(raw)) / 2.0)
+        vals, vecs = np.linalg.eigh((left + dagger(left)) / 2.0)
+        clusters = cluster_indices(vals, 1e-6 * max(vals[-1] - vals[0], 1.0))
+        coords = dagger(vecs) @ alg.unit
+        qs = np.array([vecs[:, c] @ coords[c] for c in clusters])
+        # the squares q q, in blocks of rows holding at most _BLOCK_ENTRIES entries
+        step = max(1, _BLOCK_ENTRIES // (n * n))
+        worst = max(max_dev(np.matmul(q[:, None], (q @ t.reshape(n, n * n)).reshape(-1, n, n)),
+                            q[:, None]) for q in np.split(qs, range(step, len(qs), step)))
+        if not worst < 1e3 * tol:
+            raise ValidationError(f"spectral projections are not idempotent ({worst:.3e})",
+                                  violation=worst)
+        # rows q_a r and r q_a, and gram[a, b] = <q_a r, r q_b>
+        qr = qs @ (r @ t)
+        rq = qs @ (r @ t.reshape(n, n * n)).reshape(n, n)
+        gram = np.abs(np.conj(qr) @ rq.T)
+        linked = gram > 1e-6 * gram.max()
+        sizes = np.array([len(c) for c in clusters])
+        free = np.ones(len(qs), dtype=bool)
+        groups = []
+        for a in range(len(qs)):
+            if free[a]:
+                free[a] = False
+                groups.append(np.concatenate([[a], np.flatnonzero(free & linked[a])]))
+                free[groups[-1]] = False
+        if (all((sizes[g] == len(g)).all() for g in groups)
+                and sum(len(g) ** 2 for g in groups) == n):
+            return [qs[g] for g in groups], r
+    raise ValidationError("failed to split the algebra into minimal projections; "
+                          "algebra data suspect")
 
 
 def ambrose_decompose(alg: HStarAlgebraData, tol: float = 1e-7,
                       rng: np.random.Generator | None = None) -> AmbroseDecomposition:
     """Minimal two-sided ideal decomposition of a concrete H*-algebra.
 
-    The central projections are the spectral projections of the unit for
-    L(z), z a random self-adjoint central element (redrawn if eigenvalues
-    collide); each ideal is then split into minimal projections the same
-    way and identified with a matrix algebra by constructing matrix units,
-    and the recomposed structure constants are checked against the input.
+    One spectral split gives every ideal's minimal projections q_1..q_d
+    (``_minimal_projections``); e_1a = q_1 r q_a, scaled to
+    e_1a e_1a* = q_1, links them into matrix units e_ab = e_1a* e_1b, whose
+    relations are checked, and the recomposed structure constants are
+    checked against the input.
     """
     alg.validate(tol)
     rng = rng if rng is not None else np.random.default_rng(0)
-    center = alg.center_basis()
-    n_ideals = center.shape[1]
-
-    for _ in range(_ATTEMPTS):
-        z = center @ random_complex(rng, n_ideals)
-        z = (z + alg.star(z)) / 2.0
-        sizes2, projections = _spectral_projections(alg, z, alg.unit, np.eye(alg.dim), tol)
-        sizes = [int(round(np.sqrt(s))) for s in sizes2]
-        if len(sizes) == n_ideals and all(d * d == s for d, s in zip(sizes, sizes2)):
-            break
-    else:
-        raise ValidationError("failed to separate central projections; algebra data suspect")
-
+    groups, r = _minimal_projections(alg, rng, tol)
     ideals = []
-    for p, d in zip(projections, sizes):
+    for qs in groups:
+        d = len(qs)
+        p = qs.sum(axis=0)
         weight = float(np.real(alg.inner(p, p)) / d)
-        qs = _minimal_projections(alg, p, d, rng, tol)
-        row = [qs[0]]
-        for a in range(1, d):
-            for _ in range(_ATTEMPTS):
-                w = alg.mult(qs[0], alg.mult(random_complex(rng, alg.dim), qs[a]))
-                gamma = alg.inner(qs[0], alg.mult(w, alg.star(w))) / alg.inner(qs[0], qs[0])
-                if abs(gamma) > 1e-8:
-                    row.append(w / np.sqrt(np.real(gamma)))
-                    break
-            else:
-                raise ValidationError("failed to link minimal projections inside an ideal")
-        # e_ab = e_a1 e_1b, with e_a1 = (e_1a)* and e_11 the first minimal projection
-        col = np.array([qs[0]] + [alg.star(w) for w in row[1:]])
-        units = alg.products(col, np.array(row))
-        units[0, 0] = qs[0]
+        units = qs[None]
+        if d > 1:
+            # e_1a = q_1 r q_a / |c_1a|, with |c_1a| = |q_1 r q_a| / |q_1|
+            links = alg.products(alg.mult(qs[0], r)[None], qs[1:])[0]
+            links *= np.linalg.norm(qs[0]) / np.linalg.norm(links, axis=1)[:, None]
+            # e_ab = e_a1 e_1b, with e_a1 = (e_1a)* and e_11 the first minimal projection
+            units = alg.products(np.vstack([qs[:1], np.conj(links) @ alg.star_matrix.T]),
+                                 np.vstack([qs[:1], links]))
+            units[0, 0] = qs[0]
         ideal = AmbroseIdeal(size=d, weight=weight, projection=p, matrix_units=units)
         # matrix-unit sanity: e_ab e_cd = delta_bc e_ad within tolerance
         flat = units.reshape(d * d, alg.dim)
@@ -378,13 +372,13 @@ def ambrose_decompose(alg: HStarAlgebraData, tol: float = 1e-7,
         diag = np.arange(d)
         relations[:, diag, diag] -= units[:, None]
         dev = max_abs(relations)
-        if dev > tol:
+        if not dev <= tol:  # a NaN fails too
             raise ValidationError(f"matrix unit relations violated ({dev:.3e})", violation=dev)
         ideals.append(ideal)
 
     ideals.sort(key=lambda i: (i.size, i.weight))
     result = AmbroseDecomposition(alg, ideals)
     dev = result.recomposition_dev()
-    if dev > tol:
+    if not dev <= tol:
         raise ValidationError(f"recomposition mismatch ({dev:.3e})", violation=dev)
     return result

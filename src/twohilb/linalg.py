@@ -72,19 +72,6 @@ def cluster_indices(vals: np.ndarray, gap: float) -> list[list[int]]:
     return clusters
 
 
-def nullspace_basis(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the right nullspace of ``a``."""
-    cols = a.shape[1]
-    if a.size == 0:
-        return np.eye(cols, dtype=np.complex128)
-    # with at least as many rows as columns, the thin SVD already holds every
-    # right singular vector
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < cols)
-    cutoff = max(tol, tol * (s[0] if s.size else 0.0))
-    rank = int(np.sum(s > cutoff))
-    return dagger(vh[rank:, :])
-
-
 def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 

@@ -577,13 +577,14 @@ class RepCategory:
         """Loop trace of an endomorphism; the quantum variant twists by the balancing.
 
         Closed with the canonical counit, e (1 (x) f) e^H = tr(E f E^H) with
-        E = I, the loop is tr(f), or tr(f b) for the balancing b; like
-        ``dim`` and ``qdim`` it raises unless b is unitary.
+        E = I, the loop is tr(f), or tr(f b) = sum_ij f_ij b_ji for the
+        balancing b, without the product f b; like ``dim`` and ``qdim`` it
+        raises unless b is unitary.
         """
         if not _same_object(f.src, f.dst):
             raise CompositionError("trace needs an endomorphism")
         b = self.balancing(f.src)
-        return complex(np.trace(f.matrix @ b.matrix if quantum else f.matrix))
+        return complex(np.sum(f.matrix * b.matrix.T) if quantum else np.trace(f.matrix))
 
     def dim(self, x: RepObject) -> float:
         return float(np.real(self.trace(self.identity_map(x))))
