@@ -31,10 +31,10 @@ from .reps import Adjunction, Intertwiner, RepCategory, RepObject
 from .tangles import EvalContext, evaluate, move_suite, parse
 from .transforms import (
     FourierMap,
+    SpectrumPoint,
     convolution_tensor,
     gelfand_hat,
     tannaka_reconstruct,
-    tautological_point,
 )
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
     "FiniteGroup", "FiniteSuperGroup", "catalog", "load_group",
     "RepCategory", "RepObject", "Intertwiner", "Adjunction",
     "convolution_tensor", "FourierMap",
-    "tautological_point", "gelfand_hat", "tannaka_reconstruct",
+    "SpectrumPoint", "gelfand_hat", "tannaka_reconstruct",
     "parse", "evaluate", "EvalContext", "move_suite",
 ]
 

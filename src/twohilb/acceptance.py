@@ -24,8 +24,8 @@ from .groups import (
     symmetric_group,
 )
 from .hstar import compose, inner_product, star
-from .linalg import max_dev, random_unitary
-from .reps import RepCategory, _random_intertwiner
+from .linalg import block_diag, max_dev, random_unitary
+from .reps import RepCategory
 from .sampling import (
     random_fusion_functor,
     random_morphism,
@@ -194,11 +194,7 @@ def check_falling_factorial(seed=DEFAULT_SEED) -> CheckResult:
         for n in range(1, 5):
             data = cat.symmetrizer_power(x, n)
             got = float(np.real(np.trace(data.antisymmetrizer.matrix)))
-            want = 1.0
-            for k in range(n):
-                want *= (d - k)
-            want /= math.factorial(n)
-            worst = max(worst, abs(got - want))
+            worst = max(worst, abs(got - math.comb(d, n)))
             if d == 2 and n == 3:
                 lambda3_ok = data.alternating_part[0].dim == 0
     passed = worst < tol and lambda3_ok
@@ -275,8 +271,8 @@ def check_fourier(seed=DEFAULT_SEED) -> CheckResult:
         for _ in range(3):
             x = cat.random_object(rng, max_dim=4)
             y = cat.random_object(rng, max_dim=4)
-            f = _random_intertwiner(cat, rng, x, x, unit=True)
-            fp = _random_intertwiner(cat, rng, y, y, unit=True)
+            f = cat.random_intertwiner(x, x, rng)
+            fp = cat.random_intertwiner(y, y, rng)
             worst = max(worst, fm.monoidal_defect(x, y, f, fp))
             worst = max(worst, fm.round_trip_defect(x, f))
     passed = worst < tol and fibers_exact
@@ -286,10 +282,12 @@ def check_fourier(seed=DEFAULT_SEED) -> CheckResult:
 
 @_timed
 def check_tannaka(seed=DEFAULT_SEED) -> CheckResult:
-    """Every group is reconstructed to its own table, with the right order,
-    cyclicity and number of involutions: D4 and Q8, whose fusion rules
-    agree, give 5 and 1."""
+    """Every group is reconstructed with the right order, cyclicity and
+    number of involutions (D4 and Q8, whose fusion rules agree, give 5 and
+    1); the deviation is the worst residual of the reconstruction."""
+    tol = 1e-6
     expected = True
+    worst = 0.0
     details = {}
     for group, want_order, want_cyclic, want_involutions in [
         (cyclic_group(2), 2, True, 1),
@@ -302,10 +300,10 @@ def check_tannaka(seed=DEFAULT_SEED) -> CheckResult:
     ]:
         res = tannaka_reconstruct(RepCategory(group))
         details[group.name] = res.order
-        expected &= (np.array_equal(res.group.matrix, group.matrix)
-                     and res.order == want_order and res.is_cyclic == want_cyclic
+        worst = max(worst, res.deviation)
+        expected &= (res.order == want_order and res.is_cyclic == want_cyclic
                      and res.element_orders.count(2) == want_involutions)
-    return CheckResult("9", "tannaka", expected, 0.0, 0.0, 0.0, details)
+    return CheckResult("9", "tannaka", expected and worst < tol, tol, worst, 0.0, details)
 
 
 @_timed
@@ -322,10 +320,7 @@ def check_balancing_laws(seed=DEFAULT_SEED) -> CheckResult:
         bx = cat.balancing(x).matrix
         by = cat.balancing(y).matrix
         bsum = cat.balancing(cat.direct_sum(x, y)).matrix
-        direct = np.zeros_like(bsum)
-        direct[:x.dim, :x.dim] = bx
-        direct[x.dim:, x.dim:] = by
-        worst = max(worst, max_dev(bsum, direct))
+        worst = max(worst, max_dev(bsum, block_diag([bx, by])))
         btens = cat.balancing(cat.tensor(x, y)).matrix
         swap_there = cat.braiding(x, y).matrix
         swap_back = cat.braiding(y, x).matrix

@@ -19,7 +19,7 @@ import numpy as np
 from . import acceptance
 from .errors import TwoHilbError
 from .groups import FiniteSuperGroup, catalog_names, load_group
-from .reps import RepCategory, _random_intertwiner
+from .reps import RepCategory
 from .tangles import EvalContext, evaluate, move_suite, parse as parse_tangle
 from .transforms import FourierMap, tannaka_reconstruct
 
@@ -217,8 +217,8 @@ def _cmd_fourier(args) -> int:
                      "fibers": " ".join(str(n) for n in fibers)})
     x = cat.random_object(rng, max_dim=4)
     y = cat.random_object(rng, max_dim=4)
-    defect = fm.monoidal_defect(x, y, _random_intertwiner(cat, rng, x, x, unit=True),
-                                _random_intertwiner(cat, rng, y, y, unit=True))
+    defect = fm.monoidal_defect(x, y, cat.random_intertwiner(x, x, rng),
+                                cat.random_intertwiner(y, y, rng))
     round_trip = fm.round_trip_defect(x)
     rows.append({"irrep": "(structure-map defect)", "fibers": _fmt(defect)})
     rows.append({"irrep": "(round-trip defect)", "fibers": _fmt(round_trip)})

@@ -42,11 +42,16 @@ def nearest_unitary(a: np.ndarray) -> np.ndarray:
 
 def distance_to_unitary(a: np.ndarray) -> float:
     """Entrywise distance from a square matrix to its unitary polar factor."""
-    if a.shape[0] != a.shape[1]:
-        return float("inf")
-    if a.size == 0:
-        return 0.0
     return max_dev(a, nearest_unitary(a))
+
+
+def swap_matrix(d_left: int, d_right: int) -> np.ndarray:
+    """The swap a (x) b -> b (x) a: column (i, j) has its one in row (j, i)."""
+    n = d_left * d_right
+    cols = np.arange(n)
+    mat = np.zeros((n, n), dtype=np.complex128)
+    mat[(cols % d_right) * d_left + cols // d_right, cols] = 1.0
+    return mat
 
 
 def block_diag(mats) -> np.ndarray:

@@ -5,6 +5,9 @@ and exposes the symmetric-monoidal structure on concrete unitary
 representations: tensor products, the (possibly graded) braiding, duals
 via conjugate representations, canonical adjunctions and their balancing,
 traces and dimensions, symmetrizers, and the self-duality classification.
+It is the one module that knows the isotypic layout of an object and how
+random intertwiners are drawn: other modules read them through
+``decompose``, ``skeletal``, ``to_blocks`` and ``random_intertwiner``.
 
 Irreducibles are computed numerically by decomposing the regular
 representation with a randomly averaged equivariant Hermitian operator.
@@ -28,6 +31,7 @@ from .linalg import (
     max_dev,
     random_complex,
     random_unitary,
+    swap_matrix,
 )
 
 __all__ = ["UnitaryIrrep", "RepObject", "Intertwiner", "Adjunction",
@@ -217,24 +221,15 @@ class Adjunction:
                           Intertwiner(self.e.src, self.e.dst, self.e.matrix * factor))
 
 
-def _swap_matrix(d_left: int, d_right: int) -> np.ndarray:
-    """The swap a (x) b -> b (x) a: column (i, j) has its one in row (j, i)."""
-    n = d_left * d_right
-    cols = np.arange(n)
-    mat = np.zeros((n, n), dtype=np.complex128)
-    mat[(cols % d_right) * d_left + cols // d_right, cols] = 1.0
-    return mat
-
-
-def _koszul(gx: np.ndarray, gy: np.ndarray, rows: str) -> np.ndarray:
+def _koszul(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     """P+[i, r] delta[j, b] + P-[i, r] gy[j, b] with P+- = (1 +- gx) / 2, as a
-    matrix with rows (i, j) (rows="ijrb") or swapped to (j, i) (rows="jirb")
-    and columns (r, b): the Koszul sign, alone or after the swap."""
+    matrix with rows (j, i) and columns (r, b): the swap after the Koszul
+    sign, -1 exactly where both factors are odd."""
     eye_x = np.eye(len(gx))
     signs = np.stack([(eye_x + gx) / 2.0, (eye_x - gx) / 2.0])
     factors = np.stack([np.eye(len(gy)), gy])
     n = len(gx) * len(gy)
-    return np.einsum(f"sir,sjb->{rows}", signs, factors).reshape(n, n)
+    return np.einsum("sir,sjb->jirb", signs, factors).reshape(n, n)
 
 
 def frobenius_schur_indicator(group: FiniteGroup, character: np.ndarray) -> float:
@@ -331,14 +326,13 @@ class RepCategory:
     def identity_map(self, x: RepObject) -> Intertwiner:
         return Intertwiner(x, x, np.eye(x.dim))
 
-    def random_object(self, rng: np.random.Generator, max_copies: int = 2,
-                      max_dim: int = 8) -> RepObject:
+    def random_object(self, rng: np.random.Generator, max_dim: int = 8) -> RepObject:
         """Random direct sum of irreducibles on a randomly rotated carrier.
 
         The copies of each irreducible are uniform over the vectors with
-        entries in 0..max_copies and total degree in 1..max_dim."""
+        entries in 0..2 and total degree in 1..max_dim."""
         irreps = self.irreps()
-        copies = _uniform_copies(rng, [i.degree for i in irreps], max_copies, max_dim)
+        copies = _uniform_copies(rng, [i.degree for i in irreps], max_dim)
         x = reduce(self.direct_sum, [self.object_of_irrep(irr)
                                      for c, irr in zip(copies, irreps) for _ in range(c)])
         u = random_unitary(rng, x.dim)
@@ -387,9 +381,17 @@ class RepCategory:
             basis += [Intertwiner(x, y, f) for f in maps.reshape(m * n, y.dim, x.dim)]
         return basis
 
-    def is_simple(self, x: RepObject, tol: float = 1e-7) -> bool:
-        norm2 = float(np.real(np.sum(np.abs(x.character) ** 2))) / self.group.order
-        return abs(norm2 - 1.0) < tol
+    def is_simple(self, x: RepObject) -> bool:
+        return self.hom_dim(x, x) == 1
+
+    def random_intertwiner(self, x: RepObject, y: RepObject,
+                           rng: np.random.Generator) -> Intertwiner:
+        """A unit-norm intertwiner x -> y: the group average of one random
+        matrix, normalised.  Raises when hom(x, y) is zero."""
+        if self.hom_dim(x, y) == 0:
+            raise ValidationError("hom(x, y) is zero: no unit-norm intertwiner")
+        avg = _average(y.matrices, random_complex(rng, (y.dim, x.dim)), x.matrices)
+        return Intertwiner(x, y, avg / np.linalg.norm(avg))
 
     # -- isotypic decomposition -------------------------------------------
 
@@ -468,6 +470,12 @@ class RepCategory:
         return self._memo("skeleton", lambda: SpaceTable.make(
             self.irrep_labels(), {i.label: i.degree for i in self.irreps()}))
 
+    def skeletal(self, x: RepObject) -> ObjectExpr:
+        """The object of the skeleton with the multiplicities of x's isotypic pieces."""
+        mult = {p.irrep.label: p.multiplicity for p in self.decompose(x)}
+        space = self.skeleton()
+        return ObjectExpr(space, tuple(mult.get(s, 0) for s in space.simples))
+
     def to_blocks(self, f: Intertwiner, tol: float = 1e-8) -> BlockMorphism:
         """The intertwiner in the skeleton.
 
@@ -476,7 +484,6 @@ class RepCategory:
         Raises when a block between two pieces of one simple is not of that
         form, or when a block between distinct simples does not vanish.
         """
-        space = self.skeleton()
         rows, cols = self.decompose(f.dst), self.decompose(f.src)
         mat = _stacked(rows, f.dst.dim) @ f.matrix @ dagger(_stacked(cols, f.src.dim))
         col_at, c = {}, 0
@@ -499,14 +506,14 @@ class RepCategory:
             if any(max_abs(b) > tol for b in residuals):
                 raise ValidationError("block is not multiplicity-shaped")
             raise ValidationError("map mixes distinct simples")
-        return BlockMorphism(_skeletal(space, cols), _skeletal(space, rows), blocks)
+        return BlockMorphism(self.skeletal(f.src), self.skeletal(f.dst), blocks)
 
     def from_blocks(self, b: BlockMorphism, x: RepObject, y: RepObject) -> Intertwiner:
         """The intertwiner x -> y with skeletal image b, the inverse of
         ``to_blocks``: the sum over the irreducibles of u_y^H kron(I_d, a_lam) u_x.
         Raises unless b runs between the skeletal images of x and y."""
-        space, cols, rows = self.skeleton(), self.decompose(x), self.decompose(y)
-        if b.src != _skeletal(space, cols) or b.dst != _skeletal(space, rows):
+        cols, rows = self.decompose(x), self.decompose(y)
+        if b.src != self.skeletal(x) or b.dst != self.skeletal(y):
             raise CompositionError("block morphism endpoints are not the images of x and y")
         mat = np.zeros((y.dim, x.dim), dtype=np.complex128)
         for p, q in _shared(cols, rows):
@@ -517,17 +524,12 @@ class RepCategory:
 
     # -- braiding and balancing -------------------------------------------
 
-    def koszul_operator(self, x: RepObject, y: RepObject) -> np.ndarray:
-        """(1 + gx + gy - gx gy) / 2 on x (x) y, written as P+ (x) 1 + P- (x) gy
-        with P+- = (1 +- gx) / 2: -1 exactly where both factors are odd."""
-        return _koszul(x.grading, y.grading, "ijrb")
-
     def braiding(self, x: RepObject, y: RepObject) -> Intertwiner:
         """The symmetry x (x) y -> y (x) x; sign-twisted unless bosonic."""
         if self.bosonic:
-            mat = _swap_matrix(x.dim, y.dim)
+            mat = swap_matrix(x.dim, y.dim)
         else:
-            mat = _koszul(x.grading, y.grading, "jirb")
+            mat = _koszul(x.grading, y.grading)
         return Intertwiner(self.tensor(x, y), self.tensor(y, x), mat)
 
     def adjunction(self, x: RepObject) -> Adjunction:
@@ -642,7 +644,7 @@ class RepCategory:
         xstar = self.conjugate(x)
         if self.hom_dim(x, xstar) == 0:
             return SelfDuality("not-self-dual", None, None, 0.0)
-        f = _random_intertwiner(self, rng or np.random.default_rng(7), x, xstar, unit=True)
+        f = self.random_intertwiner(x, xstar, rng or np.random.default_rng(7))
         fd = self.dagger_transform(f)
         overlap = np.trace(dagger(f.matrix) @ fd.matrix) / \
             np.trace(dagger(f.matrix) @ f.matrix)
@@ -675,12 +677,6 @@ def _shared(cols, rows) -> list[tuple[IsotypicPiece, IsotypicPiece]]:
     return [(at[q.irrep.label], q) for q in rows if q.irrep.label in at]
 
 
-def _skeletal(space: SpaceTable, pieces) -> ObjectExpr:
-    """The object of the skeleton with the multiplicities of the pieces."""
-    mult = {p.irrep.label: p.multiplicity for p in pieces}
-    return ObjectExpr(space, tuple(mult.get(s, 0) for s in space.simples))
-
-
 @dataclass
 class SymmetrizerData:
     power: RepObject
@@ -690,27 +686,29 @@ class SymmetrizerData:
     alternating_part: tuple[RepObject, np.ndarray]
 
 
+_MAX_COPIES = 2  # of each irreducible in a random object
+
+
 @lru_cache(maxsize=64)
-def _copy_counts(degrees: tuple[int, ...], max_copies: int,
-                 max_dim: int) -> tuple[tuple[int, ...], ...]:
+def _copy_counts(degrees: tuple[int, ...], max_dim: int) -> tuple[tuple[int, ...], ...]:
     """ways[i][r]: the choices of copies for irreducibles i, i+1, ... of
-    total degree <= r, built once per (degrees, max_copies, max_dim)."""
+    total degree <= r, built once per (degrees, max_dim)."""
     ways = [(1,) * (max_dim + 1)]
     for deg in reversed(degrees):
-        ways.insert(0, tuple(sum(ways[0][r - c * deg] for c in range(max_copies + 1)
+        ways.insert(0, tuple(sum(ways[0][r - c * deg] for c in range(_MAX_COPIES + 1)
                                  if c * deg <= r) for r in range(max_dim + 1)))
     return tuple(ways)
 
 
-def _uniform_copies(rng: np.random.Generator, degrees: list[int], max_copies: int,
+def _uniform_copies(rng: np.random.Generator, degrees: list[int],
                     max_dim: int) -> list[int]:
-    """A uniform draw of copies c (0 <= c_i <= max_copies) with total degree
+    """A uniform draw of copies c (0 <= c_i <= _MAX_COPIES) with total degree
     sum c_i degrees[i] in 1..max_dim: the vector of a uniform rank >= 1 in
     the order that compares c_0 first (the zero vector has rank 0).
     """
-    ways = _copy_counts(tuple(degrees), max_copies, max_dim)
+    ways = _copy_counts(tuple(degrees), max_dim)
     if max_dim < 1 or ways[0][max_dim] < 2:
-        raise ValidationError(f"no direct sum of at most {max_copies} copies of each "
+        raise ValidationError(f"no direct sum of at most {_MAX_COPIES} copies of each "
                               f"irreducible has a degree in 1..{max_dim}")
     rank = int(rng.integers(1, ways[0][max_dim]))
     copies, left = [], max_dim
@@ -902,10 +900,3 @@ def _letter_suffix(k: int) -> str:
         k, r = divmod(k - 1, 26)
         suffix = "abcdefghijklmnopqrstuvwxyz"[r] + suffix
     return suffix
-
-
-def _random_intertwiner(cat: RepCategory, rng, x: RepObject, y: RepObject,
-                        unit: bool = False) -> Intertwiner:
-    """The group average of one random matrix, scaled to norm 1 when ``unit``."""
-    avg = _average(y.matrices, random_complex(rng, (y.dim, x.dim)), x.matrices)
-    return Intertwiner(x, y, avg / np.linalg.norm(avg) if unit else avg)

@@ -1,6 +1,7 @@
 """Categorified Fourier transform, graded convolution algebras, spectrum
 points with the evaluation (Gelfand) transform, and Tannaka reconstruction
-at finite scale.
+at finite scale.  Rep(G) is read only through ``RepCategory``'s public
+methods.
 
 For a finite abelian group T the dual group is materialized from the
 character table; the Fourier transform sends a representation to its
@@ -9,6 +10,9 @@ maps that are validated numerically.  Graded objects and morphisms are
 ``hstar`` objects and block morphisms over a space with one simple per group
 element.  Their convolution reads the group table directly: ``conv_layout``
 is the one place that orders the pairs g1 g2 = g of a fiber.
+
+A spectrum point is the forgetful functor up to one unitary twist per
+simple: each simple goes to its own carrier, graded by its parity.
 """
 from __future__ import annotations
 
@@ -26,12 +30,11 @@ from .hstar import (
     morphism_dev,
     star,
 )
-from .linalg import block_diag, dagger, kron, max_abs, max_dev, random_unitary
-from .reps import (Intertwiner, RepCategory, RepObject, _random_intertwiner, _skeletal,
-                   _stacked, _swap_matrix)
+from .linalg import block_diag, dagger, kron, max_abs, max_dev, random_unitary, swap_matrix
+from .reps import Intertwiner, RepCategory, RepObject
 
 __all__ = ["convolution_tensor", "conv_layout", "graded_braiding", "dual_group",
-           "FourierMap", "SpectrumPoint", "tautological_point", "gelfand_hat", "GelfandHat",
+           "FourierMap", "SpectrumPoint", "gelfand_hat", "GelfandHat",
            "tannaka_reconstruct", "TannakaResult"]
 
 
@@ -102,7 +105,7 @@ def graded_braiding(group: FiniteGroup, x: ObjectExpr, y: ObjectExpr,
         for g1, g2, off, nx, ny in layout:
             doff = dst_off[(g2, g1)]
             sign = -1.0 if parity is not None and parity[g1] and parity[g2] else 1.0
-            mat[doff:doff + nx * ny, off:off + nx * ny] = sign * _swap_matrix(nx, ny)
+            mat[doff:doff + nx * ny, off:off + nx * ny] = sign * swap_matrix(nx, ny)
         fibers.append(n)
         blocks[label] = mat
     # over an abelian group both convolutions have the same fibers
@@ -156,9 +159,6 @@ class FourierMap:
         # involution z; the bosonic symmetry ignores the grading
         self._parity = None if cat.bosonic else [irr.parity for irr in cat.irreps()]
 
-    def object_fibers(self, x: RepObject) -> ObjectExpr:
-        return _skeletal(self.space, self.cat.decompose(x))
-
     def coisometries(self, x: RepObject) -> list[np.ndarray]:
         """Per dual element: the co-isometry onto the isotypic component."""
         pieces = {p.irrep.label: p for p in self.cat.decompose(x)}
@@ -167,7 +167,7 @@ class FourierMap:
                 for lab in self.space.simples]
 
     def transform(self, x: RepObject) -> ObjectExpr:
-        return self.object_fibers(x)
+        return self.cat.skeletal(x)
 
     def morphism(self, f: Intertwiner) -> BlockMorphism:
         return self.cat.to_blocks(f)
@@ -179,7 +179,7 @@ class FourierMap:
         ux = self.coisometries(x)
         uy = self.coisometries(y)
         uxy = self.coisometries(xy)
-        fx, fy = self.object_fibers(x), self.object_fibers(y)
+        fx, fy = self.cat.skeletal(x), self.cat.skeletal(y)
         blocks = {}
         for g, label in enumerate(self.space.simples):
             layout = conv_layout(self.dual, fx, fy, g)
@@ -188,7 +188,7 @@ class FourierMap:
                                      for g1, g2, *_ in layout])
                 blocks[label] = uxy[g] @ include
         return BlockMorphism(convolution_tensor(self.dual, fx, fy),
-                             self.object_fibers(xy), blocks)
+                             self.cat.skeletal(xy), blocks)
 
     def monoidal_defect(self, x: RepObject, y: RepObject,
                         f: Intertwiner | None = None,
@@ -214,8 +214,8 @@ class FourierMap:
         phi_yx = self._structure_map(y, x, yx)
         braiding = Intertwiner(xy, yx, cat.braiding(x, y).matrix)
         lhs = compose(phi, self.morphism(braiding))
-        rhs = compose(graded_braiding(self.dual, self.object_fibers(x),
-                                      self.object_fibers(y), self._parity), phi_yx)
+        rhs = compose(graded_braiding(self.dual, cat.skeletal(x), cat.skeletal(y),
+                                      self._parity), phi_yx)
         worst = max(worst, morphism_dev(lhs, rhs))
         if f is not None and fp is not None:
             if f.src is not x or fp.src is not y:
@@ -240,8 +240,8 @@ class FourierMap:
 
     def round_trip_iso(self, x: RepObject) -> Intertwiner:
         """Unitary natural isomorphism x -> inverse(transform(x))."""
-        target = self.inverse(self.object_fibers(x))
-        return Intertwiner(x, target, _stacked(self.cat.decompose(x), x.dim))
+        target = self.inverse(self.cat.skeletal(x))
+        return Intertwiner(x, target, np.concatenate(self.coisometries(x)))
 
     def round_trip_defect(self, x: RepObject, f: Intertwiner | None = None) -> float:
         eta = self.round_trip_iso(x)
@@ -265,42 +265,28 @@ class FourierMap:
 class SpectrumPoint:
     """A concrete symmetric star-functor from a rep category to super vector spaces.
 
-    Presented by per-simple values (dimension plus grading signs), unitary
-    twists of the canonical carriers, and the induced structure maps.  The
-    validator enforces fusion-dimension consistency, unitarity, the
-    braiding square with the appropriate sign rule, and balancing
-    preservation.
+    Each simple goes to its carrier, graded by its parity (every value is
+    even in a bosonic category), up to one unitary twist per simple; the
+    structure maps are the twisted decomposition co-isometries.  With no
+    twists this is the forgetful functor.  The validator enforces
+    unitarity, the braiding square with the appropriate sign rule, and
+    balancing preservation.
     """
 
-    def __init__(self, cat: RepCategory, values: dict, twists: dict | None = None,
-                 name: str = "point"):
+    def __init__(self, cat: RepCategory, twists: dict | None = None, name: str = "point"):
         self.cat = cat
         self.name = name
-        self.values = {}
+        self.signs, self.twists = {}, {}
         for irr in cat.irreps():
-            if irr.label not in values:
-                raise ValidationError(f"missing value for simple {irr.label!r}")
-            dim, grading = values[irr.label]
-            grading = np.asarray(grading, dtype=float).reshape(-1)
-            if grading.shape != (dim,) or np.any(np.abs(np.abs(grading) - 1) > 0):
-                raise ValidationError("grading must be a vector of signs")
-            self.values[irr.label] = (int(dim), grading)
-        self.twists = {}
-        for irr in cat.irreps():
+            self.signs[irr.label] = -1.0 if irr.parity and not cat.bosonic else 1.0
             twist = None if twists is None else twists.get(irr.label)
             if twist is None:
-                twist = np.eye(self.values[irr.label][0], dtype=np.complex128)
+                twist = np.eye(irr.degree, dtype=np.complex128)
             twist = np.asarray(twist, dtype=np.complex128)
-            if twist.shape != (self.values[irr.label][0],) * 2:
+            if twist.shape != (irr.degree,) * 2:
                 raise ValidationError("twist has the wrong shape")
             self.twists[irr.label] = twist
         self._tensors = {}
-
-    def value_dim(self, label: str) -> int:
-        return self.values[label][0]
-
-    def value_grading(self, label: str) -> np.ndarray:
-        return self.values[label][1]
 
     def _tensor(self, lam: str, mu: str) -> RepObject:
         """The tensor of two simples, built once per ordered pair and kept on
@@ -316,22 +302,12 @@ class SpectrumPoint:
         return self.cat.decompose(self._tensor(lam, mu))
 
     def structure_map(self, lam: str, mu: str) -> np.ndarray:
-        """Unitary from value(lam) (x) value(mu) onto the fused value layout."""
+        """Unitary from value(lam) (x) value(mu) onto the fused value layout:
+        the decomposition co-isometry, twisted."""
         layout = self.fused_layout(lam, mu)
-        fused_dim = sum(self.value_dim(p.irrep.label) * p.multiplicity for p in layout)
-        n_lam, n_mu = self.value_dim(lam), self.value_dim(mu)
-        if fused_dim != n_lam * n_mu:
-            raise ValidationError(
-                f"fusion dimensions are inconsistent at ({lam}, {mu})")
-        # canonical: the decomposition coisometry, twisted
-        same_dims = all(self.value_dim(p.irrep.label) == p.irrep.degree for p in layout) \
-            and n_lam == self.cat.irrep(lam).dim and n_mu == self.cat.irrep(mu).dim
-        if not same_dims:
-            raise ValidationError("value dimensions do not match any carrier "
-                                  "presentation; no structure map available")
         twist_out = block_diag([np.kron(self.twists[p.irrep.label], np.eye(p.multiplicity))
                                 for p in layout])
-        return (twist_out @ _stacked(layout, self._tensor(lam, mu).dim)
+        return (twist_out @ np.concatenate([p.coisometry for p in layout])
                 @ np.kron(dagger(self.twists[lam]), dagger(self.twists[mu])))
 
     def balancing_defect(self) -> float:
@@ -340,9 +316,7 @@ class SpectrumPoint:
         for irr in self.cat.irreps():
             beta = self.cat.balancing(self.cat.object_of_irrep(irr)).matrix
             sign = float(np.real(np.trace(beta))) / irr.degree
-            grading = self.value_grading(irr.label)
-            worst = max(worst, float(np.max(np.abs(grading - sign)))
-                        if grading.size else 0.0)
+            worst = max(worst, abs(self.signs[irr.label] - sign))
         return worst
 
     def validate(self, tol: float = 1e-8) -> float:
@@ -361,14 +335,13 @@ class SpectrumPoint:
             worst = max(worst, max_dev(dagger(phi) @ phi, np.eye(n)))
             # braiding square: phi then the transported braiding against the
             # graded swap of the values then phi, with the Koszul sign -1
-            # exactly where both value gradings are odd
+            # exactly where both values are odd
             b_rep = Intertwiner(self._tensor(lam, mu), self._tensor(mu, lam),
                                 cat.braiding(cat.irrep(lam), cat.irrep(mu)).matrix)
             transported = self._inflate(cat.to_blocks(b_rep, tol))
-            value_b = _swap_matrix(self.value_dim(lam), self.value_dim(mu))
-            if not cat.bosonic:
-                g_lam, g_mu = self.value_grading(lam), self.value_grading(mu)
-                value_b = value_b * np.where(np.outer(g_lam < 0, g_mu < 0), -1.0, 1.0).ravel()
+            value_b = swap_matrix(len(self.twists[lam]), len(self.twists[mu]))
+            if self.signs[lam] < 0 and self.signs[mu] < 0:
+                value_b = -value_b
             worst = max(worst, max_dev(transported @ phi, phis[mu, lam] @ value_b))
         if worst > tol:
             raise ValidationError(f"point coherence fails ({worst:.3e})", violation=worst)
@@ -376,14 +349,9 @@ class SpectrumPoint:
 
     def value_of(self, x: RepObject):
         """Dimension and grading of the point applied to an arbitrary object."""
-        pieces = self.cat.decompose(x)
-        dim = 0
-        grading = []
-        for p in pieces:
-            n = self.value_dim(p.irrep.label)
-            dim += n * p.multiplicity
-            grading.extend(list(self.value_grading(p.irrep.label)) * p.multiplicity)
-        return dim, np.array(grading)
+        grading = np.array([self.signs[p.irrep.label] for p in self.cat.decompose(x)
+                            for _ in range(p.irrep.degree * p.multiplicity)])
+        return len(grading), grading
 
     def morphism_value(self, f: Intertwiner, tol: float = 1e-8) -> np.ndarray:
         """Transport of a morphism to the point's value coordinates.
@@ -395,31 +363,15 @@ class SpectrumPoint:
     def _inflate(self, a: BlockMorphism) -> np.ndarray:
         """Value coordinates of a skeletal morphism: kron(I_n, a_lam) for the
         value dimension n of each simple, block-diagonally."""
-        return block_diag([np.kron(np.eye(self.value_dim(lab)), a.block(lab))
+        return block_diag([np.kron(np.eye(len(self.twists[lab])), a.block(lab))
                            for lab, m, k in zip(a.space.simples, a.dst.mults, a.src.mults)
                            if m or k])
 
     def twisted(self, rng: np.random.Generator) -> "SpectrumPoint":
-        """An isomorphic point: the same values on randomly rotated carriers."""
-        twists = {lab: random_unitary(rng, self.value_dim(lab))
-                  for lab in self.values}
-        # twists must preserve the grading decomposition
-        for lab, u in twists.items():
-            g = np.diag(self.value_grading(lab))
-            twists[lab] = 0.5 * (u + g @ u @ g)  # project to grading-even part
-            q, _ = np.linalg.qr(twists[lab])
-            twists[lab] = q
-        return SpectrumPoint(self.cat, {k: v for k, v in self.values.items()},
-                             twists, name=self.name + "-twisted")
-
-
-def tautological_point(cat: RepCategory) -> SpectrumPoint:
-    """The forgetful functor: each simple goes to its carrier with its parity grading."""
-    values = {}
-    for irr in cat.irreps():
-        sign = -1.0 if (irr.parity == 1 and not cat.bosonic) else 1.0
-        values[irr.label] = (irr.degree, np.full(irr.degree, sign))
-    return SpectrumPoint(cat, values, name="tautological")
+        """An isomorphic point: the same values on randomly rotated carriers.
+        Each value has a single grading sign, so every unitary preserves it."""
+        twists = {lab: random_unitary(rng, len(t)) for lab, t in self.twists.items()}
+        return SpectrumPoint(self.cat, twists, name=self.name + "-twisted")
 
 
 @dataclass
@@ -459,10 +411,10 @@ def hat_homomorphism_defect(point: SpectrumPoint, x: RepObject, y: RepObject,
     worst = max(worst, abs(nxy - nx * ny))
     nsum, _ = point.value_of(cat.direct_sum(x, y))
     worst = max(worst, abs(nsum - nx - ny))
-    f = _random_intertwiner(cat, rng, x, x, unit=True)
+    f = cat.random_intertwiner(x, x, rng)
     worst = max(worst, max_dev(point.morphism_value(f.star()),
                                dagger(point.morphism_value(f))))
-    g = _random_intertwiner(cat, rng, x, x, unit=True)
+    g = cat.random_intertwiner(x, x, rng)
     worst = max(worst, max_dev(point.morphism_value(f.then(g)),
                                point.morphism_value(g) @ point.morphism_value(f)))
     return float(worst)
@@ -472,10 +424,10 @@ def hat_homomorphism_defect(point: SpectrumPoint, x: RepObject, y: RepObject,
 
 @dataclass
 class TannakaResult:
-    group: FiniteGroup
     order: int
     is_cyclic: bool
     element_orders: tuple[int, ...]
+    deviation: float  # the worst unitarity, monoidality, homomorphism or injectivity residual
 
 
 def tannaka_reconstruct(cat: RepCategory) -> TannakaResult:
@@ -498,7 +450,8 @@ def tannaka_reconstruct(cat: RepCategory) -> TannakaResult:
     independent, so there are at most |G| of them, and |G| distinct tuples
     are all of them.
 
-    The result is kept on the group, like the dual group.
+    The result, with the worst of the four residuals, is kept on the group,
+    like the dual group.
     """
     group = cat.group
 
@@ -508,12 +461,14 @@ def tannaka_reconstruct(cat: RepCategory) -> TannakaResult:
         # the tuples of all g: one (|G|, k, d, d) stack per degree d
         stacks = [np.stack([irr.matrices for irr in irreps if irr.degree == d], axis=1)
                   for d in degrees]
-        for s, d in zip(stacks, degrees):
-            if max_dev(s @ s.conj().swapaxes(-1, -2), np.eye(d)) > 1e-8:
-                raise ValidationError("transformation is not unitary")
+        unitary = max(max_dev(s @ s.conj().swapaxes(-1, -2), np.eye(d))
+                      for s, d in zip(stacks, degrees))
+        if unitary > 1e-8:
+            raise ValidationError("transformation is not unitary")
         chars = cat.character_table()
         fused = np.tensordot(cat.fusion_rules(), chars, axes=(2, 0))
-        if max_dev(chars[:, None] * chars[None, :], fused) > 1e-6:
+        monoidal = max_dev(chars[:, None] * chars[None, :], fused)
+        if monoidal > 1e-6:
             raise ValidationError("transformation is not monoidal")
         # a homomorphism: rho(b s) = rho(b) rho(s) for every b and generator s
         worst = max((max_dev(stack[group.matrix[:, s]], stack @ stack[s])
@@ -521,11 +476,11 @@ def tannaka_reconstruct(cat: RepCategory) -> TannakaResult:
         # injective: sum_lam d_lam chi_lam is |G| at the identity and 0 elsewhere
         regular = np.array([irr.degree for irr in irreps]) @ chars
         regular[group.identity] -= group.order
-        if max(worst, max_abs(regular)) > 1e-6:
+        worst = max(worst, max_abs(regular))
+        if worst > 1e-6:
             raise ValidationError("evaluation at the group elements is not an "
                                   "isomorphism onto the reconstructed group")
-        # the table is the group's own, which is validated already
-        rec = FiniteGroup(f"tannaka({group.name})", group.table)
         orders = tuple(sorted(group.element_orders.tolist()))
-        return TannakaResult(rec, rec.order, group.is_cyclic, orders)
+        return TannakaResult(group.order, group.is_cyclic, orders,
+                             max(unitary, monoidal, worst))
     return cat._memo("tannaka", build)

@@ -99,7 +99,7 @@ def cat(request):
 
 def random_objects(cat, seed, count=3, max_dim=7):
     rng = np.random.default_rng(seed)
-    return [cat.random_object(rng, max_copies=2, max_dim=max_dim) for _ in range(count)]
+    return [cat.random_object(rng, max_dim=max_dim) for _ in range(count)]
 
 
 def adjunctions(cat, x):

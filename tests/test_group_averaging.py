@@ -37,7 +37,7 @@ from twohilb.linalg import (
     max_dev,
     random_complex,
 )
-from twohilb.reps import RepCategory, _average, _label_irreps, _random_intertwiner
+from twohilb.reps import RepCategory, _average, _label_irreps
 from twohilb.transforms import tannaka_reconstruct
 
 TOL = 1e-12
@@ -208,10 +208,16 @@ def test_average_matches_per_element_sum(group):
         m = random_complex(rng, (y.dim, x.dim))
         assert max_dev(_average(y.matrices, m, x.matrices),
                        ref_average(y.matrices, m, x.matrices)) < TOL
-        # the intertwiner helper draws one matrix and averages it
-        f = _random_intertwiner(cat, np.random.default_rng(9), x, y)
+        # the intertwiner sampler draws one matrix, averages it and
+        # normalises it; it refuses a zero hom space
+        if cat.hom_dim(x, y) == 0:
+            with pytest.raises(ValidationError, match="hom"):
+                cat.random_intertwiner(x, y, np.random.default_rng(9))
+            continue
+        f = cat.random_intertwiner(x, y, np.random.default_rng(9))
         m0 = random_complex(np.random.default_rng(9), (y.dim, x.dim))
-        assert max_dev(f.matrix, ref_average(y.matrices, m0, x.matrices)) < TOL
+        ref = ref_average(y.matrices, m0, x.matrices)
+        assert max_dev(f.matrix, ref / np.linalg.norm(ref)) < TOL
 
 
 def _group(name):

@@ -3,7 +3,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twohilb.errors import CompositionError, ValidationError
@@ -17,7 +17,7 @@ from twohilb.linalg import (
     random_complex,
     random_unitary,
 )
-from twohilb.reps import Intertwiner, RepCategory, RepObject, _random_intertwiner
+from twohilb.reps import Intertwiner, RepCategory, RepObject
 from twohilb.sampling import random_morphism, random_object, random_space
 
 TOL = 1e-9
@@ -29,6 +29,12 @@ def category(name):
     if name not in _CATEGORIES:
         _CATEGORIES[name] = RepCategory(catalog()[name]())
     return _CATEGORIES[name]
+
+
+def random_map(cat, rng, x, y):
+    """A unit-norm intertwiner x -> y; an example with none is dropped."""
+    assume(cat.hom_dim(x, y) > 0)
+    return cat.random_intertwiner(x, y, rng)
 
 
 groups = st.sampled_from(sorted(catalog()))
@@ -103,8 +109,8 @@ def test_to_blocks_carries_the_trace_pairing(name, seed):
     rng = np.random.default_rng(seed)
     x = cat.random_object(rng, max_dim=6)
     y = cat.random_object(rng, max_dim=6)
-    f = _random_intertwiner(cat, rng, x, y)
-    g = _random_intertwiner(cat, rng, x, y)
+    f = random_map(cat, rng, x, y)
+    g = random_map(cat, rng, x, y)
     carrier = np.trace(dagger(f.matrix) @ g.matrix)
     assert abs(inner_product(cat.to_blocks(f), cat.to_blocks(g)) - carrier) < TOL
 
@@ -115,8 +121,8 @@ def test_to_blocks_commutes_with_composition_and_star(name, seed):
     cat = bridge_category(name)
     rng = np.random.default_rng(seed)
     x, y, z = (cat.random_object(rng, max_dim=6) for _ in range(3))
-    f = _random_intertwiner(cat, rng, x, y)
-    g = _random_intertwiner(cat, rng, y, z)
+    f = random_map(cat, rng, x, y)
+    g = random_map(cat, rng, y, z)
     blocks_f = cat.to_blocks(f)
     assert blocks_f.space == cat.skeleton()
     assert morphism_dev(cat.to_blocks(f.then(g)),
@@ -157,7 +163,7 @@ def test_from_blocks_inverts_to_blocks(name, seed):
     rng = np.random.default_rng(seed)
     x = cat.random_object(rng, max_dim=6)
     y = cat.random_object(rng, max_dim=6)
-    f = _random_intertwiner(cat, rng, x, y)
+    f = random_map(cat, rng, x, y)
     back = cat.from_blocks(cat.to_blocks(f), x, y)
     assert back.src is x and back.dst is y
     assert max_dev(back.matrix, f.matrix) < 1e-12
@@ -238,7 +244,7 @@ def test_balancing_is_natural(name, seed):
     rng = np.random.default_rng(seed)
     x = cat.random_object(rng, max_dim=6)
     y = cat.random_object(rng, max_dim=6)
-    f = _random_intertwiner(cat, rng, x, y).matrix
+    f = random_map(cat, rng, x, y).matrix
     assert max_dev(cat.balancing(y).matrix @ f, f @ cat.balancing(x).matrix) < TOL
 
 
