@@ -24,7 +24,7 @@ from .groups import (
     symmetric_group,
 )
 from .hstar import compose, inner_product, star
-from .linalg import block_diag, max_dev, random_unitary
+from .linalg import block_diag, kron, max_dev, random_unitary
 from .reps import RepCategory
 from .sampling import (
     random_fusion_functor,
@@ -324,7 +324,7 @@ def check_balancing_laws(seed=DEFAULT_SEED) -> CheckResult:
         btens = cat.balancing(cat.tensor(x, y)).matrix
         swap_there = cat.braiding(x, y).matrix
         swap_back = cat.braiding(y, x).matrix
-        worst = max(worst, max_dev(btens, swap_back @ swap_there @ np.kron(bx, by)))
+        worst = max(worst, max_dev(btens, swap_back @ swap_there @ kron(bx, by)))
     flat = cat.bosonized()
     for irr in cat.irreps():
         b = flat.balancing(flat.object_of_irrep(irr)).matrix

@@ -18,15 +18,11 @@ from functools import partial
 import numpy as np
 
 from .errors import ValidationError
+from .linalg import read_only
 
 __all__ = ["FiniteGroup", "FiniteSuperGroup", "cyclic_group", "product_group",
            "symmetric_group", "dihedral_group", "quaternion_group", "catalog",
            "catalog_names", "load_group", "group_from_json"]
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +59,7 @@ class FiniteGroup:
         names = tuple(element_names) if element_names else None
         if names and not len(names) == len(set(names)) == n:
             raise ValidationError("need one distinct name per element")
-        g = FiniteGroup(name, _frozen(arr), names)
+        g = FiniteGroup(name, read_only(arr), names)
         g.validate()
         return g
 
@@ -114,7 +110,7 @@ class FiniteGroup:
         bad = np.flatnonzero(hits.sum(axis=1) != 1)
         if bad.size:
             raise ValidationError(f"element {bad[0]} has no unique inverse")
-        return _frozen(hits.argmax(axis=1))
+        return read_only(hits.argmax(axis=1))
 
     def inverse(self, a: int) -> int:
         return int(self.inverses[a])
@@ -160,7 +156,7 @@ class FiniteGroup:
         while not orders.all():
             orders[(power == e) & (orders == 0)] = k
             power, k = t[power, ar], k + 1
-        return _frozen(orders)
+        return read_only(orders)
 
     @property
     def is_abelian(self) -> bool:
@@ -267,7 +263,7 @@ def _generators_and_walk(group: FiniteGroup):
                 new = ~reached[children]
                 if new.any():
                     reached[children[new]] = True
-                    steps.append((s, _frozen(frontier[new]), _frozen(children[new])))
+                    steps.append((s, read_only(frontier[new]), read_only(children[new])))
                     level.append(children[new])
             frontier = np.concatenate(level)
     return tuple(gens), tuple(steps)
@@ -279,7 +275,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     table = (np.arange(n)[:, None] + np.arange(n)) % n
     names = [f"g{a}" for a in range(n)]
     names[0] = "e"
-    return FiniteGroup.make(f"Z{n}", _frozen(table), names)
+    return FiniteGroup.make(f"Z{n}", read_only(table), names)
 
 
 def product_group(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -307,7 +303,7 @@ def symmetric_group(n: int) -> FiniteGroup:
         table += (w * elems)[:, elems[:, i]]
     table = np.searchsorted(elems @ weights, table)
     names = ["".join(map(str, p)) for p in elems.tolist()]
-    return FiniteGroup.make(f"S{n}", _frozen(table), names)
+    return FiniteGroup.make(f"S{n}", read_only(table), names)
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -319,7 +315,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     table = (a[:, None] + (1 - 2 * b[:, None]) * a) % n + n * (b[:, None] ^ b)
     names = [f"r{k}" for k in range(n)] + [f"r{k}s" for k in range(n)]
     names[0] = "e"
-    return FiniteGroup.make(f"D{n}", _frozen(table), names)
+    return FiniteGroup.make(f"D{n}", read_only(table), names)
 
 
 def quaternion_group() -> FiniteGroup:

@@ -81,13 +81,6 @@ class ObjectExpr:
             raise ValidationError("multiplicities must be nonnegative")
         return ObjectExpr(space, vec)
 
-    def mult(self, label: str) -> int:
-        return self.mults[self.space.simples.index(label)]
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.mults)
-
 
 def _check_same_space(a: SpaceTable, b: SpaceTable) -> None:
     if a is not b and a != b:
@@ -97,10 +90,10 @@ def _check_same_space(a: SpaceTable, b: SpaceTable) -> None:
 class BlockMorphism:
     """A morphism between two objects, stored as one complex block per simple.
 
-    The block at label ``s`` has shape ``(dst.mult(s), src.mult(s))`` and maps
-    source coordinates to target coordinates.  Absent blocks are zero.  The
-    blocks are read-only copies, kept in the space's simple order, so sums
-    and composites do not depend on the order of the input.
+    The block at the i-th simple has shape ``(dst.mults[i], src.mults[i])``
+    and maps source coordinates to target coordinates.  Absent blocks are
+    zero.  The blocks are read-only copies, kept in the space's simple
+    order, so sums and composites do not depend on the order of the input.
     """
 
     def __init__(self, src: ObjectExpr, dst: ObjectExpr,
@@ -139,7 +132,8 @@ class BlockMorphism:
         """The block at ``label`` (materializing zeros for absent blocks)."""
         if label in self.blocks:
             return self.blocks[label]
-        return np.zeros((self.dst.mult(label), self.src.mult(label)), dtype=np.complex128)
+        i = self.space.simples.index(label)
+        return np.zeros((self.dst.mults[i], self.src.mults[i]), dtype=np.complex128)
 
     def __add__(self, other: "BlockMorphism") -> "BlockMorphism":
         if self.src != other.src or self.dst != other.dst:

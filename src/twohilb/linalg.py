@@ -28,10 +28,18 @@ def max_dev(a, b) -> float:
     return max_abs(np.asarray(a) - np.asarray(b))
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """The array itself, made read-only: for values that every caller shares."""
+    a.flags.writeable = False
+    return a
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices: the same products, without its per-call set-up."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    """np.kron of the last two axes, over broadcast leading axes: for two
+    matrices the same products as np.kron, without its per-call set-up."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2],
+                                         a.shape[-1] * b.shape[-1]))
 
 
 def nearest_unitary(a: np.ndarray) -> np.ndarray:
@@ -55,14 +63,17 @@ def swap_matrix(d_left: int, d_right: int) -> np.ndarray:
 
 
 def block_diag(mats) -> np.ndarray:
-    """The complex block-diagonal matrix of (possibly rectangular or empty) blocks."""
-    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)),
+    """The complex block-diagonal matrix of (possibly rectangular or empty)
+    blocks in the last two axes, over the leading axes they share: a stack of
+    blocks gives the stack of block-diagonal matrices."""
+    lead = mats[0].shape[:-2] if mats else ()
+    out = np.zeros(lead + (sum(m.shape[-2] for m in mats), sum(m.shape[-1] for m in mats)),
                    dtype=np.complex128)
     r = c = 0
     for m in mats:
-        out[r:r + m.shape[0], c:c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
+        out[..., r:r + m.shape[-2], c:c + m.shape[-1]] = m
+        r += m.shape[-2]
+        c += m.shape[-1]
     return out
 
 

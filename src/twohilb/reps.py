@@ -7,7 +7,8 @@ via conjugate representations, canonical adjunctions and their balancing,
 traces and dimensions, symmetrizers, and the self-duality classification.
 It is the one module that knows the isotypic layout of an object and how
 random intertwiners are drawn: other modules read them through
-``decompose``, ``skeletal``, ``to_blocks`` and ``random_intertwiner``.
+``decompose``, ``skeletal``, ``to_blocks`` and ``random_intertwiner``, and
+``realize`` and ``coordinates`` state the equivalence with the skeleton.
 
 Irreducibles are computed numerically by decomposing the regular
 representation with a randomly averaged equivariant Hermitian operator.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -25,22 +26,20 @@ from .groups import FiniteGroup, FiniteSuperGroup
 from .hstar import BlockMorphism, ObjectExpr, SpaceTable
 from .linalg import (
     DEFAULT_TOL,
+    block_diag,
     cluster_indices,
     dagger,
+    kron,
     max_abs,
     max_dev,
     random_complex,
     random_unitary,
+    read_only,
     swap_matrix,
 )
 
 __all__ = ["UnitaryIrrep", "RepObject", "Intertwiner", "Adjunction",
            "RepCategory", "frobenius_schur_indicator"]
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ class RepObject:
     @cached_property
     def character(self) -> np.ndarray:
         """The traces of the matrices, computed once (like the isotypic pieces)."""
-        return _read_only(np.einsum("gii->g", self.matrices))
+        return read_only(np.einsum("gii->g", self.matrices))
 
     def validate(self, tol: float = 1e-8) -> None:
         g = self.cat.group
@@ -150,7 +149,7 @@ class _TensorObject(RepObject):
     def character(self) -> np.ndarray:
         """chi_x chi_y: the carrier is not built."""
         x, y = self._factors
-        return _read_only(x.character * y.character)
+        return read_only(x.character * y.character)
 
 
 def _same_object(x: RepObject, y: RepObject) -> bool:
@@ -307,18 +306,15 @@ class RepCategory:
                               f"have {[i.label for i in self.irreps()]}")
 
     def direct_sum(self, x: RepObject, y: RepObject) -> RepObject:
-        mats = np.zeros((self.group.order, x.dim + y.dim, x.dim + y.dim),
-                        dtype=np.complex128)
-        mats[:, :x.dim, :x.dim] = x.matrices
-        mats[:, x.dim:, x.dim:] = y.matrices
-        return RepObject(self, mats, name=f"{x.name}+{y.name}")
+        return RepObject(self, block_diag([x.matrices, y.matrices]),
+                         name=f"{x.name}+{y.name}")
 
     def tensor(self, x: RepObject, y: RepObject) -> RepObject:
         return _TensorObject(self, x, y)
 
     def tensor_map(self, f: Intertwiner, g: Intertwiner) -> Intertwiner:
         return Intertwiner(self.tensor(f.src, g.src), self.tensor(f.dst, g.dst),
-                           np.kron(f.matrix, g.matrix))
+                           kron(f.matrix, g.matrix))
 
     def conjugate(self, x: RepObject) -> RepObject:
         return RepObject(self, np.conj(x.matrices), name=f"{x.name}*")
@@ -333,10 +329,9 @@ class RepCategory:
         entries in 0..2 and total degree in 1..max_dim."""
         irreps = self.irreps()
         copies = _uniform_copies(rng, [i.degree for i in irreps], max_dim)
-        x = reduce(self.direct_sum, [self.object_of_irrep(irr)
-                                     for c, irr in zip(copies, irreps) for _ in range(c)])
-        u = random_unitary(rng, x.dim)
-        return RepObject(self, u @ x.matrices @ dagger(u), name="random")
+        mats = block_diag([irr.matrices for c, irr in zip(copies, irreps) for _ in range(c)])
+        u = random_unitary(rng, mats.shape[1])
+        return RepObject(self, u @ mats @ dagger(u), name="random")
 
     # -- irreducibles -----------------------------------------------------
 
@@ -350,7 +345,7 @@ class RepCategory:
     def character_table(self) -> np.ndarray:
         """The k x |G| read-only table of the irreducibles' characters, row a
         for ``irreps()[a]``, built once per group and grading."""
-        return self._memo("characters", lambda: _read_only(
+        return self._memo("characters", lambda: read_only(
             np.array([i.character for i in self.irreps()])))
 
     def fusion_rules(self) -> np.ndarray:
@@ -436,18 +431,13 @@ class RepCategory:
                                       f"{basis.shape[1]}, not {mult}")
             u_cols = (e @ basis).transpose(1, 0, 2).reshape(x.dim, irr.degree * mult)
             pieces.append(IsotypicPiece(irr, mult, dagger(u_cols)))
-        u = _stacked(pieces, x.dim)
-        worst = max_dev(dagger(u) @ u, np.eye(x.dim))
+        worst = max_dev(sum(dagger(p.coisometry) @ p.coisometry for p in pieces),
+                        np.eye(x.dim))
         if worst > 1e-7:
             raise ValidationError(f"isotypic projectors do not resolve the identity "
                                   f"({worst:.3e})", violation=worst)
         x._isotypic = pieces
         return pieces
-
-    def multiplicities(self, x: RepObject) -> dict[str, int]:
-        """The nonzero multiplicities of the irreducibles in x, by label."""
-        return {label: m for label, m in zip(self.irrep_labels(),
-                                             self._multiplicity_vector(x)) if m}
 
     def _multiplicity_vector(self, x: RepObject) -> list[int]:
         """<chi_a, chi_x> for every irreducible a, as one matvec against the
@@ -476,6 +466,28 @@ class RepCategory:
         space = self.skeleton()
         return ObjectExpr(space, tuple(mult.get(s, 0) for s in space.simples))
 
+    def coordinates(self, x: RepObject) -> np.ndarray:
+        """The unitary U_x onto x's isotypic coordinates: the co-isometries of
+        ``decompose`` stacked in irreducible order, 0 x dim for a zero object.
+        It intertwines x with ``realize(skeletal(x))``."""
+        pieces = self.decompose(x)
+        if not pieces:
+            return np.zeros((0, x.dim), dtype=np.complex128)
+        return np.concatenate([p.coisometry for p in pieces])
+
+    def realize(self, a):
+        """The inverse of the skeleton functor, in isotypic coordinates: a
+        skeletal object n goes to the representation blockdiag of
+        kron(rho_lam, I_{n_lam}), a block morphism b to the matrix blockdiag of
+        kron(I_{d_lam}, b_lam).  Raises unless ``a`` lives over ``skeleton()``."""
+        if a.space != self.skeleton():
+            raise CompositionError("skeletal data lives over a different space")
+        irreps = self.irreps()
+        if isinstance(a, ObjectExpr):
+            mats = block_diag([kron(irr.matrices, np.eye(n)) for irr, n in zip(irreps, a.mults)])
+            return RepObject(self, mats, name="realized")
+        return block_diag([kron(np.eye(irr.degree), a.block(irr.label)) for irr in irreps])
+
     def to_blocks(self, f: Intertwiner, tol: float = 1e-8) -> BlockMorphism:
         """The intertwiner in the skeleton.
 
@@ -485,7 +497,7 @@ class RepCategory:
         form, or when a block between distinct simples does not vanish.
         """
         rows, cols = self.decompose(f.dst), self.decompose(f.src)
-        mat = _stacked(rows, f.dst.dim) @ f.matrix @ dagger(_stacked(cols, f.src.dim))
+        mat = self.coordinates(f.dst) @ f.matrix @ dagger(self.coordinates(f.src))
         col_at, c = {}, 0
         for p in cols:
             col_at[p.irrep.label] = (c, p.multiplicity)
@@ -510,17 +522,12 @@ class RepCategory:
 
     def from_blocks(self, b: BlockMorphism, x: RepObject, y: RepObject) -> Intertwiner:
         """The intertwiner x -> y with skeletal image b, the inverse of
-        ``to_blocks``: the sum over the irreducibles of u_y^H kron(I_d, a_lam) u_x.
+        ``to_blocks``: U_y^H realize(b) U_x with U = ``coordinates``.
         Raises unless b runs between the skeletal images of x and y."""
-        cols, rows = self.decompose(x), self.decompose(y)
         if b.src != self.skeletal(x) or b.dst != self.skeletal(y):
             raise CompositionError("block morphism endpoints are not the images of x and y")
-        mat = np.zeros((y.dim, x.dim), dtype=np.complex128)
-        for p, q in _shared(cols, rows):
-            lifted = b.block(p.irrep.label) @ p.coisometry.reshape(
-                p.irrep.degree, p.multiplicity, x.dim)
-            mat += dagger(q.coisometry) @ lifted.reshape(-1, x.dim)
-        return Intertwiner(x, y, mat)
+        return Intertwiner(x, y, dagger(self.coordinates(y)) @ self.realize(b)
+                           @ self.coordinates(x))
 
     # -- braiding and balancing -------------------------------------------
 
@@ -661,14 +668,6 @@ class IsotypicPiece:
     irrep: UnitaryIrrep
     multiplicity: int
     coisometry: np.ndarray  # (degree * multiplicity, carrier_dim)
-
-
-def _stacked(pieces, dim: int) -> np.ndarray:
-    """The co-isometry onto the isotypic coordinates of an object of dimension
-    ``dim``, from its pieces; a zero object has none and gets a 0 x dim one."""
-    if not pieces:
-        return np.zeros((0, dim), dtype=np.complex128)
-    return np.concatenate([p.coisometry for p in pieces])
 
 
 def _shared(cols, rows) -> list[tuple[IsotypicPiece, IsotypicPiece]]:

@@ -4,9 +4,10 @@ at finite scale.  Rep(G) is read only through ``RepCategory``'s public
 methods.
 
 For a finite abelian group T the dual group is materialized from the
-character table; the Fourier transform sends a representation to its
-isotypic grading over the dual and comes with explicit unitary structure
-maps that are validated numerically.  Graded objects and morphisms are
+character table; the Fourier transform is Rep(T)'s equivalence with its
+skeleton (``RepCategory.skeletal`` and ``to_blocks``, inverted by
+``realize``) graded by the dual, with explicit unitary structure maps that
+are validated numerically.  Graded objects and morphisms are
 ``hstar`` objects and block morphisms over a space with one simple per group
 element.  Their convolution reads the group table directly: ``conv_layout``
 is the one place that orders the pairs g1 g2 = g of a fiber.
@@ -145,15 +146,15 @@ class FourierMap:
     """Isotypic-grading functor from representations of an abelian group.
 
     Lands on the skeleton of Rep(G): the dual group's element names are the
-    irreducible labels, so its graded space is ``cat.skeleton()``.  Provides
-    the graded image of objects and morphisms, the unitary monoidal
-    structure maps, the inverse functor, and the round-trip natural
-    isomorphism; all of them are concrete matrices.
+    irreducible labels, so its graded space is ``cat.skeleton()``; the
+    inverse functor is ``cat.realize``.  Provides the unitary monoidal
+    structure maps and the checks of them and of the round trip; all of
+    them are concrete matrices.
     """
 
     def __init__(self, cat: RepCategory):
         self.cat = cat
-        self.dual, self.chars = dual_group(cat)
+        self.dual, _ = dual_group(cat)
         self.space = cat.skeleton()
         # a dual element is odd when its character is -1 at the central
         # involution z; the bosonic symmetry ignores the grading
@@ -168,9 +169,6 @@ class FourierMap:
 
     def transform(self, x: RepObject) -> ObjectExpr:
         return self.cat.skeletal(x)
-
-    def morphism(self, f: Intertwiner) -> BlockMorphism:
-        return self.cat.to_blocks(f)
 
     def _structure_map(self, x: RepObject, y: RepObject, xy: RepObject) -> BlockMorphism:
         """Unitary from the convolution of the images of x and y onto the
@@ -213,7 +211,7 @@ class FourierMap:
         # braiding square
         phi_yx = self._structure_map(y, x, yx)
         braiding = Intertwiner(xy, yx, cat.braiding(x, y).matrix)
-        lhs = compose(phi, self.morphism(braiding))
+        lhs = compose(phi, cat.to_blocks(braiding))
         rhs = compose(graded_braiding(self.dual, cat.skeletal(x), cat.skeletal(y),
                                       self._parity), phi_yx)
         worst = max(worst, morphism_dev(lhs, rhs))
@@ -221,43 +219,26 @@ class FourierMap:
             if f.src is not x or fp.src is not y:
                 raise CompositionError("naturality needs f to start at x and fp at y")
             dst = cat.tensor(f.dst, fp.dst)
-            ff = self.morphism(f)
-            lhs = compose(convolution_tensor(self.dual, ff, self.morphism(fp)),
+            ff = cat.to_blocks(f)
+            lhs = compose(convolution_tensor(self.dual, ff, cat.to_blocks(fp)),
                           self._structure_map(f.dst, fp.dst, dst))
             tensor_map = Intertwiner(xy, dst, cat.tensor_map(f, fp).matrix)
-            rhs = compose(phi, self.morphism(tensor_map))
+            rhs = compose(phi, cat.to_blocks(tensor_map))
             worst = max(worst, morphism_dev(lhs, rhs))
-            worst = max(worst, morphism_dev(self.morphism(f.star()), star(ff)))
+            worst = max(worst, morphism_dev(cat.to_blocks(f.star()), star(ff)))
         return worst
 
-    def inverse(self, graded: ObjectExpr) -> RepObject:
-        """Block-diagonal representation with each fiber transforming by its character."""
-        if graded.space != self.space:
-            raise CompositionError("graded object lives over a different dual group")
-        diag = np.repeat(self.chars, graded.mults, axis=0).T  # (|G|, total)
-        mats = diag[:, :, None] * np.eye(graded.total_dim)
-        return RepObject(self.cat, mats, name="inverse-transform")
-
-    def round_trip_iso(self, x: RepObject) -> Intertwiner:
-        """Unitary natural isomorphism x -> inverse(transform(x))."""
-        target = self.inverse(self.cat.skeletal(x))
-        return Intertwiner(x, target, np.concatenate(self.coisometries(x)))
-
     def round_trip_defect(self, x: RepObject, f: Intertwiner | None = None) -> float:
-        eta = self.round_trip_iso(x)
+        """Worst residual of the unitary eta = ``coordinates(x)``: x ->
+        realize(skeletal(x)), and of ``from_blocks(to_blocks(f))`` against f."""
+        cat = self.cat
+        eta = Intertwiner(x, cat.realize(cat.skeletal(x)), cat.coordinates(x))
         worst = max_dev(eta.matrix @ dagger(eta.matrix), np.eye(x.dim))
         worst = max(worst, eta.equivariance_dev())
         if f is not None:
-            eta_dst = self.round_trip_iso(f.dst)
-            lhs = eta_dst.matrix @ f.matrix
-            back = self.inverse_morphism(self.morphism(f))
-            rhs = back @ eta.matrix
-            worst = max(worst, max_dev(lhs, rhs))
+            back = cat.from_blocks(cat.to_blocks(f), f.src, f.dst)
+            worst = max(worst, max_dev(back.matrix, f.matrix))
         return worst
-
-    def inverse_morphism(self, f: BlockMorphism) -> np.ndarray:
-        """Matrix of the inverse-transformed morphism in the block-diagonal carriers."""
-        return block_diag([f.block(lab) for lab in self.space.simples])
 
 
 # -- spectrum points and the evaluation transform ------------------------------
@@ -304,11 +285,10 @@ class SpectrumPoint:
     def structure_map(self, lam: str, mu: str) -> np.ndarray:
         """Unitary from value(lam) (x) value(mu) onto the fused value layout:
         the decomposition co-isometry, twisted."""
-        layout = self.fused_layout(lam, mu)
-        twist_out = block_diag([np.kron(self.twists[p.irrep.label], np.eye(p.multiplicity))
-                                for p in layout])
-        return (twist_out @ np.concatenate([p.coisometry for p in layout])
-                @ np.kron(dagger(self.twists[lam]), dagger(self.twists[mu])))
+        twist_out = block_diag([kron(self.twists[p.irrep.label], np.eye(p.multiplicity))
+                                for p in self.fused_layout(lam, mu)])
+        return (twist_out @ self.cat.coordinates(self._tensor(lam, mu))
+                @ kron(dagger(self.twists[lam]), dagger(self.twists[mu])))
 
     def balancing_defect(self) -> float:
         """Deviation from F(beta_x) = b_F(x): gradings must match the parities."""
@@ -338,7 +318,7 @@ class SpectrumPoint:
             # exactly where both values are odd
             b_rep = Intertwiner(self._tensor(lam, mu), self._tensor(mu, lam),
                                 cat.braiding(cat.irrep(lam), cat.irrep(mu)).matrix)
-            transported = self._inflate(cat.to_blocks(b_rep, tol))
+            transported = cat.realize(cat.to_blocks(b_rep, tol))
             value_b = swap_matrix(len(self.twists[lam]), len(self.twists[mu]))
             if self.signs[lam] < 0 and self.signs[mu] < 0:
                 value_b = -value_b
@@ -358,14 +338,7 @@ class SpectrumPoint:
 
         Raises unless f is block-shaped in isotypic coordinates: in particular
         a map that mixes distinct simples has no value."""
-        return self._inflate(self.cat.to_blocks(f, tol))
-
-    def _inflate(self, a: BlockMorphism) -> np.ndarray:
-        """Value coordinates of a skeletal morphism: kron(I_n, a_lam) for the
-        value dimension n of each simple, block-diagonally."""
-        return block_diag([np.kron(np.eye(len(self.twists[lab])), a.block(lab))
-                           for lab, m, k in zip(a.space.simples, a.dst.mults, a.src.mults)
-                           if m or k])
+        return self.cat.realize(self.cat.to_blocks(f, tol))
 
     def twisted(self, rng: np.random.Generator) -> "SpectrumPoint":
         """An isomorphic point: the same values on randomly rotated carriers.

@@ -235,12 +235,9 @@ UNREACHED = [
     "groups.FiniteGroup.inverse",
     "reps.Adjunction.triangle_dev",
     "reps.Intertwiner.then",
-    "reps.RepCategory.from_blocks",
-    "reps.RepCategory.multiplicities",
     "reps.RepObject.validate",
     "reps.frobenius_schur_indicator",
     "transforms.GelfandHat.dims",
-    "transforms.SpectrumPoint._inflate",
     "transforms.SpectrumPoint._tensor",
     "transforms.SpectrumPoint.balancing_defect",
     "transforms.SpectrumPoint.fused_layout",

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from twohilb.linalg import kron, max_abs
+from scipy import linalg as scipy_linalg
+
+from twohilb.linalg import block_diag, kron, max_abs
 
 
 @pytest.mark.parametrize("shape_a, shape_b", [
@@ -20,6 +22,20 @@ def test_kron_is_bitwise_np_kron(rng, shape_a, shape_b):
     assert np.array_equal(got, want)
     # a conjugate-transposed view, as the Fourier structure maps pass it
     assert np.array_equal(kron(a.conj().T, b), np.kron(a.conj().T, b))
+
+
+def test_kron_and_block_diag_broadcast_over_leading_axes(rng):
+    """A stack of blocks gives the stack of the matrices that each slice gives."""
+    stack = rng.normal(size=(4, 2, 3)) + 1j * rng.normal(size=(4, 2, 3))
+    mat = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    eye = np.eye(2)
+    for got, want in [(kron(stack, eye), [np.kron(s, eye) for s in stack]),
+                      (kron(eye, stack), [np.kron(eye, s) for s in stack]),
+                      (block_diag([stack, mat, stack[:, :0]]),
+                       [scipy_linalg.block_diag(s, mat, s[:0]) for s in stack])]:
+        assert np.array_equal(got, np.array(want))
+    assert block_diag([np.zeros((5, 0, 0))]).shape == (5, 0, 0)
+    assert block_diag([]).shape == (0, 0)
 
 
 def test_max_abs():

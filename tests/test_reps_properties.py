@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from twohilb.errors import CompositionError, ValidationError
 from twohilb.groups import FiniteSuperGroup, catalog, quaternion_group
-from twohilb.hstar import ObjectExpr, compose, inner_product, morphism_dev, star
+from twohilb.hstar import (
+    ObjectExpr,
+    SpaceTable,
+    compose,
+    inner_product,
+    morphism_dev,
+    star,
+)
 from twohilb.linalg import (
     dagger,
     distance_to_unitary,
@@ -144,16 +151,46 @@ def test_to_blocks_rejects_non_intertwiners(name, seed):
 
 # -- the equivalence: from_blocks inverts to_blocks ----------------------------------
 
+def _twice_each(cat, rng):
+    """Two copies of every irreducible on a randomly rotated carrier, so that
+    every block of a map into a bigger object is at least 2 x 2."""
+    x = reduce(cat.direct_sum, [cat.object_of_irrep(irr) for irr in cat.irreps()
+                                for _ in range(2)])
+    u = random_unitary(rng, x.dim)
+    return RepObject(cat, u @ x.matrices @ dagger(u))
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "D4", "Q8", "Z12", "SuperQ8"])
+def test_coordinates_join_an_object_with_its_realized_skeletal_image(name):
+    """realize is the inverse of the skeleton functor up to the unitary
+    natural isomorphism coordinates: U_x intertwines x with
+    realize(skeletal(x)), and realize(to_blocks(f)) = U_y f U_x^H, whose
+    blocks between copies of one irreducible are kron(I_d, b)."""
+    cat = any_category(name)
+    rng = np.random.default_rng(30)
+    x = _twice_each(cat, rng)
+    y = cat.direct_sum(cat.random_object(rng, max_dim=6), x)
+    f = cat.random_intertwiner(x, y, rng)
+    for obj in (x, y):
+        u = cat.coordinates(obj)
+        assert max_dev(u @ dagger(u), np.eye(obj.dim)) < 1e-12
+        assert max_dev(dagger(u) @ u, np.eye(obj.dim)) < 1e-12
+        eta = Intertwiner(obj, cat.realize(cat.skeletal(obj)), u)
+        assert eta.equivariance_dev() < 1e-12
+    want = cat.coordinates(y) @ f.matrix @ dagger(cat.coordinates(x))
+    assert max_dev(cat.realize(cat.to_blocks(f)), want) < 1e-12
+    zero = cat.realize(ObjectExpr.make(cat.skeleton(), [0] * len(cat.irreps())))
+    assert zero.matrices.shape == (cat.group.order, 0, 0)
+    with pytest.raises(CompositionError):
+        cat.realize(ObjectExpr.make(SpaceTable.make(["a"]), [1]))
+
+
 every = st.sampled_from(sorted(catalog()) + ["SuperQ8"])
 
 
 def any_category(name):
     """Rep of a catalog (super)group, or SuperRep(Q8, z=-1)."""
     return bridge_category(name) if name in _BRIDGE else category(name)
-
-
-def skeletal_image(cat, x):
-    return ObjectExpr.make(cat.skeleton(), cat.multiplicities(x))
 
 
 @settings(max_examples=25, deadline=None)
@@ -176,7 +213,7 @@ def test_to_blocks_inverts_from_blocks(name, seed):
     rng = np.random.default_rng(seed)
     x = cat.random_object(rng, max_dim=6)
     y = cat.random_object(rng, max_dim=6)
-    b = random_morphism(rng, skeletal_image(cat, x), skeletal_image(cat, y))
+    b = random_morphism(rng, cat.skeletal(x), cat.skeletal(y))
     f = cat.from_blocks(b, x, y)
     assert f.equivariance_dev() < TOL
     assert morphism_dev(cat.to_blocks(f), b) < 1e-12
@@ -189,7 +226,7 @@ def test_from_blocks_rejects_endpoints_that_do_not_match(name, seed):
     rng = np.random.default_rng(seed)
     x = cat.random_object(rng, max_dim=6)
     y = cat.random_object(rng, max_dim=6)
-    b = random_morphism(rng, skeletal_image(cat, x), skeletal_image(cat, y))
+    b = random_morphism(rng, cat.skeletal(x), cat.skeletal(y))
     for src, dst in [(cat.direct_sum(x, cat.unit()), y), (x, cat.direct_sum(y, cat.unit()))]:
         with pytest.raises(CompositionError):
             cat.from_blocks(b, src, dst)
