@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "categorified transforms")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, group=True, tol=False):
+    def common(p, group=True, tol=False, rows=True):
         if group:
             p.add_argument("--group", required=True,
                            help=f"catalog name ({', '.join(catalog_names())}), "
@@ -304,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
         if tol:  # only the commands that read it accept it
             p.add_argument("--tol", type=_tolerance, default=1e-9)
         p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        # only the commands that print rows write csv
+        formats = ["text", "json", "csv"] if rows else ["text", "json"]
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write the report to a file")
 
     p = sub.add_parser("irreps", help="list the irreducibles of a group")
@@ -324,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["eval", "moves"])
     p.add_argument("expr", nargs="?", default=None,
                    help="tangle expression (for eval)")
-    common(p, tol=True)
+    common(p, tol=True, rows=False)
     p.add_argument("--object", required=True,
                    help="irreducible label or alias (triv, sgn, std)")
     p.add_argument("--dim", type=int, default=3, choices=[2, 3, 4],
@@ -338,11 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_fourier)
 
     p = sub.add_parser("tannaka", help="reconstruct the symmetry group")
-    common(p)
+    common(p, rows=False)
     p.set_defaults(fn=_cmd_tannaka)
 
     p = sub.add_parser("suite", help="run every acceptance check")
-    common(p, group=False)
+    common(p, group=False, rows=False)
     p.set_defaults(fn=_cmd_suite)
     return parser
 

@@ -95,21 +95,29 @@ class RepObject:
         """The traces of the matrices, computed once (like the isotypic pieces)."""
         return read_only(np.einsum("gii->g", self.matrices))
 
-    def validate(self, tol: float = 1e-8) -> None:
-        g = self.cat.group
+    def validate(self, tol: float = 1e-8) -> float:
+        """The worst residual of the representation axioms, or raises: the
+        identity acts as I, every element unitarily, rho(a s) = rho(a) rho(s)
+        for every a and each generator s (exact, by Light's test as in
+        ``FiniteGroup.validate``), and the grading is an involution."""
+        g, mats = self.cat.group, self.matrices
         eye = np.eye(self.dim)
-        if max_dev(self.matrices[g.identity], eye) > tol:
-            raise ValidationError("identity does not act as the identity")
-        for a in range(g.order):
-            if max_dev(self.matrices[a] @ dagger(self.matrices[a]), eye) > tol:
-                raise ValidationError(f"element {a} does not act unitarily")
-        for a in range(g.order):  # row a of the table: a b for every b
-            if max_dev(self.matrices[a] @ self.matrices, self.matrices[g.matrix[a]]) > tol:
-                raise ValidationError("matrices do not respect the group product")
-        if self.cat.z_index is not None:
-            z = self.grading
-            if max_dev(z @ z, eye) > tol:
-                raise ValidationError("grading does not square to the identity")
+        worst = max_dev(mats[g.identity], eye)
+        if worst > tol:
+            raise ValidationError("identity does not act as the identity", violation=worst)
+        unitary = np.abs(mats @ mats.conj().swapaxes(1, 2) - eye).max(axis=(1, 2), initial=0.0)
+        a = int(np.argmax(unitary))
+        if unitary[a] > tol:
+            raise ValidationError(f"element {g.element_name(a)} does not act unitarily",
+                                  violation=float(unitary[a]))
+        product = max((max_dev(mats[g.matrix[:, s]], mats @ mats[s]) for s in g.generators),
+                      default=0.0)
+        if product > tol:
+            raise ValidationError("matrices do not respect the group product", violation=product)
+        grading = max_dev(self.grading @ self.grading, eye)
+        if grading > tol:
+            raise ValidationError("grading does not square to the identity", violation=grading)
+        return max(worst, float(unitary[a]), product, grading)
 
     def __repr__(self):
         return f"RepObject({self.name or self.dim}, dim={self.dim})"
@@ -352,7 +360,7 @@ class RepCategory:
         """N[a, b, c], the multiplicity of irreducible c in a (x) b (indices
         in ``irreps()`` order), from the character table: no tensor product
         is built or decomposed."""
-        return _fusion_rules(self.character_table(), [i.degree for i in self.irreps()])
+        return _fusion_rules(self.character_table())
 
     def hom_dim(self, x: RepObject, y: RepObject) -> int:
         """Dimension of the intertwiner space, via character averaging."""
@@ -443,13 +451,7 @@ class RepCategory:
         """<chi_a, chi_x> for every irreducible a, as one matvec against the
         character table; raises unless every one is an integer."""
         vals = np.real(self.character_table() @ np.conj(x.character)) / self.group.order
-        rounded = np.round(vals)
-        bad = np.flatnonzero(np.abs(vals - rounded) > 1e-6)
-        if bad.size:
-            i = bad[0]
-            raise ValidationError(f"non-integral multiplicity {float(vals[i])} "
-                                  f"of {self.irreps()[i].label}")
-        return rounded.astype(int).tolist()
+        return _integers(vals, "multiplicity", self.irrep_labels()).tolist()
 
     # -- the skeleton -----------------------------------------------------
 
@@ -645,7 +647,8 @@ class RepCategory:
 
     def classify_self_dual(self, x: RepObject,
                            rng: np.random.Generator | None = None) -> SelfDuality:
-        """For simple x: not self-dual, or self-dual with a definite sign."""
+        """For simple x: not self-dual, or self-dual with a definite sign, which
+        must be x's Frobenius-Schur indicator."""
         if not self.is_simple(x):
             raise ValidationError("self-duality classification needs a simple object")
         xstar = self.conjugate(x)
@@ -660,6 +663,10 @@ class RepCategory:
         if abs(overlap - sign) > 1e-6 or residual > 1e-6:
             raise ValidationError(f"self-duality sign is ambiguous "
                                   f"(overlap {overlap:.4f}, residual {residual:.2e})")
+        indicator = frobenius_schur_indicator(self.group, x.character)
+        if abs(indicator - sign) > 1e-6:
+            raise ValidationError(f"self-duality sign {sign} disagrees with the "
+                                  f"Frobenius-Schur indicator {indicator:.4f}")
         return SelfDuality("real" if sign > 0 else "quaternionic", sign, f, residual)
 
 
@@ -871,23 +878,34 @@ def _label_irreps(group: FiniteGroup, z_index, kept) -> tuple[UnitaryIrrep, ...]
     return tuple(out)
 
 
-def _fusion_rules(chars: np.ndarray, degrees) -> np.ndarray:
+def _integers(vals: np.ndarray, what: str, labels=None) -> np.ndarray:
+    """vals rounded to integers; raises unless each is within 1e-6 of one,
+    naming the worst entry by its label or, without labels, its distance."""
+    rounded = np.round(vals.real)
+    off = np.abs(vals - rounded).ravel()
+    i = int(np.argmax(off))
+    if off[i] > 1e-6:
+        where = f"{vals[i]} of {labels[i]}" if labels else f"(off by {off[i]:.3e})"
+        raise ValidationError(f"non-integral {what} {where}", violation=float(off[i]))
+    return rounded.astype(int)
+
+
+def _fusion_rules(chars: np.ndarray) -> np.ndarray:
     """N[a, b, c] = (1/|G|) sum_g chi_a(g) chi_b(g) conj(chi_c(g)) for a k x |G|
     character table, as one contraction: O(k^3 |G|).  Raises unless every
-    entry is an integer and sum_c N[a, b, c] d_c = d_a d_b."""
+    entry is a nonnegative integer and chi_a chi_b = sum_c N[a, b, c] chi_c
+    at every g, within 1e-6: the rows are closed under products, which at
+    g = e says sum_c N[a, b, c] d_c = d_a d_b."""
     k, order = chars.shape
     pairs = (chars[:, None, :] * chars[None, :, :]).reshape(k * k, order)
-    vals = (pairs @ np.conj(chars).T).reshape(k, k, k) / order
-    rounded = np.round(vals.real)
-    worst = max_abs(vals - rounded)
+    table = _integers((pairs @ np.conj(chars).T).reshape(k, k, k) / order,
+                      "fusion multiplicity")
+    if table.min() < 0:
+        raise ValidationError(f"negative fusion multiplicity {table.min()}")
+    worst = max_dev(pairs, table.reshape(k * k, k) @ chars)
     if worst > 1e-6:
-        raise ValidationError(f"non-integral fusion multiplicity (off by {worst:.3e})",
-                              violation=worst)
-    table = rounded.astype(int)
-    degrees = np.asarray(degrees)
-    if not np.array_equal(table @ degrees, np.outer(degrees, degrees)):
-        raise ValidationError("fusion multiplicities do not add up to the "
-                              "dimensions of the tensor products")
+        raise ValidationError(f"character products are not sums of characters "
+                              f"(off by {worst:.3e})", violation=worst)
     return table
 
 

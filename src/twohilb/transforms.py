@@ -116,28 +116,21 @@ def graded_braiding(group: FiniteGroup, x: ObjectExpr, y: ObjectExpr,
 
 # -- the dual group -----------------------------------------------------------
 
-def dual_group(cat: RepCategory) -> tuple[FiniteGroup, np.ndarray]:
-    """The character group of a finite abelian group, with its value table.
+def dual_group(cat: RepCategory) -> FiniteGroup:
+    """The character group of a finite abelian group, as an explicit group
+    whose elements are the irreducibles, ordered and named by their labels.
 
-    Returns the dual as an explicit group (elements ordered like the
-    irreducible labels) and the matrix of character values chars[k, g].
-    Both are kept on the group, so the dual and the data derived from it
-    are built once per group and grading.
+    The product of two characters is the one character in their tensor
+    product: ``fusion_rules`` are nonnegative integers with chi_a chi_b =
+    sum_c N[a, b, c] chi_c, so on degree-1 irreducibles each N[a, b] has a
+    single 1, which argmax reads.  Kept on the group, so the dual is built
+    once per group and grading.
     """
     group = cat.group
     if not group.is_abelian:
         raise ValidationError("the dual group is only formed for abelian groups")
-
-    def build():
-        chars = cat.character_table()
-        # the validated fusion rules of degree-1 irreducibles have exactly
-        # one c per (a, b), which must be the product entrywise
-        table = cat.fusion_rules().argmax(axis=2)
-        if max_dev(chars[:, None] * chars[None, :], chars[table]) > 1e-6:
-            raise ValidationError("character products failed to close")
-        dual = FiniteGroup.make(f"dual({group.name})", table, cat.irrep_labels())
-        return dual, chars
-    return cat._memo("dual_group", build)
+    return cat._memo("dual_group", lambda: FiniteGroup.make(
+        f"dual({group.name})", cat.fusion_rules().argmax(axis=2), cat.irrep_labels()))
 
 
 # -- categorified Fourier transform -------------------------------------------
@@ -154,7 +147,7 @@ class FourierMap:
 
     def __init__(self, cat: RepCategory):
         self.cat = cat
-        self.dual, _ = dual_group(cat)
+        self.dual = dual_group(cat)
         self.space = cat.skeleton()
         # a dual element is odd when its character is -1 at the central
         # involution z; the bosonic symmetry ignores the grading
@@ -250,8 +243,9 @@ class SpectrumPoint:
     even in a bosonic category), up to one unitary twist per simple; the
     structure maps are the twisted decomposition co-isometries.  With no
     twists this is the forgetful functor.  The validator enforces
-    unitarity, the braiding square with the appropriate sign rule, and
-    balancing preservation.
+    unitarity and the braiding square with the appropriate sign rule.  The
+    square at (lam, lam) also makes the point preserve the balancing: a
+    value graded against its simple's parity swaps with the wrong sign.
     """
 
     def __init__(self, cat: RepCategory, twists: dict | None = None, name: str = "point"):
@@ -290,23 +284,10 @@ class SpectrumPoint:
         return (twist_out @ self.cat.coordinates(self._tensor(lam, mu))
                 @ kron(dagger(self.twists[lam]), dagger(self.twists[mu])))
 
-    def balancing_defect(self) -> float:
-        """Deviation from F(beta_x) = b_F(x): gradings must match the parities."""
-        worst = 0.0
-        for irr in self.cat.irreps():
-            beta = self.cat.balancing(self.cat.object_of_irrep(irr)).matrix
-            sign = float(np.real(np.trace(beta))) / irr.degree
-            worst = max(worst, abs(self.signs[irr.label] - sign))
-        return worst
-
     def validate(self, tol: float = 1e-8) -> float:
         """Run all point checks; returns the worst deviation or raises."""
         cat = self.cat
-        worst = self.balancing_defect()
-        if worst > tol:
-            raise ValidationError(
-                f"point does not preserve the balancing (defect {worst:.3e})",
-                violation=worst)
+        worst = 0.0
         labels = [i.label for i in cat.irreps()]
         phis = {(lam, mu): self.structure_map(lam, mu) for lam in labels for mu in labels}
         for (lam, mu), phi in phis.items():
@@ -400,60 +381,39 @@ class TannakaResult:
     order: int
     is_cyclic: bool
     element_orders: tuple[int, ...]
-    deviation: float  # the worst unitarity, monoidality, homomorphism or injectivity residual
+    deviation: float  # the worst representation-axiom or injectivity residual
 
 
 def tannaka_reconstruct(cat: RepCategory) -> TannakaResult:
     """Reconstruct the symmetry group from the fiber functor.
 
     Each group element g gives the tuple (rho_lam(g))_lam of the
-    irreducibles' matrices, a monoidal unitary automorphism of the
-    forgetful functor.  Every tuple is checked to be unitary, rho rho^H = I,
-    and monoidal on characters, chi_lam chi_mu = sum_nu N_lam,mu^nu chi_nu
-    with the fusion rules N.  The evaluation g -> tuple must be an
-    isomorphism onto the reconstructed group.  It is a homomorphism when
-    rho(b s) = rho(b) rho(s) for every b and each generator s: by induction
-    on words in the generators, as in Light's test.  It is injective when
-    sum_lam d_lam chi_lam = |G| delta_e, the character of the regular
-    representation, since rho(g) = I for every lam gives |G| at g.
+    irreducibles' matrices.  ``RepObject.validate`` checks that each
+    irreducible is a unitary representation, so g -> tuple is a
+    homomorphism into unitary tuples, and ``fusion_rules`` checks that the
+    tuples are monoidal on characters, chi_lam chi_mu = sum_nu
+    N_lam,mu^nu chi_nu.  The evaluation is injective when sum_lam d_lam
+    chi_lam = |G| delta_e, the character of the regular representation,
+    since rho(g) = I for every lam gives |G| at g.
 
     The list is complete.  The monoidal unitary automorphisms are the
     characters of the commutative algebra of matrix coefficients, whose
-    dimension is sum_lam d_lam^2 = |G|.  Distinct characters are linearly
-    independent, so there are at most |G| of them, and |G| distinct tuples
-    are all of them.
-
-    The result, with the worst of the four residuals, is kept on the group,
-    like the dual group.
+    dimension is sum_lam d_lam^2 = |G|, so |G| distinct tuples are all of
+    them.  The result is kept on the group, like the dual group.
     """
     group = cat.group
 
     def build():
         irreps = cat.irreps()
-        degrees = sorted({irr.degree for irr in irreps})
-        # the tuples of all g: one (|G|, k, d, d) stack per degree d
-        stacks = [np.stack([irr.matrices for irr in irreps if irr.degree == d], axis=1)
-                  for d in degrees]
-        unitary = max(max_dev(s @ s.conj().swapaxes(-1, -2), np.eye(d))
-                      for s, d in zip(stacks, degrees))
-        if unitary > 1e-8:
-            raise ValidationError("transformation is not unitary")
-        chars = cat.character_table()
-        fused = np.tensordot(cat.fusion_rules(), chars, axes=(2, 0))
-        monoidal = max_dev(chars[:, None] * chars[None, :], fused)
-        if monoidal > 1e-6:
-            raise ValidationError("transformation is not monoidal")
-        # a homomorphism: rho(b s) = rho(b) rho(s) for every b and generator s
-        worst = max((max_dev(stack[group.matrix[:, s]], stack @ stack[s])
-                     for stack in stacks for s in group.generators), default=0.0)
+        worst = max(cat.object_of_irrep(irr).validate() for irr in irreps)
+        cat.fusion_rules()  # monoidal, or raises
         # injective: sum_lam d_lam chi_lam is |G| at the identity and 0 elsewhere
-        regular = np.array([irr.degree for irr in irreps]) @ chars
+        regular = np.array([irr.degree for irr in irreps]) @ cat.character_table()
         regular[group.identity] -= group.order
         worst = max(worst, max_abs(regular))
         if worst > 1e-6:
             raise ValidationError("evaluation at the group elements is not an "
                                   "isomorphism onto the reconstructed group")
         orders = tuple(sorted(group.element_orders.tolist()))
-        return TannakaResult(group.order, group.is_cyclic, orders,
-                             max(unitary, monoidal, worst))
+        return TannakaResult(group.order, group.is_cyclic, orders, worst)
     return cat._memo("tannaka", build)

@@ -308,6 +308,20 @@ def test_only_the_commands_that_read_tol_accept_it(capsys, command):
     assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_only_the_commands_that_print_rows_accept_csv(capsys, command):
+    """``tangle``, ``tannaka`` and ``suite`` print no rows; csv is an invalid
+    choice there, not one that silently prints text."""
+    argv = SUBCOMMANDS[command] + ["--format", "csv"]
+    if command in ("irreps", "fusion", "report", "fourier"):
+        assert run_cli(capsys, *argv)[0] == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", sorted(set(SUBCOMMANDS) - {"suite"}))
 def test_invalid_group_exits_2(capsys, command):
     argv = [a if a != "Z2" else "Nope" for a in SUBCOMMANDS[command]]

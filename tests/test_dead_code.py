@@ -235,11 +235,8 @@ UNREACHED = [
     "groups.FiniteGroup.inverse",
     "reps.Adjunction.triangle_dev",
     "reps.Intertwiner.then",
-    "reps.RepObject.validate",
-    "reps.frobenius_schur_indicator",
     "transforms.GelfandHat.dims",
     "transforms.SpectrumPoint._tensor",
-    "transforms.SpectrumPoint.balancing_defect",
     "transforms.SpectrumPoint.fused_layout",
     "transforms.SpectrumPoint.morphism_value",
     "transforms.SpectrumPoint.structure_map",
@@ -258,3 +255,13 @@ def test_unreached_functions_are_the_known_list(tmp_path):
                          env=env, capture_output=True, text=True, check=True)
     entered = {tuple(key) for key in json.loads(run.stdout)}
     assert sorted(name for key, name in _functions().items() if key not in entered) == UNREACHED
+
+
+def test_the_benchmark_tracer_installs():
+    """``perfbench/trace.py`` wraps package functions by name, so renaming or
+    deleting one would otherwise break only the traced benchmark run.  The
+    install patches modules for good, so it runs in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
+    run = subprocess.run([sys.executable, "-c", "from perfbench.trace import Tracer\n"
+                          "Tracer().install()"], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -97,17 +97,33 @@ def test_fusion_builds_no_tensor_product(monkeypatch, capsys):
 def test_fusion_rejects_a_non_integral_character_table():
     cat = RepCategory(catalog()["S3"]())
     chars = np.array(cat.character_table())
-    degrees = [i.degree for i in cat.irreps()]
-    assert np.array_equal(_fusion_rules(chars, degrees), cat.fusion_rules())
+    assert np.array_equal(_fusion_rules(chars), cat.fusion_rules())
     chars[2, 1] += 0.3
     with pytest.raises(ValidationError, match="non-integral fusion multiplicity"):
-        _fusion_rules(chars, degrees)
+        _fusion_rules(chars)
 
 
 def test_fusion_rejects_a_table_that_misses_the_dimension_count():
     cat = RepCategory(catalog()["S3"]())
-    degrees = [i.degree for i in cat.irreps()]
     # without the sign character, 2a (x) 2a = 1a + 1b + 2a loses 1b
     chars = np.array(cat.character_table())[[0, 2]]
-    with pytest.raises(ValidationError, match="do not add up"):
-        _fusion_rules(chars, [degrees[0], degrees[2]])
+    with pytest.raises(ValidationError, match="not sums of characters"):
+        _fusion_rules(chars)
+
+
+def test_fusion_checks_the_character_identity_at_every_element():
+    """Z3 with row 2 turned by phases 7e-7: the multiplicities round to the
+    table of Z3, and the products miss their rows by 1.4e-6 away from e."""
+    z3 = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3)
+    assert np.array_equal(_fusion_rules(z3).argmax(axis=2), [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    z3[2, 1:] *= np.exp([7e-7j, -7e-7j])
+    with pytest.raises(ValidationError, match="not sums of characters") as err:
+        _fusion_rules(z3)
+    assert 1e-6 < err.value.violation < 2e-6
+
+
+def test_fusion_rejects_a_negative_multiplicity():
+    """Z2's rows (1, 1) and (i, -i) are orthonormal, and (i, -i)^2 = -(1, 1):
+    the identity holds with N = -1."""
+    with pytest.raises(ValidationError, match="negative fusion multiplicity -1"):
+        _fusion_rules(np.array([[1, 1], [1j, -1j]]))

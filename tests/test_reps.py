@@ -9,6 +9,8 @@ import pytest
 from twohilb.errors import CompositionError, ValidationError
 from twohilb.groups import (
     FiniteSuperGroup,
+    catalog,
+    catalog_names,
     cyclic_group,
     dihedral_group,
     quaternion_group,
@@ -314,6 +316,17 @@ def test_self_duality_classification(s3, super_q8):
             assert res.kind == "not-self-dual"
 
 
+def test_self_duality_sign_is_cross_checked_against_frobenius_schur(monkeypatch):
+    """A dagger transform that flips the sign makes S3's real 2a read as
+    quaternionic; its Frobenius-Schur indicator is +1, so this raises."""
+    cat = RepCategory(symmetric_group(3))
+    monkeypatch.setattr(cat, "dagger_transform",
+                        lambda f: Intertwiner(f.src, f.dst, -f.matrix.T))
+    with pytest.raises(ValidationError, match="sign -1 disagrees with the "
+                                              "Frobenius-Schur indicator 1.0000"):
+        cat.classify_self_dual(cat.irrep("2a"))
+
+
 def test_self_duality_matches_frobenius_schur(s3, super_q8):
     for cat in (s3, super_q8, RepCategory(dihedral_group(4))):
         for irr in cat.irreps():
@@ -449,13 +462,28 @@ def test_rep_object_validation_catches_errors(s3):
     mats = np.stack([np.eye(2)] * 6)
     mats[2] = np.array([[1.0, 1.0], [0.0, 1.0]])  # not unitary
     broken = RepObject(s3, mats)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="does not act unitarily") as err:
         broken.validate()
+    assert err.value.violation == pytest.approx(1.0)
+    assert s3.group.element_name(2) in str(err.value)
     mats = np.stack([np.eye(2)] * 6)
     mats[3] = -np.eye(2)  # unitary but not a homomorphism
     broken = RepObject(s3, mats)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="group product"):
         broken.validate()
+    mats[3] = np.eye(2)
+    mats[s3.group.identity] = -np.eye(2)
+    with pytest.raises(ValidationError, match="identity does not act"):
+        RepObject(s3, mats).validate()
+    # the trivial group has no generators
+    assert RepCategory(cyclic_group(1)).unit().validate() == 0.0
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_every_catalog_irreducible_is_a_unitary_representation(name):
+    cat = RepCategory(catalog()[name]())
+    for irr in cat.irreps():
+        assert cat.object_of_irrep(irr).validate() < 1e-8
 
 
 def test_decompose_rejects_non_integral_multiplicity(s3):

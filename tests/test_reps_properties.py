@@ -137,6 +137,43 @@ def test_to_blocks_commutes_with_composition_and_star(name, seed):
     assert morphism_dev(cat.to_blocks(f.star()), star(blocks_f)) < TOL
 
 
+# -- the linear structure of the hom-sets ------------------------------------------
+
+scalars = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, c=scalars)
+def test_skeletal_hom_sets_are_linear_and_star_is_conjugate_linear(seed, c):
+    rng = np.random.default_rng(seed)
+    space = random_space(rng)
+    x, y, z = (random_object(rng, space) for _ in range(3))
+    f, g = random_morphism(rng, x, y), random_morphism(rng, x, y)
+    h, k = random_morphism(rng, y, z), random_morphism(rng, z, x)
+    assert morphism_dev(star(c * f + g), np.conj(c) * star(f) + star(g)) < TOL
+    assert morphism_dev(compose(c * f + g, h), c * compose(f, h) + compose(g, h)) < TOL
+    assert morphism_dev(compose(k, c * f + g), c * compose(k, f) + compose(k, g)) < TOL
+    assert morphism_dev(f - g, f + (-g)) == 0.0
+    assert morphism_dev(f - f, 0 * f) == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=bridged, seed=seeds, c=scalars)
+def test_rep_hom_sets_are_linear_and_star_is_conjugate_linear(name, seed, c):
+    """On intertwiners, and through ``to_blocks`` on their skeletal images."""
+    cat = bridge_category(name)
+    rng = np.random.default_rng(seed)
+    x, y, z = (cat.random_object(rng, max_dim=6) for _ in range(3))
+    f, g = random_map(cat, rng, x, y), random_map(cat, rng, x, y)
+    h, k = random_map(cat, rng, y, z), random_map(cat, rng, z, x)
+    fg = c * f + g
+    assert fg.equivariance_dev() < TOL
+    assert max_dev(fg.star().matrix, (np.conj(c) * f.star() + g.star()).matrix) < TOL
+    assert max_dev(fg.then(h).matrix, (c * f.then(h) + g.then(h)).matrix) < TOL
+    assert max_dev(k.then(fg).matrix, (c * k.then(f) + k.then(g)).matrix) < TOL
+    assert morphism_dev(cat.to_blocks(fg), c * cat.to_blocks(f) + cat.to_blocks(g)) < TOL
+
+
 @settings(max_examples=25, deadline=None)
 @given(name=bridged, seed=seeds)
 def test_to_blocks_rejects_non_intertwiners(name, seed):

@@ -77,10 +77,11 @@ def test_convolution_monoid_exact(rng):
 
 def test_dual_group_structure():
     z4 = RepCategory(cyclic_group(4))
-    dual, chars = dual_group(z4)
+    dual = dual_group(z4)
     assert dual.order == 4 and dual.is_cyclic
+    assert dual.element_names == tuple(z4.irrep_labels())
     k4 = RepCategory(product_group(cyclic_group(2), cyclic_group(2)))
-    dual_k4, _ = dual_group(k4)
+    dual_k4 = dual_group(k4)
     assert dual_k4.order == 4 and not dual_k4.is_cyclic
     with pytest.raises(ValidationError):
         dual_group(RepCategory(symmetric_group(3)))
@@ -98,7 +99,7 @@ def test_dual_group_rejects_character_rows_that_do_not_close():
     with pytest.raises(ValidationError):
         _forged_dual(cyclic_group(2), [[1, 1], [1j, -1j]])
     z3 = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3)
-    assert np.array_equal(_forged_dual(cyclic_group(3), z3)[0].table,
+    assert np.array_equal(_forged_dual(cyclic_group(3), z3).table,
                           [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     # row 2 turned by opposite phases 5e-4 in two entries: products miss
     # their rows entrywise by up to 1e-3
@@ -110,9 +111,9 @@ def test_dual_group_rejects_character_rows_that_do_not_close():
     with pytest.raises(ValidationError):
         _forged_dual(cyclic_group(2), np.ones((2, 2)))
     # phases of 7e-7: the fusion multiplicities round to the table of Z3,
-    # and only the entrywise comparison sees products miss by 1.4e-6
+    # and only the identity at every element sees products miss by 1.4e-6
     turned[2, 1:] = z3[2, 1:] * np.exp([7e-7j, -7e-7j])
-    with pytest.raises(ValidationError, match="^character products failed to close$"):
+    with pytest.raises(ValidationError, match="^character products are not sums of characters"):
         _forged_dual(cyclic_group(3), turned)
 
 
@@ -398,13 +399,13 @@ def test_point_validation_decomposes_each_pair_once(monkeypatch):
 def test_wrongly_graded_point_rejected(monkeypatch):
     """A point grades each value by its irreducible's parity: an odd
     irreducible read as even gives a value whose grading is not the
-    balancing's sign."""
+    balancing's sign, and its braiding square with itself fails."""
     cat = RepCategory(FiniteSuperGroup.make(quaternion_group(), 1))
     irreps = cat.irreps()
     odd = next(k for k, irr in enumerate(irreps) if irr.parity)
     flipped = UnitaryIrrep(irreps[odd].label, irreps[odd].degree, irreps[odd].matrices, 0)
     monkeypatch.setattr(cat, "irreps", lambda: irreps[:odd] + (flipped,) + irreps[odd + 1:])
-    with pytest.raises(ValidationError, match="balancing"):
+    with pytest.raises(ValidationError, match="coherence"):
         SpectrumPoint(cat).validate()
 
 
@@ -457,8 +458,9 @@ def test_double_dual_evaluation():
     # the double dual is identified with the group by evaluation
     for group in (cyclic_group(4), product_group(cyclic_group(2), cyclic_group(2))):
         cat = RepCategory(group)
-        dual, chars = dual_group(cat)
-        double, double_chars = dual_group(RepCategory(dual))
+        chars = cat.character_table()
+        double_cat = RepCategory(dual_group(cat))
+        double, double_chars = dual_group(double_cat), double_cat.character_table()
         assert double.order == group.order
         matched = set()
         for g in range(group.order):
@@ -537,8 +539,8 @@ def test_tannaka_tells_d4_from_q8():
 
 def test_tannaka_rejects_an_anti_homomorphism():
     """Transposed 2a matrices stay unitary and keep every character, but
-    g -> rho(g)^T reverses products, rho(b s) = rho(s) rho(b), and the
-    check on the generators refuses it."""
+    g -> rho(g)^T reverses products, rho(b s) = rho(s) rho(b), and
+    ``RepObject.validate``'s product check on the generators refuses it."""
     group = symmetric_group(3)
     cat = RepCategory(group)
     irreps = tuple(UnitaryIrrep(irr.label, irr.degree,
@@ -550,7 +552,7 @@ def test_tannaka_rejects_an_anti_homomorphism():
     for s in group.generators:
         assert max_dev(rho[t[:, s]], rho[s] @ rho) < 1e-12
         assert max_dev(rho[t[:, s]], rho @ rho[s]) > 1.0
-    with pytest.raises(ValidationError, match="not an isomorphism"):
+    with pytest.raises(ValidationError, match="group product"):
         tannaka_reconstruct(cat)
 
 
