@@ -5,9 +5,10 @@ weighted inner product; kernels, biproducts and polar factors are per-block
 matrix algebra), multiplicity-matrix functors between them with their action
 on objects, adjoints and hom dimensions, representation categories of finite
 groups and supergroups with their canonical well-balanced dualities, a
-tangle-expression evaluator, and the categorified Fourier, Gelfand and
-Tannaka constructions at finite scale, with the convolution of graded objects
-and morphisms read from the group table.
+tangle-expression evaluator, the categorified Fourier transform with the
+convolution of graded objects and morphisms read from the group table, and
+Tannaka reconstruction, whose evaluation of Rep(G) at the tuples
+(rho_lam(g))_lam is the Gelfand transform, at finite scale.
 """
 
 from .ambrose import HStarAlgebraData, ambrose_decompose, block_model
@@ -31,9 +32,7 @@ from .reps import Adjunction, Intertwiner, RepCategory, RepObject
 from .tangles import EvalContext, evaluate, move_suite, parse
 from .transforms import (
     FourierMap,
-    SpectrumPoint,
     convolution_tensor,
-    gelfand_hat,
     tannaka_reconstruct,
 )
 
@@ -44,8 +43,7 @@ __all__ = [
     "FusionFunctor", "adjoint_functor",
     "FiniteGroup", "FiniteSuperGroup", "catalog", "load_group",
     "RepCategory", "RepObject", "Intertwiner", "Adjunction",
-    "convolution_tensor", "FourierMap",
-    "SpectrumPoint", "gelfand_hat", "tannaka_reconstruct",
+    "convolution_tensor", "FourierMap", "tannaka_reconstruct",
     "parse", "evaluate", "EvalContext", "move_suite",
 ]
 

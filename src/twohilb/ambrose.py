@@ -228,13 +228,6 @@ class AmbroseIdeal:
     projection: np.ndarray
     matrix_units: np.ndarray  # shape (size, size, dim): coordinates of e_{ab}
 
-    def model_coords(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates of the ideal component of v as a size x size matrix."""
-        return np.conj(self.matrix_units) @ v / self.weight
-
-    def from_model(self, m: np.ndarray) -> np.ndarray:
-        return np.tensordot(as_complex(m), self.matrix_units, axes=2)
-
 
 @dataclass
 class AmbroseDecomposition:

@@ -48,9 +48,9 @@ class FiniteGroup:
         arr = table
         if not (isinstance(arr, np.ndarray) and arr.flags.owndata and not arr.flags.writeable):
             arr = np.array(table)
-        n = arr.shape[0]
-        if arr.shape != (n, n):
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError("multiplication table must be square")
+        n = len(arr)
         if arr.dtype.kind not in "iu":  # a float, bool or string entry
             raise ValidationError("table entries must be integers")
         arr = arr.astype(int, copy=False)

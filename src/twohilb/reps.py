@@ -359,8 +359,10 @@ class RepCategory:
     def fusion_rules(self) -> np.ndarray:
         """N[a, b, c], the multiplicity of irreducible c in a (x) b (indices
         in ``irreps()`` order), from the character table: no tensor product
-        is built or decomposed."""
-        return _fusion_rules(self.character_table())
+        is built or decomposed.  Read-only, built once per group and grading,
+        like the character table."""
+        return self._memo("fusion", lambda: read_only(
+            _fusion_rules(self.character_table())))
 
     def hom_dim(self, x: RepObject, y: RepObject) -> int:
         """Dimension of the intertwiner space, via character averaging."""

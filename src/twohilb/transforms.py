@@ -1,7 +1,6 @@
-"""Categorified Fourier transform, graded convolution algebras, spectrum
-points with the evaluation (Gelfand) transform, and Tannaka reconstruction
-at finite scale.  Rep(G) is read only through ``RepCategory``'s public
-methods.
+"""Categorified Fourier transform, graded convolution algebras, and Tannaka
+reconstruction, which is the Gelfand transform, at finite scale.  Rep(G) is
+read only through ``RepCategory``'s public methods.
 
 For a finite abelian group T the dual group is materialized from the
 character table; the Fourier transform is Rep(T)'s equivalence with its
@@ -12,8 +11,9 @@ are validated numerically.  Graded objects and morphisms are
 element.  Their convolution reads the group table directly: ``conv_layout``
 is the one place that orders the pairs g1 g2 = g of a fiber.
 
-A spectrum point is the forgetful functor up to one unitary twist per
-simple: each simple goes to its own carrier, graded by its parity.
+The points of Rep(G) are the tuples (rho_lam(g))_lam of the irreducibles'
+matrices at the group elements; evaluating the category at them is its
+Gelfand transform, and ``tannaka_reconstruct`` checks that it recovers G.
 """
 from __future__ import annotations
 
@@ -31,12 +31,11 @@ from .hstar import (
     morphism_dev,
     star,
 )
-from .linalg import block_diag, dagger, kron, max_abs, max_dev, random_unitary, swap_matrix
+from .linalg import dagger, kron, max_abs, max_dev, swap_matrix
 from .reps import Intertwiner, RepCategory, RepObject
 
 __all__ = ["convolution_tensor", "conv_layout", "graded_braiding", "dual_group",
-           "FourierMap", "SpectrumPoint", "gelfand_hat", "GelfandHat",
-           "tannaka_reconstruct", "TannakaResult"]
+           "FourierMap", "tannaka_reconstruct", "TannakaResult"]
 
 
 # -- graded convolution ---------------------------------------------------------
@@ -234,146 +233,6 @@ class FourierMap:
         return worst
 
 
-# -- spectrum points and the evaluation transform ------------------------------
-
-class SpectrumPoint:
-    """A concrete symmetric star-functor from a rep category to super vector spaces.
-
-    Each simple goes to its carrier, graded by its parity (every value is
-    even in a bosonic category), up to one unitary twist per simple; the
-    structure maps are the twisted decomposition co-isometries.  With no
-    twists this is the forgetful functor.  The validator enforces
-    unitarity and the braiding square with the appropriate sign rule.  The
-    square at (lam, lam) also makes the point preserve the balancing: a
-    value graded against its simple's parity swaps with the wrong sign.
-    """
-
-    def __init__(self, cat: RepCategory, twists: dict | None = None, name: str = "point"):
-        self.cat = cat
-        self.name = name
-        self.signs, self.twists = {}, {}
-        for irr in cat.irreps():
-            self.signs[irr.label] = -1.0 if irr.parity and not cat.bosonic else 1.0
-            twist = None if twists is None else twists.get(irr.label)
-            if twist is None:
-                twist = np.eye(irr.degree, dtype=np.complex128)
-            twist = np.asarray(twist, dtype=np.complex128)
-            if twist.shape != (irr.degree,) * 2:
-                raise ValidationError("twist has the wrong shape")
-            self.twists[irr.label] = twist
-        self._tensors = {}
-
-    def _tensor(self, lam: str, mu: str) -> RepObject:
-        """The tensor of two simples, built once per ordered pair and kept on
-        the point: ``cat.irrep`` returns a fresh object each time, so a fresh
-        tensor would miss its own decomposition cache."""
-        if (lam, mu) not in self._tensors:
-            cat = self.cat
-            self._tensors[lam, mu] = cat.tensor(cat.irrep(lam), cat.irrep(mu))
-        return self._tensors[lam, mu]
-
-    def fused_layout(self, lam: str, mu: str) -> list:
-        """The isotypic pieces of the tensor of two simples, in irreducible order."""
-        return self.cat.decompose(self._tensor(lam, mu))
-
-    def structure_map(self, lam: str, mu: str) -> np.ndarray:
-        """Unitary from value(lam) (x) value(mu) onto the fused value layout:
-        the decomposition co-isometry, twisted."""
-        twist_out = block_diag([kron(self.twists[p.irrep.label], np.eye(p.multiplicity))
-                                for p in self.fused_layout(lam, mu)])
-        return (twist_out @ self.cat.coordinates(self._tensor(lam, mu))
-                @ kron(dagger(self.twists[lam]), dagger(self.twists[mu])))
-
-    def validate(self, tol: float = 1e-8) -> float:
-        """Run all point checks; returns the worst deviation or raises."""
-        cat = self.cat
-        worst = 0.0
-        labels = [i.label for i in cat.irreps()]
-        phis = {(lam, mu): self.structure_map(lam, mu) for lam in labels for mu in labels}
-        for (lam, mu), phi in phis.items():
-            n = phi.shape[0]
-            worst = max(worst, max_dev(phi @ dagger(phi), np.eye(n)))
-            worst = max(worst, max_dev(dagger(phi) @ phi, np.eye(n)))
-            # braiding square: phi then the transported braiding against the
-            # graded swap of the values then phi, with the Koszul sign -1
-            # exactly where both values are odd
-            b_rep = Intertwiner(self._tensor(lam, mu), self._tensor(mu, lam),
-                                cat.braiding(cat.irrep(lam), cat.irrep(mu)).matrix)
-            transported = cat.realize(cat.to_blocks(b_rep, tol))
-            value_b = swap_matrix(len(self.twists[lam]), len(self.twists[mu]))
-            if self.signs[lam] < 0 and self.signs[mu] < 0:
-                value_b = -value_b
-            worst = max(worst, max_dev(transported @ phi, phis[mu, lam] @ value_b))
-        if worst > tol:
-            raise ValidationError(f"point coherence fails ({worst:.3e})", violation=worst)
-        return worst
-
-    def value_of(self, x: RepObject):
-        """Dimension and grading of the point applied to an arbitrary object."""
-        grading = np.array([self.signs[p.irrep.label] for p in self.cat.decompose(x)
-                            for _ in range(p.irrep.degree * p.multiplicity)])
-        return len(grading), grading
-
-    def morphism_value(self, f: Intertwiner, tol: float = 1e-8) -> np.ndarray:
-        """Transport of a morphism to the point's value coordinates.
-
-        Raises unless f is block-shaped in isotypic coordinates: in particular
-        a map that mixes distinct simples has no value."""
-        return self.cat.realize(self.cat.to_blocks(f, tol))
-
-    def twisted(self, rng: np.random.Generator) -> "SpectrumPoint":
-        """An isomorphic point: the same values on randomly rotated carriers.
-        Each value has a single grading sign, so every unitary preserves it."""
-        twists = {lab: random_unitary(rng, len(t)) for lab, t in self.twists.items()}
-        return SpectrumPoint(self.cat, twists, name=self.name + "-twisted")
-
-
-@dataclass
-class GelfandHat:
-    """Evaluation of an object at a finite sample of spectrum points."""
-
-    x: RepObject
-    points: list[SpectrumPoint]
-    values: dict  # point name -> (dim, grading)
-
-    def dims(self) -> dict:
-        return {name: v[0] for name, v in self.values.items()}
-
-
-def gelfand_hat(x: RepObject, points: list[SpectrumPoint]) -> GelfandHat:
-    """The evaluation transform: x goes to its tuple of point values.  Every
-    point is validated first."""
-    values = {}
-    for point in points:
-        point.validate()
-        values[point.name] = point.value_of(x)
-    return GelfandHat(x, list(points), values)
-
-
-def hat_homomorphism_defect(point: SpectrumPoint, x: RepObject, y: RepObject,
-                            rng: np.random.Generator) -> float:
-    """Deviation of the evaluation transform from a star-homomorphism.
-
-    Checks that point values multiply under tensor, add under direct sum,
-    and that star transports to the adjoint on a sampled endomorphism.
-    """
-    cat = point.cat
-    worst = 0.0
-    nx, _ = point.value_of(x)
-    ny, _ = point.value_of(y)
-    nxy, _ = point.value_of(cat.tensor(x, y))
-    worst = max(worst, abs(nxy - nx * ny))
-    nsum, _ = point.value_of(cat.direct_sum(x, y))
-    worst = max(worst, abs(nsum - nx - ny))
-    f = cat.random_intertwiner(x, x, rng)
-    worst = max(worst, max_dev(point.morphism_value(f.star()),
-                               dagger(point.morphism_value(f))))
-    g = cat.random_intertwiner(x, x, rng)
-    worst = max(worst, max_dev(point.morphism_value(f.then(g)),
-                               point.morphism_value(g) @ point.morphism_value(f)))
-    return float(worst)
-
-
 # -- Tannaka reconstruction ------------------------------------------------------
 
 @dataclass
@@ -388,11 +247,12 @@ def tannaka_reconstruct(cat: RepCategory) -> TannakaResult:
     """Reconstruct the symmetry group from the fiber functor.
 
     Each group element g gives the tuple (rho_lam(g))_lam of the
-    irreducibles' matrices.  ``RepObject.validate`` checks that each
-    irreducible is a unitary representation, so g -> tuple is a
-    homomorphism into unitary tuples, and ``fusion_rules`` checks that the
-    tuples are monoidal on characters, chi_lam chi_mu = sum_nu
-    N_lam,mu^nu chi_nu.  The evaluation is injective when sum_lam d_lam
+    irreducibles' matrices: a point of Rep(G), and evaluation at these
+    points is the paper's Gelfand transform.  ``RepObject.validate``
+    checks that each irreducible is a unitary representation, so g ->
+    tuple is a homomorphism into unitary tuples, and ``fusion_rules``
+    checks that the tuples are monoidal on characters, chi_lam chi_mu =
+    sum_nu N_lam,mu^nu chi_nu.  The evaluation is injective when sum_lam d_lam
     chi_lam = |G| delta_e, the character of the regular representation,
     since rho(g) = I for every lam gives |G| at g.
 

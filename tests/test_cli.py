@@ -202,6 +202,7 @@ def test_unknown_object_is_input_error(capsys):
     '[[0, 1], [1, 0]]',                        # not an object
     '{"name": "Z2"}',                          # no table
     '{"table": [[0, 1], [1]]}',                # ragged table
+    '{"table": 5}',                            # a scalar, not a table
     '{"table": [["e", "a"], ["a", "e"]]}',     # non-integer entries
     '{"table": [[0, 1], [1, 0]], "central_involution": "z"}',
     '{"name": "Z2", "table": [[0, 1], [1, 0]], "element_names": ["e"]}',

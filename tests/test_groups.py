@@ -139,6 +139,12 @@ def test_broken_table_rejected():
         FiniteGroup.make("bad", [[0, 1], [0, 1]])
 
 
+@pytest.mark.parametrize("table", [5, [], [0, 1], [[[0]]]])
+def test_a_table_that_is_not_two_dimensional_is_not_square(table):
+    with pytest.raises(ValidationError, match="^multiplication table must be square$"):
+        FiniteGroup.make("x", table)
+
+
 @pytest.mark.parametrize("names", [["e"], ["e", "e"], ["e", "a", "a"]])
 def test_element_names_must_match_the_table(names):
     with pytest.raises(ValidationError, match="one distinct name per element"):

@@ -654,19 +654,23 @@ def test_character_table_is_read_only(s3):
 
 
 def test_categories_of_one_group_share_its_irreducibles():
-    """The irreducibles, character table and skeleton are kept on the group,
-    one immutable value per grading, and every category reads the same one."""
+    """The irreducibles, character table, fusion rules and skeleton are kept
+    on the group, one immutable value per grading, and every category reads
+    the same one."""
     q8 = quaternion_group()
     cat, other = RepCategory(q8), RepCategory(q8)
     irreps = cat.irreps()
     assert isinstance(irreps, tuple)
     assert other.irreps() is irreps
     assert other.character_table() is cat.character_table()
+    assert other.fusion_rules() is cat.fusion_rules()
     assert other.skeleton() is cat.skeleton()
     with pytest.raises(TypeError):
         irreps[0] = irreps[1]
     with pytest.raises(ValueError):
         irreps[0].matrices[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        cat.fusion_rules()[0, 0, 0] = 2
     graded = RepCategory(FiniteSuperGroup.make(q8, 1))
     assert graded.irreps() is not irreps
     assert [i.parity for i in graded.irreps()] == [0, 0, 0, 0, 1]

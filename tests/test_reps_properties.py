@@ -184,6 +184,12 @@ def test_to_blocks_rejects_non_intertwiners(name, seed):
     f = Intertwiner(x, x, random_complex(rng, (x.dim, x.dim)))
     with pytest.raises(ValidationError, match="multiplicity-shaped|mixes distinct simples"):
         cat.to_blocks(f)
+    # the swap of two distinct one-dimensional simples has square
+    # multiplicity-shaped blocks, and still no skeletal image
+    pair = cat.direct_sum(cat.irrep("1a"), cat.irrep("1b"))
+    swap = Intertwiner(pair, pair, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValidationError, match="mixes distinct simples"):
+        cat.to_blocks(swap)
 
 
 # -- the equivalence: from_blocks inverts to_blocks ----------------------------------
@@ -223,6 +229,21 @@ def test_coordinates_join_an_object_with_its_realized_skeletal_image(name):
 
 
 every = st.sampled_from(sorted(catalog()) + ["SuperQ8"])
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "SuperQ8"])
+def test_braidings_of_simples_round_trip_through_the_skeleton(name):
+    """The braiding lam (x) mu -> mu (x) lam of two simples of a non-abelian
+    group moves between the isotypic pieces of two different tensor objects:
+    ``to_blocks`` reads it as blocks and ``from_blocks`` rebuilds it, for
+    every ordered pair.  Criterion 8 checks braidings for abelian groups only."""
+    cat = any_category(name)
+    simples = [cat.object_of_irrep(irr) for irr in cat.irreps()]
+    for lam in simples:
+        for mu in simples:
+            b = cat.braiding(lam, mu)
+            back = cat.from_blocks(cat.to_blocks(b), b.src, b.dst)
+            assert max_dev(back.matrix, b.matrix) < 1e-9
 
 
 def any_category(name):

@@ -17,13 +17,10 @@ from twohilb.linalg import dagger, max_dev
 from twohilb.reps import Intertwiner, RepCategory, UnitaryIrrep
 from twohilb.transforms import (
     FourierMap,
-    SpectrumPoint,
     conv_layout,
     convolution_tensor,
     dual_group,
-    gelfand_hat,
     graded_braiding,
-    hat_homomorphism_defect,
     tannaka_reconstruct,
 )
 
@@ -360,100 +357,6 @@ def test_convolution_morphism_functorial(rng):
     assert morphism_dev(lhs, rhs) < 1e-9
 
 
-def test_tautological_point_validates():
-    for build in (lambda: RepCategory(symmetric_group(3)),
-                  lambda: RepCategory(FiniteSuperGroup.make(quaternion_group(), 1))):
-        cat = build()
-        point = SpectrumPoint(cat)
-        assert point.validate() < 1e-8
-
-
-def test_point_validation_decomposes_each_pair_once(monkeypatch):
-    """validate reaches every ordered pair of simples through two structure
-    maps and two fused layouts; each tensor is decomposed only once, and
-    each structure map is built once per validation."""
-    cat = RepCategory(symmetric_group(3))
-    point = SpectrumPoint(cat)
-    computed, maps = [], []
-    original = RepCategory.decompose
-    original_map = SpectrumPoint.structure_map
-
-    def counted(self, x):
-        if x._isotypic is None:
-            computed.append(x.name)
-        return original(self, x)
-
-    def counted_map(self, lam, mu):
-        maps.append((lam, mu))
-        return original_map(self, lam, mu)
-
-    monkeypatch.setattr(RepCategory, "decompose", counted)
-    monkeypatch.setattr(SpectrumPoint, "structure_map", counted_map)
-    assert point.validate() < 1e-8
-    assert len(computed) <= len(cat.irreps()) ** 2 == 9
-    assert len(maps) <= 9
-    assert point.validate() < 1e-8
-    assert len(computed) <= 9
-
-
-def test_wrongly_graded_point_rejected(monkeypatch):
-    """A point grades each value by its irreducible's parity: an odd
-    irreducible read as even gives a value whose grading is not the
-    balancing's sign, and its braiding square with itself fails."""
-    cat = RepCategory(FiniteSuperGroup.make(quaternion_group(), 1))
-    irreps = cat.irreps()
-    odd = next(k for k, irr in enumerate(irreps) if irr.parity)
-    flipped = UnitaryIrrep(irreps[odd].label, irreps[odd].degree, irreps[odd].matrices, 0)
-    monkeypatch.setattr(cat, "irreps", lambda: irreps[:odd] + (flipped,) + irreps[odd + 1:])
-    with pytest.raises(ValidationError, match="coherence"):
-        SpectrumPoint(cat).validate()
-
-
-def test_gelfand_hat_values():
-    cat = RepCategory(symmetric_group(3))
-    point = SpectrumPoint(cat, name="tautological")
-    hat = gelfand_hat(cat.unit(), [point])
-    assert hat.dims() == {"tautological": 1}
-    hat_std = gelfand_hat(cat.irrep("2a"), [point])
-    assert hat_std.dims()["tautological"] == 2
-
-
-def test_hat_is_multiplicative_and_additive(rng):
-    cat = RepCategory(symmetric_group(3))
-    point = SpectrumPoint(cat)
-    x = cat.random_object(rng, max_dim=4)
-    y = cat.random_object(rng, max_dim=4)
-    nx, _ = point.value_of(x)
-    ny, _ = point.value_of(y)
-    nxy, _ = point.value_of(cat.tensor(x, y))
-    assert nxy == nx * ny
-    nsum, _ = point.value_of(cat.direct_sum(x, y))
-    assert nsum == nx + ny
-    f = cat.random_intertwiner(x, x, rng)
-    assert max_dev(point.morphism_value(f.star()),
-                   dagger(point.morphism_value(f))) < 1e-9
-
-
-def test_morphism_value_rejects_maps_that_mix_simples():
-    cat = RepCategory(symmetric_group(3))
-    x = cat.direct_sum(cat.irrep("1a"), cat.irrep("1b"))
-    swap = Intertwiner(x, x, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(ValidationError, match="mixes distinct simples"):
-        SpectrumPoint(cat).morphism_value(swap)
-
-
-def test_twisted_points_are_conjugate(rng):
-    # every value has one grading sign, so an unprojected twist of a graded
-    # category's point validates too
-    for group in (symmetric_group(3), FiniteSuperGroup.make(quaternion_group(), 1)):
-        cat = RepCategory(group)
-        point = SpectrumPoint(cat)
-        twisted = point.twisted(rng)
-        assert twisted.validate() < 1e-7
-        x = cat.random_object(rng, max_dim=4)
-        assert point.value_of(x)[0] == twisted.value_of(x)[0]
-
-
 def test_double_dual_evaluation():
     # the double dual is identified with the group by evaluation
     for group in (cyclic_group(4), product_group(cyclic_group(2), cyclic_group(2))):
@@ -470,31 +373,6 @@ def test_double_dual_evaluation():
             assert len(hits) == 1
             matched.add(hits[0])
         assert len(matched) == group.order
-
-
-def test_hat_homomorphism_defect(rng):
-    cat = RepCategory(symmetric_group(3))
-    point = SpectrumPoint(cat)
-    x = cat.random_object(rng, max_dim=4)
-    y = cat.random_object(rng, max_dim=4)
-    assert hat_homomorphism_defect(point, x, y, rng) < 1e-9
-
-
-def test_hat_homomorphism_defect_catches_a_transposed_morphism_value():
-    """Transposing every morphism value keeps the star law, so only f then g
-    with f and g that do not commute shows it: End(2 (2a)) is 2 x 2 matrices."""
-
-    class Transposed(SpectrumPoint):
-        def morphism_value(self, f, tol=1e-8):
-            return super().morphism_value(f, tol).T
-
-    cat = RepCategory(symmetric_group(3))
-    honest = SpectrumPoint(cat)
-    transposed = Transposed(cat, honest.twists)
-    x = cat.direct_sum(cat.irrep("2a"), cat.irrep("2a"))
-    y = cat.irrep("1b")
-    assert hat_homomorphism_defect(honest, x, y, np.random.default_rng(1)) < 1e-9
-    assert hat_homomorphism_defect(transposed, x, y, np.random.default_rng(1)) > 1e-3
 
 
 def test_tannaka_abelian():
