@@ -357,6 +357,21 @@ def test_convolution_morphism_functorial(rng):
     assert morphism_dev(lhs, rhs) < 1e-9
 
 
+def test_morphism_value_rejects_maps_that_mix_simples():
+    # the value of a morphism at the tuples (rho_lam(g))_lam is
+    # realize(to_blocks(f)): the swap of two copies of one simple has one,
+    # the swap of two distinct simples has none
+    cat = RepCategory(symmetric_group(3))
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    twice = cat.direct_sum(cat.irrep("1a"), cat.irrep("1a"))
+    f = Intertwiner(twice, twice, swap)
+    u = cat.coordinates(twice)
+    assert max_dev(cat.realize(cat.to_blocks(f)), u @ swap @ dagger(u)) < 1e-12
+    pair = cat.direct_sum(cat.irrep("1a"), cat.irrep("1b"))
+    with pytest.raises(ValidationError, match="mixes distinct simples"):
+        cat.to_blocks(Intertwiner(pair, pair, swap))
+
+
 def test_double_dual_evaluation():
     # the double dual is identified with the group by evaluation
     for group in (cyclic_group(4), product_group(cyclic_group(2), cyclic_group(2))):
