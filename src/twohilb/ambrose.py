@@ -75,10 +75,11 @@ class HStarAlgebraData:
         is closed under left multiplication by the generators,
         one word length per step: the new products are orthogonalized against
         the span, and the directions with singular values above DEFAULT_TOL
-        join it.  The next products are taken of those directions at their
-        own sizes, so a word that is rounding noise stays below the cut.  The
-        span is not seeded with the unit, which is checked only after
-        associativity.
+        join it; products whose Frobenius norm, a bound on every singular
+        value, is at most DEFAULT_TOL add nothing and take no SVD.  The next
+        products are taken of those directions at their own sizes, so a word
+        that is rounding noise stays below the cut.  The span is not seeded
+        with the unit, which is checked only after associativity.
         """
         n = self.dim
         t = self.table
@@ -96,6 +97,8 @@ class HStarAlgebraData:
             while len(new) and len(span) < n:
                 for _ in range(2):  # orthogonalized twice, to working precision
                     new = new - (new @ dagger(span)) @ span
+                if np.linalg.norm(new) <= DEFAULT_TOL:
+                    break
                 _, s, vh = np.linalg.svd(new, full_matrices=False)
                 keep = s > DEFAULT_TOL
                 span = np.vstack([span, vh[keep]])

@@ -407,53 +407,87 @@ class RepCategory:
         the pulled-back projectors u^H u sum to the identity on the carrier.
 
         It is built from the matrix-coefficient operators
-        E_j0 = (d/|G|) sum_g conj(irrep(g)[j, 0]) rho_x(g), one contraction
-        over the group per irreducible.  Each E_00 is the Hermitian projector
-        onto a multiplicity space, and by Schur orthogonality the projectors
-        of distinct irreducibles are mutually orthogonal, so one eigh of
-        H = sum_a (a + 1) E^a_00 over the irreducibles present gives them
-        all: its eigenspace at the integer a + 1 is the multiplicity space of
-        the a-th, and column (j, b) of u^H is E_j0 v_b for an orthonormal
-        basis v_b of it.  No random draw is made, so equal matrices give
-        identical co-isometries.  The multiplicities come from the character
-        table; raises when an eigenspace is not of that size, or when the
-        projectors do not resolve the identity (a carrier that is not unitary).
+        E^a_j0 = (d_a/|G|) sum_g conj(rho_a(g)[j, 0]) rho_x(g) of every
+        irreducible a present, in one contraction of x's matrices with the
+        category's coefficient stack (``_coefficients``).  Each E^a_00 is the
+        Hermitian projector onto a multiplicity space, and by Schur
+        orthogonality the projectors of distinct irreducibles are mutually
+        orthogonal, so one eigh of H = sum_a (a + 1) E^a_00 gives them all:
+        its ascending eigenvalues are 0 on the kernel (of dimension
+        n - sum m_a) and then a + 1, m_a times, for each a present in
+        irreducible order, so each multiplicity space is one block of
+        consecutive eigenvectors v_b, and column (j, b) of u^H is E^a_j0 v_b.
+        One product E @ V gives every such column.  The stacked
+        co-isometries are the unitary ``coordinates(x)``, kept read-only on
+        x, and each piece's co-isometry is a row block of it.  No random draw
+        is made, so equal matrices give identical co-isometries.  The
+        multiplicities come from the character table; raises when an
+        eigenspace is not of that size, or when the projectors do not resolve
+        the identity (a carrier that is not unitary).
         """
         if x._isotypic is not None:
             return x._isotypic
-        order = self.group.order
-        present = [(irr, m) for irr, m in zip(self.irreps(), self._multiplicity_vector(x))
-                   if m]
-        coefficient_ops = []
-        h = np.zeros((x.dim, x.dim), dtype=np.complex128)
-        for level, (irr, _) in enumerate(present, start=1):
-            coeffs = np.conj(irr.matrices[:, :, 0]).T * (irr.degree / order)  # (d, |G|)
-            e = (coeffs @ x.matrices.reshape(order, -1)).reshape(irr.degree, x.dim, x.dim)
-            coefficient_ops.append(e)
-            h += level * e[0]
+        n, irreps = x.dim, self.irreps()
+        mults = self._multiplicity_vector(x)
+        if n == 0:
+            x._isotypic, x._coordinates = [], read_only(np.zeros((0, 0), dtype=np.complex128))
+            return x._isotypic
+        coeffs, owner, level = self._coefficients()
+        rows = mults[owner] > 0  # the rows (a, j) of the irreducibles present
+        e = coeffs[rows] @ x.matrices.reshape(self.group.order, n * n)
+        h = (level[rows] @ e).reshape(n, n)
+        owner, e = owner[rows], e.reshape(-1, n, n)
         eigvals, vecs = np.linalg.eigh((h + dagger(h)) / 2.0)
         levels = np.rint(eigvals)
-        pieces = []
-        for level, ((irr, mult), e) in enumerate(zip(present, coefficient_ops), start=1):
-            basis = vecs[:, levels == level]
-            if basis.shape[1] != mult:
-                raise ValidationError(f"multiplicity space of {irr.label} has dimension "
-                                      f"{basis.shape[1]}, not {mult}")
-            u_cols = (e @ basis).transpose(1, 0, 2).reshape(x.dim, irr.degree * mult)
-            pieces.append(IsotypicPiece(irr, mult, dagger(u_cols)))
-        worst = max_dev(sum(dagger(p.coisometry) @ p.coisometry for p in pieces),
-                        np.eye(x.dim))
+        kernel = n - int(mults.sum())
+        if not np.array_equal(levels, np.repeat(np.arange(len(mults) + 1.0),
+                                                [max(kernel, 0), *mults])):
+            for a in np.flatnonzero(mults):
+                found = np.count_nonzero(levels == a + 1)
+                if found != mults[a]:
+                    raise ValidationError(f"multiplicity space of {irreps[a].label} has "
+                                          f"dimension {found}, not {mults[a]}")
+            raise ValidationError(f"kernel of the isotypic operator has dimension "
+                                  f"{np.count_nonzero(levels == 0)}, not {kernel}")
+        # column c of V lies in the multiplicity space of irreducible levels[c] - 1;
+        # row (a, j, b) of U is conj(E^a_j0 v_b) for the v_b of a
+        same = owner[:, None] + 1.0 == levels[kernel:]
+        u = read_only((e @ vecs[:, kernel:]).swapaxes(1, 2)[same].conj())
+        worst = max_dev(dagger(u) @ u, np.eye(n))
         if worst > 1e-7:
             raise ValidationError(f"isotypic projectors do not resolve the identity "
                                   f"({worst:.3e})", violation=worst)
-        x._isotypic = pieces
+        pieces, r = [], 0
+        for a in np.flatnonzero(mults).tolist():
+            m = int(mults[a])
+            size = irreps[a].degree * m
+            pieces.append(IsotypicPiece(irreps[a], m, u[r:r + size]))
+            r += size
+        x._isotypic, x._coordinates = pieces, u
         return pieces
 
-    def _multiplicity_vector(self, x: RepObject) -> list[int]:
+    def _coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (sum d_a) x |G| stack whose row (a, j) is
+        (d_a/|G|) conj(rho_a(g)[j, 0]) over g, in irreducible order; the
+        irreducible a of each row; and each row's level in ``decompose``'s
+        H, a + 1 on the rows (a, 0) and 0 on the others.  Read-only, built
+        once per group and grading."""
+        def build():
+            order, irreps = self.group.order, self.irreps()
+            stack = np.concatenate([np.conj(irr.matrices[:, :, 0]).T * (irr.degree / order)
+                                    for irr in irreps])
+            degrees = [irr.degree for irr in irreps]
+            owner = np.repeat(np.arange(len(irreps)), degrees)
+            level = np.zeros(len(owner))
+            level[np.cumsum(degrees) - degrees] = np.arange(1.0, len(irreps) + 1)
+            return read_only(stack), read_only(owner), read_only(level)
+        return self._memo("coefficients", build)
+
+    def _multiplicity_vector(self, x: RepObject) -> np.ndarray:
         """<chi_a, chi_x> for every irreducible a, as one matvec against the
         character table; raises unless every one is an integer."""
         vals = np.real(self.character_table() @ np.conj(x.character)) / self.group.order
-        return _integers(vals, "multiplicity", self.irrep_labels()).tolist()
+        return _integers(vals, "multiplicity", self.irrep_labels())
 
     # -- the skeleton -----------------------------------------------------
 
@@ -472,25 +506,36 @@ class RepCategory:
 
     def coordinates(self, x: RepObject) -> np.ndarray:
         """The unitary U_x onto x's isotypic coordinates: the co-isometries of
-        ``decompose`` stacked in irreducible order, 0 x dim for a zero object.
-        It intertwines x with ``realize(skeletal(x))``."""
-        pieces = self.decompose(x)
-        if not pieces:
-            return np.zeros((0, x.dim), dtype=np.complex128)
-        return np.concatenate([p.coisometry for p in pieces])
+        ``decompose`` stacked in irreducible order, kept read-only on x (0 x 0
+        for a zero object).  It intertwines x with ``realize(skeletal(x))``."""
+        self.decompose(x)
+        return x._coordinates
 
     def realize(self, a):
         """The inverse of the skeleton functor, in isotypic coordinates: a
         skeletal object n goes to the representation blockdiag of
         kron(rho_lam, I_{n_lam}), a block morphism b to the matrix blockdiag of
-        kron(I_{d_lam}, b_lam).  Raises unless ``a`` lives over ``skeleton()``."""
+        kron(I_{d_lam}, b_lam).  Empty blocks are skipped, and a kron with I_1
+        is its other factor, placed as it is.  Raises unless ``a`` lives over
+        ``skeleton()``."""
         if a.space != self.skeleton():
             raise CompositionError("skeletal data lives over a different space")
         irreps = self.irreps()
         if isinstance(a, ObjectExpr):
-            mats = block_diag([kron(irr.matrices, np.eye(n)) for irr, n in zip(irreps, a.mults)])
-            return RepObject(self, mats, name="realized")
-        return block_diag([kron(np.eye(irr.degree), a.block(irr.label)) for irr in irreps])
+            mats = [irr.matrices if n == 1 else kron(irr.matrices, np.eye(n))
+                    for irr, n in zip(irreps, a.mults) if n]
+            if not mats:
+                return RepObject(self, np.zeros((self.group.order, 0, 0)), name="realized")
+            return RepObject(self, block_diag(mats), name="realized")
+        degrees = [irr.degree for irr in irreps]
+        rows = np.cumsum([0, *(d * m for d, m in zip(degrees, a.dst.mults))])
+        cols = np.cumsum([0, *(d * n for d, n in zip(degrees, a.src.mults))])
+        out = np.zeros((rows[-1], cols[-1]), dtype=np.complex128)
+        for label, b in a.blocks.items():
+            i = a.space.simples.index(label)
+            d = degrees[i]
+            out[rows[i]:rows[i + 1], cols[i]:cols[i + 1]] = b if d == 1 else kron(np.eye(d), b)
+        return out
 
     def to_blocks(self, f: Intertwiner, tol: float = 1e-8) -> BlockMorphism:
         """The intertwiner in the skeleton.

@@ -14,7 +14,7 @@ from twohilb.ambrose import (
 )
 from twohilb.errors import ValidationError
 from twohilb.groups import cyclic_group, dihedral_group, quaternion_group, symmetric_group
-from twohilb.linalg import dagger, max_dev, random_complex, random_unitary
+from twohilb.linalg import DEFAULT_TOL, dagger, max_dev, random_complex, random_unitary
 from twohilb.reps import RepCategory
 
 
@@ -493,6 +493,55 @@ def test_generators_span_every_basis_vector(alg):
     assert len(gens) >= 1 and len(set(gens)) == len(gens)
     assert word_span_dim(alg, gens) == alg.dim
     assert alg.generators is gens  # kept with the algebra
+
+
+def loop_generators(alg):
+    """The greedy generating set with an SVD of every block of products,
+    however small its norm."""
+    n, t = alg.dim, alg.table
+    eye = np.eye(n)
+    span = np.zeros((0, n), dtype=np.complex128)
+    gens = []
+    while len(span) < n:
+        residual = np.linalg.norm(eye - dagger(span) @ span, axis=1)
+        outside = np.flatnonzero(residual > 1e3 * DEFAULT_TOL).tolist()
+        i = next((j for j in outside if max_dev(t[j], eye) > DEFAULT_TOL), outside[0])
+        gens.append(i)
+        left = t[gens]
+        new = np.vstack([eye[i], span @ t[i]])
+        while len(new) and len(span) < n:
+            for _ in range(2):
+                new = new - (new @ dagger(span)) @ span
+            _, s, vh = np.linalg.svd(new, full_matrices=False)
+            keep = s > DEFAULT_TOL
+            span = np.vstack([span, vh[keep]])
+            new = ((s[keep, None] * vh[keep]) @ left).reshape(-1, n)
+    return tuple(gens)
+
+
+def test_generators_skip_the_svd_of_negligible_products(monkeypatch):
+    """A block of products whose Frobenius norm is at most DEFAULT_TOL has no
+    singular value above the cut: skipping its SVD keeps the generators and
+    takes fewer SVDs on algebras shaped like criterion 2's."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    counts = []
+    models = [change_basis(base, u) for base, u in rotated_block_models(2, count=50)]
+    for alg in models + [group_algebra(symmetric_group(4)), group_algebra(symmetric_group(5))]:
+        calls.clear()
+        want = loop_generators(alg)
+        looped = len(calls)
+        calls.clear()
+        assert alg.generators == want
+        counts.append((len(calls), looped))
+    skipped, looped = np.sum(counts[:len(models)], axis=0)
+    assert skipped < looped
 
 
 @pytest.mark.parametrize("group", [symmetric_group(3), symmetric_group(4),

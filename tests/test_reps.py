@@ -628,6 +628,74 @@ def test_decompose_of_a_non_unitary_carrier_raises(s3):
         s3.decompose(y)
 
 
+class _CountedStack(np.ndarray):
+    """A coefficient stack that records each product taken with it."""
+
+    products: list = []
+
+    def __matmul__(self, other):
+        self.products.append(np.shape(other))
+        return np.matmul(self.view(np.ndarray), other)
+
+
+@pytest.mark.parametrize("name, present", [("S4", 4), ("SuperQ8", 5), ("Z12-tensor", 5)])
+def test_decompose_makes_one_contraction_over_the_group(monkeypatch, super_q8, name, present):
+    """One product of x's matrices with the category's coefficient stack,
+    whatever the number of irreducibles present."""
+    cat, x = _one_eigh_case(name, super_q8)
+    stack, owner, level = cat._coefficients()
+    assert stack.shape == (sum(i.degree for i in cat.irreps()), cat.group.order)
+    assert cat._coefficients()[0] is stack
+    monkeypatch.setattr(_CountedStack, "products", [])
+    monkeypatch.setitem(cat._shared, "coefficients", (stack.view(_CountedStack), owner, level))
+    pieces = cat.decompose(x)
+    assert len(pieces) == present
+    assert _CountedStack.products == [(cat.group.order, x.dim * x.dim)]
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "SuperQ8"])
+def test_decompose_of_the_zero_object(super_q8, name):
+    cat = super_q8 if name == "SuperQ8" else RepCategory(catalog()[name]())
+    zero = RepObject(cat, np.zeros((cat.group.order, 0, 0)))
+    assert cat.decompose(zero) == []
+    assert cat.coordinates(zero).shape == (0, 0)
+    assert cat.skeletal(zero).mults == (0,) * len(cat.irreps())
+
+
+@pytest.mark.parametrize("name", ["S4", "SuperQ8", "Z12-tensor"])
+def test_coisometries_are_row_blocks_of_the_kept_coordinates(super_q8, name):
+    """coordinates(x) is built once and kept read-only on x; each piece's
+    co-isometry is a view of its rows, in irreducible order."""
+    cat, x = _one_eigh_case(name, super_q8)
+    u = cat.coordinates(x)
+    assert cat.coordinates(x) is u and u.shape == (x.dim, x.dim)
+    assert max_dev(dagger(u) @ u, np.eye(x.dim)) < 1e-12
+    r = 0
+    for p in cat.decompose(x):
+        size = p.irrep.degree * p.multiplicity
+        assert np.shares_memory(p.coisometry, u)
+        assert np.array_equal(p.coisometry, u[r:r + size])
+        r += size
+    assert r == x.dim
+    with pytest.raises(ValueError):
+        u[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        cat.decompose(x)[0].coisometry[0, 0] = 1.0
+
+
+def test_decompose_refuses_a_wrong_multiplicity_vector(s3, monkeypatch):
+    """An integral vector of the right total degree that is not x's, S3's
+    2a + 1a claimed as three copies of 1a, does not fit the eigenvalue
+    blocks: decompose names the irreducible instead of slicing."""
+    x = s3.direct_sum(s3.irrep("2a"), s3.irrep("1a"))
+    assert s3.skeletal(RepObject(s3, x.matrices)).mults == (1, 0, 1)
+    monkeypatch.setattr(RepCategory, "_multiplicity_vector",
+                        lambda self, obj: np.array([3, 0, 0]))
+    with pytest.raises(ValidationError, match="multiplicity space of 1a has dimension 1, not 3"):
+        s3.decompose(x)
+    assert x._isotypic is None
+
+
 def test_shared_arrays_are_read_only(s3):
     """The group table, the inverse array and the irreducible matrices are
     shared by every caller (object_of_irrep does not copy), so an in-place

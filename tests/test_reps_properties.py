@@ -17,8 +17,10 @@ from twohilb.hstar import (
     star,
 )
 from twohilb.linalg import (
+    block_diag,
     dagger,
     distance_to_unitary,
+    kron,
     max_abs,
     max_dev,
     random_complex,
@@ -226,6 +228,34 @@ def test_coordinates_join_an_object_with_its_realized_skeletal_image(name):
     assert zero.matrices.shape == (cat.group.order, 0, 0)
     with pytest.raises(CompositionError):
         cat.realize(ObjectExpr.make(SpaceTable.make(["a"]), [1]))
+
+
+def loop_realize(cat, a):
+    """realize by its definition: a kron with an identity for every
+    irreducible, zero multiplicities and absent blocks included."""
+    irreps = cat.irreps()
+    if isinstance(a, ObjectExpr):
+        return block_diag([kron(irr.matrices, np.eye(n)) for irr, n in zip(irreps, a.mults)])
+    return block_diag([kron(np.eye(irr.degree), a.block(irr.label)) for irr in irreps])
+
+
+@pytest.mark.parametrize("name, src, dst", [
+    ("S3", (2, 0, 1), (1, 3, 2)),
+    ("S3", (0, 0, 0), (1, 0, 2)),
+    ("Q8", (1, 0, 2, 0, 1), (0, 1, 3, 0, 2)),
+    ("Z4", (0, 2, 1, 0), (1, 1, 0, 3)),
+    ("Z4", (0, 0, 0, 0), (0, 0, 0, 0))])
+def test_realize_is_bitwise_its_definition(name, src, dst):
+    """Skipping empty irreducibles and placing degree-1 blocks as they are
+    gives the same bits as the kron of every block with an identity."""
+    cat = category(name)
+    src, dst = (ObjectExpr.make(cat.skeleton(), m) for m in (src, dst))
+    for obj in (src, dst):
+        assert np.array_equal(cat.realize(obj).matrices, loop_realize(cat, obj))
+        assert cat.realize(obj).matrices.shape[1] == sum(
+            i.degree * m for i, m in zip(cat.irreps(), obj.mults))
+    f = random_morphism(np.random.default_rng(33), src, dst)
+    assert np.array_equal(cat.realize(f), loop_realize(cat, f))
 
 
 every = st.sampled_from(sorted(catalog()) + ["SuperQ8"])
