@@ -148,23 +148,20 @@ def _tangle_contexts():
 
 @_timed
 def check_tangle_moves(seed=DEFAULT_SEED) -> CheckResult:
-    """Move suite passes for the catalog objects; the mis-scaled duality fails framed R1."""
+    """Move suite passes for the catalog objects in ambient 3 and 4 (ambient 4
+    only requires crossing symmetry too, which ambient 3 evaluates); the
+    mis-scaled duality fails framed R1."""
     tol = 1e-8
     worst = 0.0
     details = {}
     all_passed = True
     for name, cat, obj in _tangle_contexts():
-        ctx3 = EvalContext.make(cat, obj, ambient=3, tol=tol)
-        for entry in move_suite(ctx3):
+        ctx = EvalContext.make(cat, obj, ambient=3, tol=tol)
+        for entry in move_suite(ctx):
             worst = max(worst, entry.deviation)
-            if entry.required and not entry.passed:
+            if (entry.required or entry.move_id == "crossing-symmetry") and not entry.passed:
                 all_passed = False
                 details[f"{name}:{entry.move_id}"] = entry.deviation
-        ctx4 = EvalContext.make(cat, obj, ambient=4, tol=tol)
-        entries4 = {e.move_id: e for e in move_suite(ctx4)}
-        if not entries4["crossing-symmetry"].passed:
-            all_passed = False
-            details[f"{name}:crossing-symmetry"] = entries4["crossing-symmetry"].deviation
     # the deliberately mis-scaled duality must fail framed R1 by |scale|^2 - 1
     cat = RepCategory(symmetric_group(3))
     ctx = EvalContext.make(cat, cat.irrep("2a"), ambient=3, scale=2.0)

@@ -38,6 +38,8 @@ from .linalg import (
 _BLOCK_ENTRIES = 1 << 20
 # random draws tried by ambrose_decompose's split before it gives up
 _ATTEMPTS = 40
+# the largest residual of an axiom in validate and of a check in ambrose_decompose
+_TOL = 1e-7
 
 __all__ = ["HStarAlgebraData", "block_model", "change_basis", "ambrose_decompose",
            "AmbroseIdeal", "AmbroseDecomposition"]
@@ -124,7 +126,7 @@ class HStarAlgebraData:
     def inner(self, a: np.ndarray, b: np.ndarray) -> complex:
         return complex(np.vdot(a, b))
 
-    def validate(self, tol: float = 1e-7) -> None:
+    def validate(self) -> None:
         """Check associativity, the unit, the star axioms and the two product identities.
 
         Each identity is checked for e_i over the generating set only (Light's
@@ -156,24 +158,24 @@ class HStarAlgebraData:
                 assoc = t[i, rows] @ t.reshape(n, n * n)
                 assoc -= (t[rows].reshape(-1, n) @ t[i]).reshape(-1, n * n)
                 worst = max(worst, max_abs(assoc))
-        if worst > tol:
+        if worst > _TOL:
             raise ValidationError(f"associativity fails (max violation {worst:.3e})",
                                   violation=worst)
         lu = np.tensordot(self.unit, t, axes=(0, 0))
         ru = self.unit @ t  # a contraction over t's middle axis, without a transposed copy
         worst = max(max_dev(lu, np.eye(n)), max_dev(ru, np.eye(n)))
-        if worst > tol:
+        if worst > _TOL:
             raise ValidationError(f"unit fails (max violation {worst:.3e})", violation=worst)
         s = self.star_matrix
         worst = max_dev(s @ np.conj(s), np.eye(n))
-        if worst > tol:
+        if worst > _TOL:
             raise ValidationError(f"star is not an involution (max violation {worst:.3e})",
                                   violation=worst)
         # for generators i: (e_i e_j)* against e_j* e_i*, with e_i* the i-th
         # column of s
         star_right = (s[:, gens].T @ t).transpose(1, 0, 2)  # [i, p, k] = (e_p e_i*)[k]
         worst = max_dev(np.conj(t[gens]) @ s.T, s.T @ star_right)
-        if worst > tol:
+        if worst > _TOL:
             raise ValidationError(
                 f"star is not an antihomomorphism (max violation {worst:.3e})",
                 violation=worst)
@@ -182,7 +184,7 @@ class HStarAlgebraData:
         star_left = np.tensordot(s[:, gens], t, axes=(0, 0))  # [i, q, k] = (e_i* e_q)[k]
         worst = max(max_dev(np.conj(t[gens]), star_left.transpose(0, 2, 1)),
                     max_dev(np.conj(t[:, gens]), star_right.transpose(2, 0, 1)))
-        if worst > tol:
+        if worst > _TOL:
             raise ValidationError(
                 f"product identities fail (max violation {worst:.3e})", violation=worst)
 
@@ -284,7 +286,7 @@ class AmbroseDecomposition:
         return float(worst)
 
 
-def _minimal_projections(alg, rng, tol):
+def _minimal_projections(alg, rng):
     """Every ideal's minimal projections, one array per ideal, and the element r linking them.
 
     For a self-adjoint y, L(y) is Hermitian in an H*-algebra, and on an
@@ -311,7 +313,7 @@ def _minimal_projections(alg, rng, tol):
         step = max(1, _BLOCK_ENTRIES // (n * n))
         worst = max(max_dev(np.matmul(q[:, None], (q @ t.reshape(n, n * n)).reshape(-1, n, n)),
                             q[:, None]) for q in np.split(qs, range(step, len(qs), step)))
-        if not worst < 1e3 * tol:
+        if not worst < 1e3 * _TOL:
             raise ValidationError(f"spectral projections are not idempotent ({worst:.3e})",
                                   violation=worst)
         # rows q_a r and r q_a, and gram[a, b] = <q_a r, r q_b>
@@ -334,7 +336,7 @@ def _minimal_projections(alg, rng, tol):
                           "algebra data suspect")
 
 
-def ambrose_decompose(alg: HStarAlgebraData, tol: float = 1e-7,
+def ambrose_decompose(alg: HStarAlgebraData,
                       rng: np.random.Generator | None = None) -> AmbroseDecomposition:
     """Minimal two-sided ideal decomposition of a concrete H*-algebra.
 
@@ -342,11 +344,11 @@ def ambrose_decompose(alg: HStarAlgebraData, tol: float = 1e-7,
     (``_minimal_projections``); e_1a = q_1 r q_a, scaled to
     e_1a e_1a* = q_1, links them into matrix units e_ab = e_1a* e_1b, whose
     relations are checked, and the recomposed structure constants are
-    checked against the input.
+    checked against the input, both within ``_TOL``.
     """
-    alg.validate(tol)
+    alg.validate()
     rng = rng if rng is not None else np.random.default_rng(0)
-    groups, r = _minimal_projections(alg, rng, tol)
+    groups, r = _minimal_projections(alg, rng)
     ideals = []
     for qs in groups:
         d = len(qs)
@@ -368,13 +370,13 @@ def ambrose_decompose(alg: HStarAlgebraData, tol: float = 1e-7,
         diag = np.arange(d)
         relations[:, diag, diag] -= units[:, None]
         dev = max_abs(relations)
-        if not dev <= tol:  # a NaN fails too
+        if not dev <= _TOL:  # a NaN fails too
             raise ValidationError(f"matrix unit relations violated ({dev:.3e})", violation=dev)
         ideals.append(ideal)
 
     ideals.sort(key=lambda i: (i.size, i.weight))
     result = AmbroseDecomposition(alg, ideals)
     dev = result.recomposition_dev()
-    if not dev <= tol:
+    if not dev <= _TOL:
         raise ValidationError(f"recomposition mismatch ({dev:.3e})", violation=dev)
     return result

@@ -200,8 +200,11 @@ class FiniteGroup:
 
     @staticmethod
     def from_json(data: dict) -> "FiniteGroup":
-        g = FiniteGroup.make(data.get("name", "group"), data["table"],
-                             data.get("element_names"))
+        name, names = data.get("name", "group"), data.get("element_names", [])
+        if not (isinstance(name, str) and isinstance(names, list)
+                and all(isinstance(s, str) for s in names)):
+            raise ValidationError("name must be a string and element_names a list of strings")
+        g = FiniteGroup.make(name, data["table"], names)
         if "order" in data:
             order = data["order"]
             if not isinstance(order, int) or isinstance(order, bool):

@@ -95,12 +95,13 @@ class RepObject:
         """The traces of the matrices, computed once (like the isotypic pieces)."""
         return read_only(np.einsum("gii->g", self.matrices))
 
-    def validate(self, tol: float = 1e-8) -> float:
+    def validate(self) -> float:
         """The worst residual of the representation axioms, or raises: the
         identity acts as I, every element unitarily, rho(a s) = rho(a) rho(s)
         for every a and each generator s (exact, by Light's test as in
-        ``FiniteGroup.validate``), and the grading is an involution."""
-        g, mats = self.cat.group, self.matrices
+        ``FiniteGroup.validate``), and the grading is an involution, each
+        within 1e-8."""
+        g, mats, tol = self.cat.group, self.matrices, 1e-8
         eye = np.eye(self.dim)
         worst = max_dev(mats[g.identity], eye)
         if worst > tol:
@@ -378,8 +379,8 @@ class RepCategory:
         irreducible of degree d in both, u_y^H kron(I_d, E_ij) u_x / sqrt(d) for
         every matrix unit E_ij, in one batched matmul.  Nothing is drawn, so
         equal inputs give identical bits; ``rng`` is accepted and unused."""
-        basis = []
-        for p, q in _shared(self.decompose(x), self.decompose(y)):
+        basis, at = [], {p.irrep.label: p for p in self.decompose(x)}
+        for p, q in ((at[q.irrep.label], q) for q in self.decompose(y) if q.irrep.label in at):
             d, m, n = p.irrep.degree, q.multiplicity, p.multiplicity
             rows = dagger(q.coisometry).reshape(y.dim, d, m).transpose(2, 0, 1)[:, None]
             maps = rows @ p.coisometry.reshape(d, n, x.dim).transpose(1, 0, 2) / np.sqrt(d)
@@ -421,14 +422,14 @@ class RepCategory:
         co-isometries are the unitary ``coordinates(x)``, kept read-only on
         x, and each piece's co-isometry is a row block of it.  No random draw
         is made, so equal matrices give identical co-isometries.  The
-        multiplicities come from the character table; raises when an
-        eigenspace is not of that size, or when the projectors do not resolve
-        the identity (a carrier that is not unitary).
+        multiplicities come from the character table, kept beside U; raises
+        when an eigenspace is not of that size, or when the projectors do not
+        resolve the identity (a carrier that is not unitary).
         """
         if x._isotypic is not None:
             return x._isotypic
         n, irreps = x.dim, self.irreps()
-        mults = self._multiplicity_vector(x)
+        mults = x._multiplicities = read_only(self._multiplicity_vector(x))
         if n == 0:
             x._isotypic, x._coordinates = [], read_only(np.zeros((0, 0), dtype=np.complex128))
             return x._isotypic
@@ -457,12 +458,9 @@ class RepCategory:
         if worst > 1e-7:
             raise ValidationError(f"isotypic projectors do not resolve the identity "
                                   f"({worst:.3e})", violation=worst)
-        pieces, r = [], 0
-        for a in np.flatnonzero(mults).tolist():
-            m = int(mults[a])
-            size = irreps[a].degree * m
-            pieces.append(IsotypicPiece(irreps[a], m, u[r:r + size]))
-            r += size
+        at = self._offsets(mults.tolist())
+        pieces = [IsotypicPiece(irreps[a], int(mults[a]), u[at[a]:at[a + 1]])
+                  for a in np.flatnonzero(mults).tolist()]
         x._isotypic, x._coordinates = pieces, u
         return pieces
 
@@ -483,6 +481,14 @@ class RepCategory:
             return read_only(stack), read_only(owner), read_only(level)
         return self._memo("coefficients", build)
 
+    def _offsets(self, mults) -> list[int]:
+        """The first row of each irreducible in isotypic coordinates, then the
+        dimension, for the multiplicities ``mults``: the layout rule of
+        ``decompose``, ``realize`` and ``to_blocks``, from the degrees kept
+        as a tuple once per group and grading."""
+        degrees = self._memo("degrees", lambda: tuple(irr.degree for irr in self.irreps()))
+        return list(itertools.accumulate((d * m for d, m in zip(degrees, mults)), initial=0))
+
     def _multiplicity_vector(self, x: RepObject) -> np.ndarray:
         """<chi_a, chi_x> for every irreducible a, as one matvec against the
         character table; raises unless every one is an integer."""
@@ -500,9 +506,8 @@ class RepCategory:
 
     def skeletal(self, x: RepObject) -> ObjectExpr:
         """The object of the skeleton with the multiplicities of x's isotypic pieces."""
-        mult = {p.irrep.label: p.multiplicity for p in self.decompose(x)}
-        space = self.skeleton()
-        return ObjectExpr(space, tuple(mult.get(s, 0) for s in space.simples))
+        self.decompose(x)
+        return ObjectExpr(self.skeleton(), tuple(x._multiplicities.tolist()))
 
     def coordinates(self, x: RepObject) -> np.ndarray:
         """The unitary U_x onto x's isotypic coordinates: the co-isometries of
@@ -527,47 +532,36 @@ class RepCategory:
             if not mats:
                 return RepObject(self, np.zeros((self.group.order, 0, 0)), name="realized")
             return RepObject(self, block_diag(mats), name="realized")
-        degrees = [irr.degree for irr in irreps]
-        rows = np.cumsum([0, *(d * m for d, m in zip(degrees, a.dst.mults))])
-        cols = np.cumsum([0, *(d * n for d, n in zip(degrees, a.src.mults))])
+        rows, cols = self._offsets(a.dst.mults), self._offsets(a.src.mults)
         out = np.zeros((rows[-1], cols[-1]), dtype=np.complex128)
         for label, b in a.blocks.items():
             i = a.space.simples.index(label)
-            d = degrees[i]
+            d = irreps[i].degree
             out[rows[i]:rows[i + 1], cols[i]:cols[i + 1]] = b if d == 1 else kron(np.eye(d), b)
         return out
 
-    def to_blocks(self, f: Intertwiner, tol: float = 1e-8) -> BlockMorphism:
+    def to_blocks(self, f: Intertwiner) -> BlockMorphism:
         """The intertwiner in the skeleton.
 
         In isotypic coordinates u_y f u_x^H is the direct sum over the
-        irreducibles of kron(I_d, a_lam); the block morphism holds the a_lam.
-        Raises when a block between two pieces of one simple is not of that
-        form, or when a block between distinct simples does not vanish.
+        irreducibles of kron(I_d, a_lam), ``realize`` of the block morphism
+        of the a_lam, so a_lam is its first m x n sub-block at lam.  Raises
+        when realize of these a_lam misses an entry by more than 1e-8 in a
+        block of one simple, or else in a block between distinct simples.
         """
-        rows, cols = self.decompose(f.dst), self.decompose(f.src)
+        src, dst = self.skeletal(f.src), self.skeletal(f.dst)
         mat = self.coordinates(f.dst) @ f.matrix @ dagger(self.coordinates(f.src))
-        col_at, c = {}, 0
-        for p in cols:
-            col_at[p.irrep.label] = (c, p.multiplicity)
-            c += p.irrep.degree * p.multiplicity
-        # subtract each kron(I_d, a) in place: what is left must vanish
-        blocks, residuals, r = {}, [], 0
-        for p in rows:
-            d, m = p.irrep.degree, p.multiplicity
-            if p.irrep.label in col_at:
-                c, n = col_at[p.irrep.label]
-                block = mat[r:r + d * m, c:c + d * n].reshape(d, m, d, n)  # a view
-                a = blocks[p.irrep.label] = block[0, :, 0, :].copy()
-                for j in range(d):
-                    block[j, :, j, :] -= a
-                residuals.append(block)
-            r += d * m
-        if max_abs(mat) > tol:
-            if any(max_abs(b) > tol for b in residuals):
+        rows, cols = self._offsets(dst.mults), self._offsets(src.mults)
+        b = BlockMorphism(src, dst, {
+            label: mat[r:r + m, c:c + n] for label, r, c, m, n
+            in zip(src.space.simples, rows, cols, dst.mults, src.mults) if m and n})
+        missed = np.abs(mat - self.realize(b)) > 1e-8
+        if missed.any():
+            if any(missed[rows[i]:rows[i + 1], cols[i]:cols[i + 1]].any()
+                   for i in range(len(rows) - 1)):
                 raise ValidationError("block is not multiplicity-shaped")
             raise ValidationError("map mixes distinct simples")
-        return BlockMorphism(self.skeletal(f.src), self.skeletal(f.dst), blocks)
+        return b
 
     def from_blocks(self, b: BlockMorphism, x: RepObject, y: RepObject) -> Intertwiner:
         """The intertwiner x -> y with skeletal image b, the inverse of
@@ -722,12 +716,6 @@ class IsotypicPiece:
     irrep: UnitaryIrrep
     multiplicity: int
     coisometry: np.ndarray  # (degree * multiplicity, carrier_dim)
-
-
-def _shared(cols, rows) -> list[tuple[IsotypicPiece, IsotypicPiece]]:
-    """(source piece, target piece) for each irreducible in both decompositions."""
-    at = {p.irrep.label: p for p in cols}
-    return [(at[q.irrep.label], q) for q in rows if q.irrep.label in at]
 
 
 @dataclass

@@ -9,7 +9,7 @@ skeleton (``RepCategory.skeletal`` and ``to_blocks``, inverted by
 are validated numerically.  Graded objects and morphisms are
 ``hstar`` objects and block morphisms over a space with one simple per group
 element.  Their convolution reads the group table directly: ``conv_layout``
-is the one place that orders the pairs g1 g2 = g of a fiber.
+is the one place that sorts the coordinates of x (x) y into fibers.
 
 The points of Rep(G) are the tuples (rho_lam(g))_lam of the irreducibles'
 matrices at the group elements; evaluating the category at them is its
@@ -31,7 +31,7 @@ from .hstar import (
     morphism_dev,
     star,
 )
-from .linalg import dagger, kron, max_abs, max_dev, swap_matrix
+from .linalg import block_diag, dagger, max_abs, max_dev
 from .reps import Intertwiner, RepCategory, RepObject
 
 __all__ = ["convolution_tensor", "conv_layout", "graded_braiding", "dual_group",
@@ -45,8 +45,8 @@ def convolution_tensor(group: FiniteGroup, x, y):
 
     Both live over one space with a simple per element of the group, in the
     group's order.  The fiber at g is the sum of x[g1] y[g2] over g1 g2 = g;
-    a morphism's block at g is blockdiag of kron(x_g1, y_g2) over those pairs,
-    laid out by ``conv_layout``.
+    a morphism's block at g is the kron of the block-diagonal matrices of x
+    and y at the fibers g of its endpoints, laid out by ``conv_layout``.
     """
     if x.space != y.space:
         raise CompositionError("convolution needs both arguments over one space")
@@ -58,32 +58,29 @@ def convolution_tensor(group: FiniteGroup, x, y):
         return ObjectExpr.make(x.space, fibers.astype(int).tolist())
     src = convolution_tensor(group, x.src, y.src)
     dst = convolution_tensor(group, x.dst, y.dst)
-    labels = x.space.simples
+    mx, my = (block_diag([f.block(s) for s in x.space.simples]) for f in (x, y))
+    rows, row_at = conv_layout(group, x.dst, y.dst)
+    cols, col_at = conv_layout(group, x.src, y.src)
+    # entry (r |y| + s, c |y'| + t) of kron(mx, my) is mx[r, c] my[s, t]
+    r, s = np.divmod(rows, my.shape[0])
+    c, t = np.divmod(cols, my.shape[1])
     blocks = {}
-    for g, label in enumerate(labels):
-        # a pair missing from either layout has an empty kron block
-        rows = {(g1, g2): off for g1, g2, off, *_ in conv_layout(group, x.dst, y.dst, g)}
-        mat = np.zeros((dst.mults[g], src.mults[g]), dtype=np.complex128)
-        for g1, g2, off, nx, ny in conv_layout(group, x.src, y.src, g):
-            if (g1, g2) in rows:
-                part = kron(x.block(labels[g1]), y.block(labels[g2]))
-                row = rows[g1, g2]
-                mat[row:row + part.shape[0], off:off + nx * ny] = part
-        blocks[label] = mat
+    for g, label in enumerate(x.space.simples):
+        i, j = slice(row_at[g], row_at[g + 1]), slice(col_at[g], col_at[g + 1])
+        if i.start < i.stop and j.start < j.stop:
+            blocks[label] = mx[r[i, None], c[j]] * my[s[i, None], t[j]]
     return BlockMorphism(src, dst, blocks)
 
 
-def conv_layout(group: FiniteGroup, x: ObjectExpr, y: ObjectExpr, g: int):
-    """Pair blocks (g1, g2, offset, nx, ny) of the convolution fiber at g."""
-    layout = []
-    offset = 0
-    # g2 = g1^-1 g for every g1 at once
-    for g1, g2 in enumerate(group.matrix[group.inverses, g].tolist()):
-        nx, ny = x.mults[g1], y.mults[g2]
-        if nx * ny:
-            layout.append((g1, g2, offset, nx, ny))
-            offset += nx * ny
-    return layout
+def conv_layout(group: FiniteGroup, x: ObjectExpr, y: ObjectExpr):
+    """The kron positions k = r |y| + s of the coordinates r of x and s of y,
+    sorted stably by their fiber g1 g2, with g1 and g2 the simples of r and
+    s, and the |G| + 1 offsets of the fibers: blockdiag of kron(x_g1, y_g2)
+    over the pairs g1 g2 = g, in increasing g1, is the fiber at g."""
+    fiber = group.matrix[np.repeat(np.arange(group.order), x.mults)[:, None],
+                         np.repeat(np.arange(group.order), y.mults)].ravel()
+    sizes = np.bincount(fiber, minlength=group.order)
+    return np.argsort(fiber, kind="stable"), np.concatenate(([0], np.cumsum(sizes)))
 
 
 def graded_braiding(group: FiniteGroup, x: ObjectExpr, y: ObjectExpr,
@@ -96,20 +93,21 @@ def graded_braiding(group: FiniteGroup, x: ObjectExpr, y: ObjectExpr,
     """
     if not group.is_abelian:
         raise ValidationError("the convolution braiding needs an abelian group")
-    fibers, blocks = [], {}
+    cols, at = conv_layout(group, x, y)
+    # position r |y| + s of x (x) y goes to s |x| + r of y (x) x, in the same
+    # fiber over an abelian group, and argsort of y (x) x's order finds its row
+    r, s = np.divmod(cols, sum(y.mults))
+    target = np.argsort(conv_layout(group, y, x)[0])[s * sum(x.mults) + r]
+    odd = np.zeros(group.order, dtype=int) if parity is None else np.asarray(parity)
+    signs = 1.0 - 2.0 * (np.repeat(odd, x.mults)[r] * np.repeat(odd, y.mults)[s])
+    blocks = {}
     for g, label in enumerate(x.space.simples):
-        dst_off = {(g1, g2): off for g1, g2, off, _, _ in conv_layout(group, y, x, g)}
-        layout = conv_layout(group, x, y, g)
-        n = sum(nx * ny for *_, nx, ny in layout)
-        mat = np.zeros((n, n), dtype=np.complex128)
-        for g1, g2, off, nx, ny in layout:
-            doff = dst_off[(g2, g1)]
-            sign = -1.0 if parity is not None and parity[g1] and parity[g2] else 1.0
-            mat[doff:doff + nx * ny, off:off + nx * ny] = sign * swap_matrix(nx, ny)
-        fibers.append(n)
+        k = slice(at[g], at[g + 1])
+        mat = np.zeros((k.stop - k.start,) * 2, dtype=np.complex128)
+        mat[target[k] - at[g], np.arange(len(mat))] = signs[k]
         blocks[label] = mat
     # over an abelian group both convolutions have the same fibers
-    obj = ObjectExpr.make(x.space, fibers)
+    obj = ObjectExpr.make(x.space, np.diff(at).tolist())
     return BlockMorphism(obj, obj, blocks)
 
 
@@ -152,33 +150,26 @@ class FourierMap:
         # involution z; the bosonic symmetry ignores the grading
         self._parity = None if cat.bosonic else [irr.parity for irr in cat.irreps()]
 
-    def coisometries(self, x: RepObject) -> list[np.ndarray]:
-        """Per dual element: the co-isometry onto the isotypic component."""
-        pieces = {p.irrep.label: p for p in self.cat.decompose(x)}
-        return [pieces[lab].coisometry if lab in pieces
-                else np.zeros((0, x.dim), dtype=np.complex128)
-                for lab in self.space.simples]
-
     def transform(self, x: RepObject) -> ObjectExpr:
         return self.cat.skeletal(x)
 
     def _structure_map(self, x: RepObject, y: RepObject, xy: RepObject) -> BlockMorphism:
         """Unitary from the convolution of the images of x and y onto the
         image of their tensor object xy, whose decomposition is computed once
-        and kept on it."""
-        ux = self.coisometries(x)
-        uy = self.coisometries(y)
-        uxy = self.coisometries(xy)
-        fx, fy = self.cat.skeletal(x), self.cat.skeletal(y)
-        blocks = {}
-        for g, label in enumerate(self.space.simples):
-            layout = conv_layout(self.dual, fx, fy, g)
-            if layout:
-                include = np.hstack([kron(dagger(ux[g1]), dagger(uy[g2]))
-                                     for g1, g2, *_ in layout])
-                blocks[label] = uxy[g] @ include
-        return BlockMorphism(convolution_tensor(self.dual, fx, fy),
-                             self.cat.skeletal(xy), blocks)
+        and kept on it.  Every degree is 1, so ``coordinates`` has a row per
+        skeletal coordinate, and the block at g takes U_xy's rows at g and
+        the columns of kron(U_x^H, U_y^H) at ``conv_layout``'s fiber g."""
+        cat = self.cat
+        fx, fy, fxy = cat.skeletal(x), cat.skeletal(y), cat.skeletal(xy)
+        ux, uy = dagger(cat.coordinates(x)), dagger(cat.coordinates(y))
+        uxy = cat.coordinates(xy)
+        cols, at = conv_layout(self.dual, fx, fy)
+        r, s = np.divmod(cols, y.dim)
+        include = (ux[:, None, r] * uy[None, :, s]).reshape(x.dim * y.dim, len(cols))
+        rows = np.cumsum([0, *fxy.mults])
+        blocks = {label: uxy[rows[g]:rows[g + 1]] @ include[:, at[g]:at[g + 1]]
+                  for g, label in enumerate(self.space.simples) if at[g] < at[g + 1]}
+        return BlockMorphism(convolution_tensor(self.dual, fx, fy), fxy, blocks)
 
     def monoidal_defect(self, x: RepObject, y: RepObject,
                         f: Intertwiner | None = None,

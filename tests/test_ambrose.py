@@ -378,8 +378,8 @@ def test_split_takes_one_eigh_after_validation(monkeypatch):
             return call(*args, **kwargs)
         return wrapper
 
-    def validate_then_count(self, tol):
-        validate(self, tol)
+    def validate_then_count(self):
+        validate(self)
         for name in ("eigh", "eigvalsh", "qr", "svd"):
             monkeypatch.setattr(np.linalg, name, counted(name))
     monkeypatch.setattr(HStarAlgebraData, "validate", validate_then_count)

@@ -206,6 +206,9 @@ def test_unknown_object_is_input_error(capsys):
     '{"table": [["e", "a"], ["a", "e"]]}',     # non-integer entries
     '{"table": [[0, 1], [1, 0]], "central_involution": "z"}',
     '{"name": "Z2", "table": [[0, 1], [1, 0]], "element_names": ["e"]}',
+    '{"table": [[0, 1], [1, 0]], "element_names": "ab"}',  # split into its letters
+    '{"name": null, "table": [[0, 1], [1, 0]]}',           # printed as Rep(None)
+    '{"table": [[0, 1], [1, 0]], "element_names": ["e", 1]}',
     '{"table": [[0.5, 1], [1, 0]]}',            # truncated to Z2 by int()
     '{"table": [[0, 1], [1, 0]], "central_involution": 1.5}',
     '{"table": [[0, 1], [1, 0]], "central_involution": true}',

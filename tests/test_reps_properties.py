@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from twohilb.errors import CompositionError, ValidationError
 from twohilb.groups import FiniteSuperGroup, catalog, quaternion_group
 from twohilb.hstar import (
+    BlockMorphism,
     ObjectExpr,
     SpaceTable,
     compose,
@@ -184,7 +185,7 @@ def test_to_blocks_rejects_non_intertwiners(name, seed):
     # a degree-2 summand leaves room for maps that are not equivariant
     x = cat.direct_sum(cat.random_object(rng, max_dim=4), cat.irrep("2a"))
     f = Intertwiner(x, x, random_complex(rng, (x.dim, x.dim)))
-    with pytest.raises(ValidationError, match="multiplicity-shaped|mixes distinct simples"):
+    with pytest.raises(ValidationError, match="not multiplicity-shaped"):
         cat.to_blocks(f)
     # the swap of two distinct one-dimensional simples has square
     # multiplicity-shaped blocks, and still no skeletal image
@@ -192,6 +193,74 @@ def test_to_blocks_rejects_non_intertwiners(name, seed):
     swap = Intertwiner(pair, pair, np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValidationError, match="mixes distinct simples"):
         cat.to_blocks(swap)
+
+
+@pytest.mark.parametrize("name", sorted(_BRIDGE))
+def test_to_blocks_names_each_fault_by_its_own_mutant(name):
+    """In isotypic coordinates, a map that acts on 2a + 2a by diag(1, 2) on
+    the degree index has a non-scalar block; a map from 1a to 1b, and one
+    that adds an entry from 1a into 2a to the identity of 1a + 2a, only mix
+    distinct simples."""
+    cat = bridge_category(name)
+    two = cat.direct_sum(cat.irrep("2a"), cat.irrep("2a"))
+    u = cat.coordinates(two)
+    f = Intertwiner(two, two, dagger(u) @ kron(np.diag([1.0, 2.0]), np.eye(2)) @ u)
+    with pytest.raises(ValidationError, match="not multiplicity-shaped"):
+        cat.to_blocks(f)
+    with pytest.raises(ValidationError, match="mixes distinct simples"):
+        cat.to_blocks(Intertwiner(cat.irrep("1a"), cat.irrep("1b"), [[1.0]]))
+    pair = cat.direct_sum(cat.irrep("1a"), cat.irrep("2a"))
+    u = cat.coordinates(pair)
+    mixed = np.eye(3)
+    mixed[1, 0] = 0.5  # 1a comes first in isotypic coordinates
+    with pytest.raises(ValidationError, match="mixes distinct simples"):
+        cat.to_blocks(Intertwiner(pair, pair, dagger(u) @ mixed @ u))
+
+
+def loop_to_blocks(cat, f):
+    """to_blocks as an in-place loop: take each shared irreducible's block
+    a of U_y f U_x^H, subtract kron(I_d, a) from its diagonal block, and
+    require what is left to vanish within 1e-8."""
+    mat = cat.coordinates(f.dst) @ f.matrix @ dagger(cat.coordinates(f.src))
+    col_at, c = {}, 0
+    for p in cat.decompose(f.src):
+        col_at[p.irrep.label] = (c, p.multiplicity)
+        c += p.irrep.degree * p.multiplicity
+    blocks, r = {}, 0
+    for p in cat.decompose(f.dst):
+        d, m = p.irrep.degree, p.multiplicity
+        if p.irrep.label in col_at:
+            c, n = col_at[p.irrep.label]
+            block = mat[r:r + d * m, c:c + d * n].reshape(d, m, d, n)  # a view
+            a = blocks[p.irrep.label] = block[0, :, 0, :].copy()
+            for j in range(d):
+                block[j, :, j, :] -= a
+        r += d * m
+    assert max_abs(mat) <= 1e-8
+    return BlockMorphism(cat.skeletal(f.src), cat.skeletal(f.dst), blocks)
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "SuperQ8", "Z4"])
+def test_to_blocks_is_bitwise_the_in_place_loop(name):
+    """On random intertwiners between rotated objects in which some
+    irreducibles have multiplicity zero."""
+    cat = any_category(name)
+    rng = np.random.default_rng(34)
+    k, checked = len(cat.irreps()), 0
+    for _ in range(10):
+        mults = rng.integers(0, 3, (2, k))
+        mults[:, 0] += 1
+        mults[:, -1] = 0
+        x, y = (cat.realize(ObjectExpr.make(cat.skeleton(), m.tolist())) for m in mults)
+        x, y = (RepObject(cat, u @ o.matrices @ dagger(u))
+                for o, u in ((o, random_unitary(rng, o.dim)) for o in (x, y)))
+        f = cat.random_intertwiner(x, y, rng)
+        got, want = cat.to_blocks(f), loop_to_blocks(cat, f)
+        assert got.src == want.src and got.dst == want.dst
+        assert got.blocks.keys() == want.blocks.keys()
+        assert all(np.array_equal(got.blocks[lab], want.blocks[lab]) for lab in got.blocks)
+        checked += len(got.blocks)
+    assert checked
 
 
 # -- the equivalence: from_blocks inverts to_blocks ----------------------------------

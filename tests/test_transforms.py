@@ -13,8 +13,9 @@ from twohilb.groups import (
     symmetric_group,
 )
 from twohilb.hstar import BlockMorphism, ObjectExpr, SpaceTable, compose, identity, morphism_dev
-from twohilb.linalg import dagger, max_dev
+from twohilb.linalg import dagger, max_dev, swap_matrix
 from twohilb.reps import Intertwiner, RepCategory, UnitaryIrrep
+from twohilb.sampling import random_morphism
 from twohilb.transforms import (
     FourierMap,
     conv_layout,
@@ -23,6 +24,19 @@ from twohilb.transforms import (
     graded_braiding,
     tannaka_reconstruct,
 )
+
+
+def pair_layout(group, x, y, g):
+    """The pair blocks (g1, g2, offset, nx, ny) of the convolution fiber at g,
+    in increasing g1: the layout that ``conv_layout``'s sort must reproduce."""
+    layout, offset = [], 0
+    for g1 in range(group.order):
+        g2 = group.mult(group.inverse(g1), g)
+        nx, ny = x.mults[g1], y.mults[g2]
+        if nx * ny:
+            layout.append((g1, g2, offset, nx, ny))
+            offset += nx * ny
+    return layout
 
 
 def hilb(group):
@@ -216,10 +230,16 @@ def test_structure_map_is_bitwise_the_np_kron_reference(group, rng):
     y = cat.random_object(rng, max_dim=4)
     xy = cat.tensor(x, y)
     phi = fm._structure_map(x, y, xy)
-    ux, uy, uxy = fm.coisometries(x), fm.coisometries(y), fm.coisometries(xy)
+
+    def coisometries(obj):
+        """Per dual element, the co-isometry onto its isotypic component."""
+        pieces = {p.irrep.label: p.coisometry for p in cat.decompose(obj)}
+        return [pieces.get(lab, np.zeros((0, obj.dim))) for lab in fm.space.simples]
+
+    ux, uy, uxy = coisometries(x), coisometries(y), coisometries(xy)
     fx, fy = fm.transform(x), fm.transform(y)
     for g, label in enumerate(fm.space.simples):
-        layout = conv_layout(fm.dual, fx, fy, g)
+        layout = pair_layout(fm.dual, fx, fy, g)
         if layout:
             want = uxy[g] @ np.hstack([np.kron(dagger(ux[g1]), dagger(uy[g2]))
                                        for g1, g2, *_ in layout])
@@ -322,12 +342,66 @@ def test_signed_graded_braiding_is_symmetry():
     round_trip = compose(b, graded_braiding(g, y, x, parity))
     assert morphism_dev(round_trip, identity(round_trip.src)) < 1e-12
     # odd (x) odd fibers sit at grades 1 + 1 = 1 + 3 = 2: their swap changes sign
-    layout = {(g1, g2): (off, nx * ny) for g1, g2, off, nx, ny in conv_layout(g, x, y, 2)}
+    layout = {(g1, g2): (off, nx * ny) for g1, g2, off, nx, ny in pair_layout(g, x, y, 2)}
     off, size = layout[(1, 1)]
     label = g.element_name(2)
     block = b.block(label)[:, off:off + size]
     unsigned = plain.block(label)[:, off:off + size]
     assert max_dev(block, -unsigned) < 1e-12 and np.abs(unsigned).max() == 1.0
+    # every fiber's swap, with the pair blocks of y (x) x as the rows, is
+    # blockdiag of the signed swap_matrix(nx, ny) of each pair
+    for h, label in enumerate(x.space.simples):
+        rows = {(g1, g2): off for g1, g2, off, _, _ in pair_layout(g, y, x, h)}
+        want = np.zeros_like(b.block(label))
+        for g1, g2, off, nx, ny in pair_layout(g, x, y, h):
+            sign = -1.0 if parity[g1] and parity[g2] else 1.0
+            want[rows[g2, g1]:rows[g2, g1] + nx * ny, off:off + nx * ny] = \
+                sign * swap_matrix(nx, ny)
+        assert np.array_equal(b.block(label), want)
+
+
+@pytest.mark.parametrize("group", [symmetric_group(3), cyclic_group(12)], ids=["S3", "Z12"])
+def test_conv_layout_partitions_the_kron_positions_into_fibers(group, rng):
+    """Each fiber holds the positions r |y| + s with g1(r) g2(s) = g, in the
+    pair layout's order.  x lives on elements 0 and 1 and y on 0 and 2, so
+    at most four of the fibers are not empty."""
+    n = group.order
+    x = graded(group, [int(rng.integers(1, 3)), int(rng.integers(1, 3))] + [0] * (n - 2))
+    y = graded(group, [int(rng.integers(1, 3)), 0, int(rng.integers(1, 3))] + [0] * (n - 3))
+    order, at = conv_layout(group, x, y)
+    size = sum(x.mults) * sum(y.mults)
+    assert sorted(order.tolist()) == list(range(size)) and at[0] == 0 and at[-1] == size
+    assert np.count_nonzero(np.diff(at)) <= 4 < n
+    g1 = np.repeat(np.arange(n), x.mults)
+    g2 = np.repeat(np.arange(n), y.mults)
+    for g in range(n):
+        fiber = order[at[g]:at[g + 1]]
+        r, s = np.divmod(fiber, sum(y.mults))
+        assert all(group.mult(a, b) == g for a, b in zip(g1[r], g2[s]))
+        assert at[g + 1] - at[g] == sum(nx * ny for *_, nx, ny in pair_layout(group, x, y, g))
+        # within the fiber: by g1, then in kron order
+        assert np.all(np.diff(fiber) > 0)
+    assert convolution_tensor(group, x, y).mults == tuple(np.diff(at).tolist())
+
+
+@pytest.mark.parametrize("group", [symmetric_group(3), cyclic_group(12)], ids=["S3", "Z12"])
+def test_convolution_of_morphisms_is_bitwise_the_pair_loop(group, rng):
+    """Each fiber's block places np.kron(x_g1, y_g2) at the pair offsets of
+    both endpoints, and leaves zero where a pair of the source has no room
+    in the target."""
+    n = group.order
+    ends = [graded(group, [int(m) for m in rng.integers(0, 3, n)]) for _ in range(4)]
+    fx, fy = random_morphism(rng, ends[0], ends[1]), random_morphism(rng, ends[2], ends[3])
+    got = convolution_tensor(group, fx, fy)
+    labels = fx.space.simples
+    for g, label in enumerate(labels):
+        rows = {(g1, g2): off for g1, g2, off, *_ in pair_layout(group, fx.dst, fy.dst, g)}
+        want = np.zeros((got.dst.mults[g], got.src.mults[g]), dtype=np.complex128)
+        for g1, g2, off, nx, ny in pair_layout(group, fx.src, fy.src, g):
+            if (g1, g2) in rows:
+                part = np.kron(fx.block(labels[g1]), fy.block(labels[g2]))
+                want[rows[g1, g2]:rows[g1, g2] + part.shape[0], off:off + nx * ny] = part
+        assert np.array_equal(got.block(label), want)
 
 
 def test_fourier_monoidal_defect_graded():
